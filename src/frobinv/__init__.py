@@ -83,6 +83,7 @@ from .invariants import (
     ehk_estimate,
     fsig_function,
     hk_function,
+    hk_rows,
     hs_multiplicity,
     lech_check,
 )

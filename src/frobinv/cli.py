@@ -19,27 +19,33 @@ Every command prints a report envelope.  The JSON form is deterministic:
 keys are sorted, lengths and other potentially large counts are decimal
 strings, rationals are ``{"num": ..., "den": ...}`` objects, and the only
 run-dependent field is ``timing``, which sits outside the payload.  CSV
-and table forms render the same rows with exact entries.  Results can be
-cached on disk keyed by a content digest of (spec, command, parameters);
-cache writes go through a temporary file and an atomic rename.
+and table forms render the same rows with exact entries.  Each command
+is one entry of the ``_COMMANDS`` table, which declares its positionals,
+its own flags and its column header; every command also takes
+``--format`` and ``--cache``.  Results can be cached on disk keyed by a
+content digest of (spec, command, the command's parameters, version, the
+package's source); cache writes go through a temporary file and an atomic
+rename.
 
 Exit codes: 0 = computed; 2 = computed but the checked property failed
 (a non-member verdict, a violated inequality, a missed target); 3 = bad
-input (syntax, unknown names, non-prime characteristic, infinite
-colengths, missing files).
+input (usage errors, syntax, unknown names, non-prime characteristic,
+infinite colengths, missing files).
 """
 
 import argparse
 import csv
 import hashlib
-import io
 import json
 import os
 import sys
 import tempfile
 import time
+from collections import namedtuple
+from contextlib import contextmanager
 from fractions import Fraction
 
+from . import __version__ as VERSION
 from . import corpus
 from .coeff import (
     ExtensionField,
@@ -64,7 +70,7 @@ from .invariants import (
     descent_sequence,
     ehk_estimate,
     fsig_function,
-    hk_function,
+    hk_rows,
     hs_multiplicity,
     lech_check,
 )
@@ -78,10 +84,7 @@ from .equimult import (
     wy_inequality_check,
 )
 
-VERSION = "0.1.0"
 CACHE_ENV = "FROBINV_CACHE"
-
-_DOMAIN_ERRORS = (FieldError, RingError, FrobeniusError, InvariantError, EquimultError)
 
 
 class SpecError(ValueError):
@@ -93,6 +96,11 @@ class SpecError(ValueError):
         super().__init__(message)
         self.line = line
         self.col = col
+
+
+# every error that main reports as bad input, exit 3
+_INPUT_ERRORS = (SpecError, OSError, FieldError, RingError, FrobeniusError,
+                 InvariantError, EquimultError)
 
 
 # ---------------------------------------------------------------------------
@@ -108,54 +116,34 @@ def _statements(text):
     out = []
     buf = []
     pos = None
-    line, col = 1, 1
-    comment = False
-    for ch in text:
-        if ch == "\n":
-            comment = False
-            if buf:
-                buf.append(" ")
-            line += 1
-            col = 1
-            continue
-        if comment:
-            col += 1
-            continue
-        if ch == "#":
-            comment = True
-            col += 1
-            continue
-        if ch == ";":
-            stmt = "".join(buf).strip()
-            if not stmt:
-                raise SpecError("empty statement", line, col)
-            out.append((pos[0], pos[1], stmt))
-            buf = []
-            pos = None
-            col += 1
-            continue
-        if not ch.isspace() and pos is None:
-            pos = (line, col)
-        buf.append(ch)
-        col += 1
+    for line, raw in enumerate(text.split("\n"), 1):
+        for col, ch in enumerate(raw.partition("#")[0], 1):
+            if ch == ";":
+                stmt = "".join(buf).strip()
+                if not stmt:
+                    raise SpecError("empty statement", line, col)
+                out.append((pos[0], pos[1], stmt))
+                buf = []
+                pos = None
+                continue
+            if not ch.isspace() and pos is None:
+                pos = (line, col)
+            buf.append(ch)
+        if buf:
+            buf.append(" ")
     if "".join(buf).strip():
         raise SpecError("statement is missing its ';' terminator", pos[0], pos[1])
     return out
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
-
-def _is_name(s):
-    return s.isidentifier()
+@contextmanager
+def _located(line, col):
+    """Report a field or ring error raised in the block as a SpecError at
+    (line, col); without a position the message is passed on unchanged."""
+    try:
+        yield
+    except (FieldError, RingError) as exc:
+        raise SpecError(str(exc), line, col) from None
 
 
 def _split_top_commas(s):
@@ -184,7 +172,7 @@ def _parse_binding(rest, line, col, what):
     name, tail = rest.split("=", 1)
     name = name.strip()
     tail = tail.strip()
-    if not _is_name(name):
+    if not name.isidentifier():
         raise SpecError("bad %s name %r" % (what, name), line, col)
     if not tail:
         raise SpecError("empty %s body" % what, line, col)
@@ -225,10 +213,8 @@ class RingSpecDocument:
 
 def _build_extension(p, text, line, col):
     """Turn an 'ext' body into an ExtensionField plus its canonical text."""
-    try:
+    with _located(line, col):
         toks = tokenize(text)
-    except FieldError as exc:
-        raise SpecError(str(exc), line, col) from None
     names = sorted({val for kind, val in toks if kind == "name"})
     if len(names) != 1:
         raise SpecError(
@@ -236,10 +222,8 @@ def _build_extension(p, text, line, col):
             % (names or "none"), line, col)
     gen = names[0]
     helper = ring_make(PrimeField(p), (gen,))
-    try:
+    with _located(line, col):
         f = helper.parse(text)
-    except RingError as exc:
-        raise SpecError(str(exc), line, col) from None
     deg = f.degree()
     if deg < 2:
         raise SpecError("extension modulus must have degree >= 2", line, col)
@@ -248,10 +232,8 @@ def _build_extension(p, text, line, col):
         inv = pow(coeffs[-1], p - 2, p)
         coeffs = [(c * inv) % p for c in coeffs]
         f = f.scale(helper.field.from_int(inv))
-    try:
+    with _located(line, col):
         field = ExtensionField(p, tuple(coeffs), gen=gen)
-    except FieldError as exc:
-        raise SpecError(str(exc), line, col) from None
     return field, str(f)
 
 
@@ -263,12 +245,15 @@ def parse_spec(text):
     rels = []
     ideal_stmts = []
     elem_stmts = []
+    once = set()
     for line, col, stmt in stmts:
         head, _, rest = stmt.partition(" ")
         rest = rest.strip()
+        if head in ("char", "ext", "param", "vars"):
+            if head in once:
+                raise SpecError("duplicate %r statement" % head, line, col)
+            once.add(head)
         if head == "char":
-            if char is not None:
-                raise SpecError("duplicate 'char' statement", line, col)
             try:
                 char = int(rest)
             except ValueError:
@@ -276,25 +261,19 @@ def parse_spec(text):
                                 % rest, line, col) from None
             char_pos = (line, col)
         elif head == "ext":
-            if ext_t is not None:
-                raise SpecError("duplicate 'ext' statement", line, col)
             if not rest:
                 raise SpecError("empty 'ext' statement", line, col)
             ext_t, ext_pos = rest, (line, col)
         elif head == "param":
-            if param is not None:
-                raise SpecError("duplicate 'param' statement", line, col)
-            if not _is_name(rest):
+            if not rest.isidentifier():
                 raise SpecError("bad parameter name %r" % rest, line, col)
             param, param_pos = rest, (line, col)
         elif head == "vars":
-            if varnames is not None:
-                raise SpecError("duplicate 'vars' statement", line, col)
             names = rest.split()
             if not names:
                 raise SpecError("empty 'vars' statement", line, col)
             for nm in names:
-                if not _is_name(nm):
+                if not nm.isidentifier():
                     raise SpecError("bad variable name %r" % nm, line, col)
                 if names.count(nm) > 1:
                     raise SpecError("duplicate variable %r" % nm, line, col)
@@ -322,36 +301,28 @@ def parse_spec(text):
 
     if char is None:
         raise SpecError("missing 'char' statement", 1, 1)
-    if not _is_prime(char):
-        raise SpecError("characteristic %d is not prime" % char, *char_pos)
+    try:
+        field = PrimeField(char)
+    except FieldError:
+        raise SpecError("characteristic %d is not prime" % char, *char_pos) from None
     if varnames is None:
         raise SpecError("missing 'vars' statement", 1, 1)
 
-    field = PrimeField(char)
     ext_canonical = None
     if ext_t is not None:
         field, ext_canonical = _build_extension(char, ext_t, *ext_pos)
     if param is not None:
-        try:
+        with _located(*param_pos):
             field = RationalFunctionField(field, param)
-        except FieldError as exc:
-            raise SpecError(str(exc), *param_pos) from None
 
-    try:
+    with _located(*vars_pos):
         ambient = ring_make(field, varnames)
-    except RingError as exc:
-        raise SpecError(str(exc), *vars_pos) from None
     rel_polys = []
     for txt, pos in rels:
-        try:
+        with _located(*pos):
             rel_polys.append(parse_polynomial(ambient, txt))
-        except RingError as exc:
-            raise SpecError(str(exc), *pos) from None
-    try:
+    with _located(*(rels[0][1] if rels else vars_pos)):
         ring = ring_make(field, varnames, relations=rel_polys)
-    except RingError as exc:
-        pos = rels[0][1] if rels else vars_pos
-        raise SpecError(str(exc), *pos) from None
 
     seen = set()
     ideals = {}
@@ -362,19 +333,15 @@ def parse_spec(text):
         seen.add(name)
         polys = []
         for g in gens:
-            try:
+            with _located(*pos):
                 polys.append(ring.parse(g))
-            except RingError as exc:
-                raise SpecError(str(exc), *pos) from None
         ideals[name] = Ideal(ring, polys)
     for name, txt, pos in elem_stmts:
         if name in seen:
             raise SpecError("duplicate name %r" % name, *pos)
         seen.add(name)
-        try:
+        with _located(*pos):
             elements[name] = ring.parse(txt)
-        except RingError as exc:
-            raise SpecError(str(exc), *pos) from None
     return RingSpecDocument(char, ext_canonical, param, ring, ideals, elements)
 
 
@@ -393,12 +360,15 @@ def _R(x):
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
-def _RS(x):
-    """Exact rational -> compact cell text for CSV / table output."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
+def _cell(value):
+    """One JSON-typed row entry -> its CSV / table cell text."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, dict):
+        if value["den"] == "1":
+            return value["num"]
+        return "%s/%s" % (value["num"], value["den"])
+    return str(value)
 
 
 def _verdict_payload(v):
@@ -411,16 +381,20 @@ def _verdict_payload(v):
     }
 
 
-def _hk_rows(rows):
+def _hk_json(rows):
     return [[e, _S(q), _S(l), _R(nrm)] for e, q, l, nrm in rows]
 
 
-def _hk_cells(rows):
-    return [[str(e), _S(q), _S(l), _RS(nrm)] for e, q, l, nrm in rows]
-
-
 # ---------------------------------------------------------------------------
-# command handlers — each returns {"payload","exit","warranty","header","cells"}
+# command handlers
+
+
+# Handlers take the spec document, the parsed arguments and the resolved
+# ideal and element positionals.  They return the payload, the JSON-typed
+# rows that the CSV and table reports render, whether the checked property
+# held (exit 0, else 2) and the warranty notes; the shared code adds the
+# ring to the payload.
+_Result = namedtuple("_Result", "payload rows ok warranty", defaults=(True, ()))
 
 
 def _get_ideal(doc, name):
@@ -432,14 +406,13 @@ def _get_ideal(doc, name):
 def _get_poly(doc, token):
     if token in doc.elements:
         return doc.elements[token]
-    try:
+    with _located(None, None):
         return doc.ring.parse(token)
-    except RingError as exc:
-        raise SpecError(str(exc)) from None
 
 
-def _order_of(args):
-    return {"grevlex": GREVLEX, "lex": LEX}[args.order]
+def _basis_text(I, order):
+    order = {"grevlex": GREVLEX, "lex": LEX}[order]
+    return [str(g) for g in groebner.groebner_basis(I, order)]
 
 
 def _ring_payload(doc):
@@ -452,141 +425,96 @@ def _ring_payload(doc):
     return out
 
 
-def cmd_hk(doc, args):
-    I = _get_ideal(doc, args.ideal)
-    d = doc.ring.dim
-    p = doc.ring.field.p
-    rows = []
-    for e in range(1, args.emax + 1):
-        q = p ** e
-        ell = hk_function(I, e)
-        rows.append((e, q, ell, Fraction(ell, q ** d)))
-    payload = {"ring": _ring_payload(doc), "ideal": args.ideal, "dim": d,
-               "rows": _hk_rows(rows)}
-    return {"payload": payload, "exit": 0, "warranty": [],
-            "header": ["e", "q", "colength", "normalized"],
-            "cells": _hk_cells(rows)}
+def cmd_hk(doc, args, I):
+    rows = _hk_json(hk_rows(I, args.emax, args.jobs))
+    return _Result({"ideal": args.ideal, "dim": doc.ring.dim, "rows": rows}, rows)
 
 
-def cmd_ehk(doc, args):
-    I = _get_ideal(doc, args.ideal)
+def cmd_ehk(doc, args, I):
     rep = ehk_estimate(I, args.emax, jobs=args.jobs)
-    payload = {"ring": _ring_payload(doc), "ideal": args.ideal,
-               "dim": rep.dim, "rows": _hk_rows(rep.rows),
+    rows = _hk_json(rep.rows)
+    payload = {"ideal": args.ideal, "dim": rep.dim, "rows": rows,
                "estimate": _R(rep.estimate), "method": rep.method,
                "error_band": _R(rep.error_band),
                "cauchy": [_R(c) for c in rep.cauchy]}
-    return {"payload": payload, "exit": 0, "warranty": [],
-            "header": ["e", "q", "colength", "normalized"],
-            "cells": _hk_cells(rep.rows)}
+    return _Result(payload, rows)
 
 
 def cmd_fsig(doc, args):
-    rep = fsig_function(doc.ring, args.emax, jobs=args.jobs)
-    payload = {"ring": _ring_payload(doc), "dim": rep.dim,
-               "rows": _hk_rows(rep.rows), "estimate": _R(rep.estimate),
+    rep = fsig_function(doc.ring, args.emax)
+    rows = _hk_json(rep.rows)
+    payload = {"dim": rep.dim, "rows": rows, "estimate": _R(rep.estimate),
                "error_band": _R(rep.error_band)}
-    return {"payload": payload, "exit": 0, "warranty": [],
-            "header": ["e", "q", "a_e", "normalized"],
-            "cells": _hk_cells(rep.rows)}
+    return _Result(payload, rows)
 
 
-def cmd_mult(doc, args):
-    x = _get_poly(doc, args.element)
+def cmd_mult(doc, args, x):
     res = hs_multiplicity(doc.ring, x, n_cap=args.nmax)
-    payload = {"ring": _ring_payload(doc), "element": str(x),
-               "multiplicity": res.multiplicity, "cm_defect": res.cm_defect,
-               "lengths": [_S(l) for l in res.lengths]}
-    cells = [[str(n), _S(l)] for n, l in enumerate(res.lengths, 1)]
-    return {"payload": payload, "exit": 0, "warranty": [],
-            "header": ["n", "length"], "cells": cells}
+    lengths = [_S(l) for l in res.lengths]
+    payload = {"element": str(x), "multiplicity": res.multiplicity,
+               "cm_defect": res.cm_defect, "lengths": lengths}
+    return _Result(payload, list(enumerate(lengths, 1)))
 
 
-def cmd_frobpow(doc, args):
-    I = _get_ideal(doc, args.ideal)
+def cmd_frobpow(doc, args, I):
     J = frobenius_power(I, args.emax)
     q = doc.ring.field.p ** args.emax
     gens = [str(g) for g in J.gens]
-    payload = {"ring": _ring_payload(doc), "ideal": args.ideal,
-               "e": args.emax, "q": _S(q), "generators": gens}
-    return {"payload": payload, "exit": 0, "warranty": [],
-            "header": ["generator"], "cells": [[g] for g in gens]}
+    payload = {"ideal": args.ideal, "e": args.emax, "q": _S(q),
+               "generators": gens}
+    return _Result(payload, [[g] for g in gens])
 
 
-def cmd_colon(doc, args):
-    I = _get_ideal(doc, args.ideal)
-    f = _get_poly(doc, args.element)
-    Q = groebner.ideal_colon(I, f)
-    gens = [str(g) for g in groebner.groebner_basis(Q, _order_of(args))]
-    payload = {"ring": _ring_payload(doc), "ideal": args.ideal,
-               "element": str(f), "order": args.order, "generators": gens}
-    return {"payload": payload, "exit": 0, "warranty": [],
-            "header": ["generator"], "cells": [[g] for g in gens]}
+def cmd_colon(doc, args, I, f):
+    gens = _basis_text(groebner.ideal_colon(I, f), args.order)
+    payload = {"ideal": args.ideal, "element": str(f), "order": args.order,
+               "generators": gens}
+    return _Result(payload, [[g] for g in gens])
 
 
-def cmd_saturate(doc, args):
-    I = _get_ideal(doc, args.ideal)
-    J = _get_ideal(doc, args.jideal)
-    S = groebner.saturate(I, J)
-    gens = [str(g) for g in groebner.groebner_basis(S, _order_of(args))]
-    payload = {"ring": _ring_payload(doc), "ideal": args.ideal,
-               "by": args.jideal, "order": args.order, "generators": gens}
-    return {"payload": payload, "exit": 0, "warranty": [],
-            "header": ["generator"], "cells": [[g] for g in gens]}
+def cmd_saturate(doc, args, I, J):
+    gens = _basis_text(groebner.saturate(I, J), args.order)
+    payload = {"ideal": args.ideal, "by": args.jideal, "order": args.order,
+               "generators": gens}
+    return _Result(payload, [[g] for g in gens])
 
 
-def cmd_tc_member(doc, args):
-    z = _get_poly(doc, args.element)
-    I = _get_ideal(doc, args.ideal)
+def cmd_tc_member(doc, args, z, I):
     if args.testel is not None:
         c = _get_poly(doc, args.testel)
     else:
         c = jacobian_candidate(doc.ring)
     v = tc_membership(z, I, c, args.emax)
-    payload = {"ring": _ring_payload(doc), "element": str(z),
-               "ideal": args.ideal, "candidate": str(c),
+    payload = {"element": str(z), "ideal": args.ideal, "candidate": str(c),
                "verdict": _verdict_payload(v)}
-    code = 2 if v.status.startswith("non-member") else 0
-    cells = [["status", v.status], ["e_bound", str(v.e_bound)],
-             ["candidate", str(c)]]
-    return {"payload": payload, "exit": code, "warranty": [WARRANTY],
-            "header": ["key", "value"], "cells": cells}
+    rows = [["status", v.status], ["e_bound", v.e_bound], ["candidate", str(c)]]
+    return _Result(payload, rows, not v.status.startswith("non-member"),
+                   [WARRANTY])
 
 
-def cmd_fclosure_member(doc, args):
-    z = _get_poly(doc, args.element)
-    I = _get_ideal(doc, args.ideal)
+def cmd_fclosure_member(doc, args, z, I):
     v = frobenius_closure_membership(z, I, args.emax)
-    payload = {"ring": _ring_payload(doc), "element": str(z),
-               "ideal": args.ideal, "verdict": _verdict_payload(v)}
-    code = 2 if v.status.startswith("non-member") else 0
-    cells = [["status", v.status], ["e_bound", str(v.e_bound)]]
-    return {"payload": payload, "exit": code, "warranty": [],
-            "header": ["key", "value"], "cells": cells}
+    payload = {"element": str(z), "ideal": args.ideal,
+               "verdict": _verdict_payload(v)}
+    rows = [["status", v.status], ["e_bound", v.e_bound]]
+    return _Result(payload, rows, not v.status.startswith("non-member"))
 
 
-def cmd_descent(doc, args):
-    P = _get_ideal(doc, args.ideal)
-    x = _get_poly(doc, args.element)
+def cmd_descent(doc, args, P, x):
     rep = descent_sequence(P, x, args.nmax, args.emax, jobs=args.jobs)
     p = doc.ring.field.p
     rows = [[n, e, _S(p ** e), _R(v)]
             for (n, e), v in sorted(rep.table.items())]
-    payload = {"ring": _ring_payload(doc), "prime": args.ideal,
-               "element": str(x), "dim": rep.dim, "rows": rows,
+    payload = {"prime": args.ideal, "element": str(x), "dim": rep.dim,
+               "rows": rows,
                "per_n": [[n, _R(v)] for n, v in sorted(rep.per_n_estimates.items())],
                "monotone_in_n": rep.monotone_in_n,
                "hs_factor": rep.hs_factor,
                "prediction": None if rep.prediction is None else _R(rep.prediction)}
-    code = 0 if rep.monotone_in_n else 2
-    cells = [[str(n), str(e), _S(p ** e), _RS(v)]
-             for (n, e), v in sorted(rep.table.items())]
-    return {"payload": payload, "exit": code, "warranty": [],
-            "header": ["n", "e", "q", "normalized"], "cells": cells}
+    return _Result(payload, rows, rep.monotone_in_n)
 
 
-def cmd_equimult(doc, args):
-    P = _get_ideal(doc, args.ideal)
+def cmd_equimult(doc, args, P):
     if args.testel is not None:
         c = _get_poly(doc, args.testel)
     else:
@@ -607,45 +535,31 @@ def cmd_equimult(doc, args):
                      "rows": [[e, _S(q), _S(lhs), _S(rhs), _S(res)]
                               for e, q, lhs, rhs, res in v.residuals.rows],
                      "all_zero": v.residuals.all_zero}
-    payload = {"ring": _ring_payload(doc), "prime": args.ideal,
-               "status": v.status,
+    payload = {"prime": args.ideal, "status": v.status,
                "witness": None if v.witness is None else
                {"e": v.witness[0], "element": str(v.witness[1])},
                "records": records, "residuals": residuals}
-    code = 2 if v.status == "violates-necessary-condition" else 0
-    cells = [["status", v.status]]
+    rows = [["status", v.status]]
     if v.witness is not None:
-        cells.append(["witness", "e=%d %s" % (v.witness[0], v.witness[1])])
-    return {"payload": payload, "exit": code, "warranty": [v.warranty],
-            "header": ["key", "value"], "cells": cells}
+        rows.append(["witness", "e=%d %s" % (v.witness[0], v.witness[1])])
+    return _Result(payload, rows, v.status != "violates-necessary-condition",
+                   [v.warranty])
 
 
-def cmd_rigidity(doc, args):
-    P = _get_ideal(doc, args.ideal)
+def cmd_rigidity(doc, args, P):
     rep = rigidity_check(P, args.emax)
     rows = [[e, _S(q), _S(lhs), _S(rhs), bool(ok)]
             for e, q, lhs, rhs, ok in rep.rows]
-    payload = {"ring": _ring_payload(doc), "prime": args.ideal,
-               "rows": rows, "all_pass": rep.all_pass}
-    cells = [[str(e), _S(q), _S(lhs), _S(rhs), "yes" if ok else "no"]
-             for e, q, lhs, rhs, ok in rep.rows]
-    return {"payload": payload, "exit": 0 if rep.all_pass else 2,
-            "warranty": [],
-            "header": ["e", "q", "colength", "q^dim * fiber", "equal"],
-            "cells": cells}
+    payload = {"prime": args.ideal, "rows": rows, "all_pass": rep.all_pass}
+    return _Result(payload, rows, rep.all_pass)
 
 
-def cmd_lech(doc, args):
-    I = _get_ideal(doc, args.ideal)
-    J = _get_ideal(doc, args.jideal)
+def cmd_lech(doc, args, I, J):
     rep = lech_check(I, J, args.emax)
     rows = [[e, _S(lhs), _S(rhs), bool(ok)] for e, lhs, rhs, ok in rep.rows]
-    payload = {"ring": _ring_payload(doc), "ideal": args.ideal,
-               "inside": args.jideal, "rows": rows, "ok": rep.ok}
-    cells = [[str(e), _S(lhs), _S(rhs), "yes" if ok else "no"]
-             for e, lhs, rhs, ok in rep.rows]
-    return {"payload": payload, "exit": 0 if rep.ok else 2, "warranty": [],
-            "header": ["e", "lhs", "rhs", "ok"], "cells": cells}
+    payload = {"ideal": args.ideal, "inside": args.jideal, "rows": rows,
+               "ok": rep.ok}
+    return _Result(payload, rows, rep.ok)
 
 
 def cmd_assoc(doc, args):
@@ -662,30 +576,21 @@ def cmd_assoc(doc, args):
     rep = assoc_check(doc.ring, factors, args.emax, jobs=args.jobs)
     rows = [[e, _S(q), _R(lhs), _R(rhs), _R(diff)]
             for e, q, lhs, rhs, diff in rep.rows]
-    payload = {"ring": _ring_payload(doc),
-               "factors": [[str(f), a] for f, a in rep.factors],
+    payload = {"factors": [[str(f), a] for f, a in rep.factors],
                "rows": rows, "lhs_estimate": _R(rep.lhs_estimate),
                "rhs_estimate": _R(rep.rhs_estimate)}
-    cells = [[str(e), _S(q), _RS(lhs), _RS(rhs), _RS(diff)]
-             for e, q, lhs, rhs, diff in rep.rows]
-    return {"payload": payload, "exit": 0, "warranty": [],
-            "header": ["e", "q", "lhs", "rhs", "gap"], "cells": cells}
+    return _Result(payload, rows)
 
 
-def cmd_wy(doc, args):
-    I = _get_ideal(doc, args.ideal)
+def cmd_wy(doc, args, I):
     rep = wy_inequality_check(I, args.emax)
     rows = [[e, _S(q), _S(lhs), _S(rhs), bool(ok)]
             for e, q, lhs, rhs, ok in rep.rows]
     pd, mp, dok = rep.derived
-    payload = {"ring": _ring_payload(doc), "ideal": args.ideal, "rows": rows,
+    payload = {"ideal": args.ideal, "rows": rows,
                "derived": [_S(pd), _S(mp), bool(dok)],
                "all_pass": rep.all_pass}
-    cells = [[str(e), _S(q), _S(lhs), _S(rhs), "yes" if ok else "no"]
-             for e, q, lhs, rhs, ok in rep.rows]
-    return {"payload": payload, "exit": 0 if rep.all_pass else 2,
-            "warranty": [],
-            "header": ["e", "q", "lhs", "rhs", "ok"], "cells": cells}
+    return _Result(payload, rows, rep.all_pass)
 
 
 _MONSKY_MODES = {
@@ -699,61 +604,127 @@ def cmd_repro_monsky(doc, args):
     mode, tol = _MONSKY_MODES[args.alpha]
     rep = monsky_repro(mode, args.emax, jobs=args.jobs)
     ok = rep.within <= tol
-    payload = {"alpha": args.alpha, "mode": mode,
-               "rows": _hk_rows(rep.report.rows),
+    rows = _hk_json(rep.report.rows)
+    payload = {"alpha": args.alpha, "mode": mode, "rows": rows,
                "estimate": _R(rep.report.estimate), "target": _R(rep.target),
                "distance": _R(rep.within), "tolerance": _R(tol), "ok": ok}
-    return {"payload": payload, "exit": 0 if ok else 2, "warranty": [],
-            "header": ["e", "q", "colength", "normalized"],
-            "cells": _hk_cells(rep.report.rows)}
+    return _Result(payload, rows, ok)
 
 
 def cmd_repro_bm(doc, args):
     K = ExtensionField(2, (1, 1, 1))
-    zero = FieldElement(K, K.from_int(0))
-    one = FieldElement(K, K.from_int(1))
     gen = FieldElement(K, K._fix((0, 1)))
-    alphas = [zero, one, gen, gen + one]
-    rep = bm_gap_table(alphas, e_min=2, e_max=args.emax, field=K,
-                       jobs=args.jobs)
+    rep = bm_gap_table([0, 1, gen, gen + 1], e_min=2, e_max=args.emax,
+                       field=K, jobs=args.jobs)
     threshold = Fraction(1, 50)
     ok = rep.min_gap >= threshold
+    alpha_rows = {key: [[e, _S(q), _S(l), _R(nrm), _R(gap)]
+                        for e, q, l, nrm, gap in rows]
+                  for key, rows in rep.alpha_rows.items()}
     payload = {
-        "fiber_rows": _hk_rows(rep.fiber_rows),
-        "alphas": {key: [[e, _S(q), _S(l), _R(nrm), _R(gap)]
-                         for e, q, l, nrm, gap in rows]
-                   for key, rows in rep.alpha_rows.items()},
+        "fiber_rows": _hk_json(rep.fiber_rows), "alphas": alpha_rows,
         "min_gap": _R(rep.min_gap), "threshold": _R(threshold), "ok": ok,
     }
-    cells = []
-    for key in sorted(rep.alpha_rows):
-        for e, q, l, nrm, gap in rep.alpha_rows[key]:
-            cells.append([key, str(e), _S(q), _S(l), _RS(nrm), _RS(gap)])
-    return {"payload": payload, "exit": 0 if ok else 2, "warranty": [],
-            "header": ["maximal ideal", "e", "q", "colength", "normalized",
-                       "gap"],
-            "cells": cells}
+    rows = [[key] + row for key in sorted(alpha_rows) for row in alpha_rows[key]]
+    return _Result(payload, rows, ok)
 
 
-# name -> (handler, takes a spec argument)
+# ---------------------------------------------------------------------------
+# the command table: handler, positionals, own flags with their defaults,
+# the CSV / table header, and help.  Every command also takes --format
+# and --cache; argparse and the digest parameters are built from this table.
+
+# a positional: its name, how a spec document resolves it for the handler
+# (None: passed on as text), and its argparse keywords
+_SPEC = ("spec", None, {"help": "ring script: a file path, '-' for stdin, "
+                                "or corpus:<name>"})
+_IDEAL = ("ideal", _get_ideal, {"nargs": "?", "default": "m",
+                                "help": "ideal name (default m)"})
+_PRIME = ("ideal", _get_ideal, {"nargs": "?", "default": "p",
+                                "help": "prime ideal name (default p)"})
+_NAMED = ("ideal", _get_ideal, {"help": "ideal name"})
+_ELEM = ("element", _get_poly, {"help": "named element or polynomial text"})
+_SATURATOR = ("jideal", _get_ideal, {"nargs": "?", "default": "m",
+                                     "help": "saturating ideal name (default m)"})
+_SMALLER = ("ideal", _get_ideal, {"help": "smaller (contained) ideal name"})
+_LARGER = ("jideal", _get_ideal, {"help": "larger ideal name"})
+_FACTORS = ("factors", None, {"nargs": "+", "metavar": "FACTOR",
+                              "help": "factor (elem name or polynomial), "
+                                      "optionally with ':mult'"})
+
+_FLAGS = {
+    "emax": {"type": int, "help": "largest Frobenius exponent e (q = p^e)"},
+    "nmax": {"type": int,
+             "help": "largest multiplier n where a command sweeps one"},
+    "order": {"choices": ("grevlex", "lex"),
+              "help": "term order for reported bases"},
+    "testel": {"metavar": "POLY",
+               "help": "test-element candidate (named elem or polynomial)"},
+    "tc_emax": {"type": int,
+                "help": "stage bound for the tight-closure probes"},
+    "alpha": {"choices": tuple(_MONSKY_MODES), "required": True,
+              "help": "family member: 0, 1, or the parameter t"},
+    "jobs": {"type": int, "help": "worker processes for independent cells"},
+}
+
+# the spec enters the digest as its text; --jobs changes how cells are
+# scheduled, never a result
+_UNHASHED = {"spec", "jobs"}
+
+_Command = namedtuple("_Command", "handler positionals flags header help")
+
+_HK_HEADER = ["e", "q", "colength", "normalized"]
+_GENERATORS = ["generator"]
+_KEY_VALUE = ["key", "value"]
+
 _COMMANDS = {
-    "hk": (cmd_hk, True),
-    "ehk": (cmd_ehk, True),
-    "fsig": (cmd_fsig, True),
-    "mult": (cmd_mult, True),
-    "frobpow": (cmd_frobpow, True),
-    "colon": (cmd_colon, True),
-    "saturate": (cmd_saturate, True),
-    "tc-member": (cmd_tc_member, True),
-    "fclosure-member": (cmd_fclosure_member, True),
-    "descent": (cmd_descent, True),
-    "equimult": (cmd_equimult, True),
-    "rigidity": (cmd_rigidity, True),
-    "lech": (cmd_lech, True),
-    "assoc": (cmd_assoc, True),
-    "wy": (cmd_wy, True),
-    "repro-monsky": (cmd_repro_monsky, False),
-    "repro-bm": (cmd_repro_bm, False),
+    "hk": _Command(cmd_hk, [_SPEC, _IDEAL], {"emax": 3, "jobs": 1}, _HK_HEADER,
+                   "Hilbert-Kunz function of an ideal for e = 1..emax"),
+    "ehk": _Command(cmd_ehk, [_SPEC, _IDEAL], {"emax": 4, "jobs": 1}, _HK_HEADER,
+                    "Hilbert-Kunz multiplicity estimate with error band"),
+    "fsig": _Command(cmd_fsig, [_SPEC], {"emax": 4}, ["e", "q", "a_e", "normalized"],
+                     "F-signature function a_e and normalized estimate"),
+    "mult": _Command(cmd_mult, [_SPEC, _ELEM], {"nmax": 30}, ["n", "length"],
+                     "Hilbert-Samuel multiplicity of a one-dimensional ring along a "
+                     "parameter"),
+    "frobpow": _Command(cmd_frobpow, [_SPEC, _IDEAL], {"emax": 1}, _GENERATORS,
+                        "generators of the bracket power I^[p^e]"),
+    "colon": _Command(cmd_colon, [_SPEC, _NAMED, _ELEM], {"order": "grevlex"},
+                      _GENERATORS, "reduced basis of the colon ideal (I : f)"),
+    "saturate": _Command(cmd_saturate, [_SPEC, _NAMED, _SATURATOR],
+                         {"order": "grevlex"}, _GENERATORS,
+                         "reduced basis of the saturation (I : J^infinity)"),
+    "tc-member": _Command(cmd_tc_member, [_SPEC, _ELEM, _NAMED],
+                          {"emax": 2, "testel": None}, _KEY_VALUE,
+                          "tight-closure membership semidecision for z in I*"),
+    "fclosure-member": _Command(cmd_fclosure_member, [_SPEC, _ELEM, _NAMED],
+                                {"emax": 2}, _KEY_VALUE,
+                                "Frobenius-closure membership semidecision"),
+    "descent": _Command(cmd_descent, [_SPEC, _PRIME, _ELEM],
+                        {"emax": 3, "nmax": 3, "jobs": 1},
+                        ["n", "e", "q", "normalized"],
+                        "two-parameter descent table for l(R/(P^[q], x^{nq}))"),
+    "equimult": _Command(cmd_equimult, [_SPEC, _PRIME],
+                         {"emax": 2, "testel": None, "tc_emax": 2}, _KEY_VALUE,
+                         "equimultiplicity necessary-condition check at a prime"),
+    "rigidity": _Command(cmd_rigidity, [_SPEC, _PRIME], {"emax": 3},
+                         ["e", "q", "colength", "q^dim * fiber", "equal"],
+                         "colength rigidity l(R/m^[q]) = q^dim * fiber colength"),
+    "lech": _Command(cmd_lech, [_SPEC, _SMALLER, _LARGER], {"emax": 3},
+                     ["e", "lhs", "rhs", "ok"],
+                     "row-wise Lech-type bound between nested ideals"),
+    "assoc": _Command(cmd_assoc, [_SPEC, _FACTORS], {"emax": 3, "jobs": 1},
+                      ["e", "q", "lhs", "rhs", "gap"],
+                      "additivity of HK rows over the factors of a hypersurface"),
+    "wy": _Command(cmd_wy, [_SPEC, _NAMED], {"emax": 3},
+                   ["e", "q", "lhs", "rhs", "ok"],
+                   "iterated-power inequality rows for an ideal inside m^[p]"),
+    "repro-monsky": _Command(cmd_repro_monsky, [],
+                             {"alpha": None, "emax": 5, "jobs": 1}, _HK_HEADER,
+                             "reproduce a quartic-family multiplicity estimate"),
+    "repro-bm": _Command(cmd_repro_bm, [], {"emax": 3, "jobs": 1},
+                         ["maximal ideal", "e", "q", "colength", "normalized", "gap"],
+                         "reproduce the fiberwise multiplicity gap table"),
 }
 
 
@@ -761,35 +732,48 @@ _COMMANDS = {
 # envelope, emission, cache
 
 
-def _canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _source_fingerprint():
+    """sha256 over the package's .py sources, so that a change to the code
+    retires every cached result it computed."""
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                h.update(name.encode("utf-8") + b"\0" + fh.read())
+    return h.hexdigest()
 
 
 def _digest(spec_text, command, params):
-    blob = _canonical_json({"command": command, "parameters": params,
-                            "spec": spec_text, "version": VERSION})
+    blob = json.dumps({"command": command, "parameters": params,
+                       "source": _source_fingerprint(),
+                       "spec": spec_text, "version": VERSION},
+                      sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _emit(envelope, result, fmt, out):
+def _emit(envelope, header, rows, fmt, out):
     if fmt == "json":
         out.write(json.dumps(envelope, sort_keys=True, indent=2))
         out.write("\n")
-    elif fmt == "csv":
+        return
+    cells = [[_cell(v) for v in row] for row in rows]
+    if fmt == "csv":
         w = csv.writer(out, lineterminator="\n")
-        w.writerow(result["header"])
-        w.writerows(result["cells"])
-    else:
-        widths = [len(h) for h in result["header"]]
-        for row in result["cells"]:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-        def fmt_row(row):
-            return "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
-        out.write(fmt_row(result["header"]) + "\n")
-        out.write(fmt_row(["-" * w for w in widths]) + "\n")
-        for row in result["cells"]:
-            out.write(fmt_row(row) + "\n")
+        w.writerow(header)
+        w.writerows(cells)
+        return
+    widths = [len(h) for h in header]
+    for row in cells:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+
+    def fmt_row(row):
+        return "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+    out.write(fmt_row(header) + "\n")
+    out.write(fmt_row(["-" * w for w in widths]) + "\n")
+    for row in cells:
+        out.write(fmt_row(row) + "\n")
 
 
 def _cache_path(cdir, digest):
@@ -836,8 +820,17 @@ def _load_spec_text(source):
 # argument parsing and dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input: exit 3, not argparse's 2, which the
+    reports use for a failed check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, "%s: error: %s\n" % (self.prog, message))
+
+
 def _build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="frobinv",
         description="Exact Frobenius invariants of positive-characteristic "
                     "rings: Hilbert-Kunz functions, F-signature, tight-"
@@ -845,130 +838,50 @@ def _build_parser():
     top.add_argument("--version", action="version",
                      version="frobinv %s" % VERSION)
     sub = top.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name, help_text, spec=True, positionals=()):
-        p = sub.add_parser(name, help=help_text)
-        if spec:
-            p.add_argument("spec", help="ring script: a file path, '-' for "
-                           "stdin, or corpus:<name>")
-        for argname, kw in positionals:
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for argname, _, kw in cmd.positionals:
             p.add_argument(argname, **kw)
-        p.add_argument("--emax", type=int, default=kwdefaults[name].get("emax", 3),
-                       help="largest Frobenius exponent e (q = p^e)")
-        p.add_argument("--nmax", type=int, default=kwdefaults[name].get("nmax", 3),
-                       help="largest multiplier n where a command sweeps one")
-        p.add_argument("--order", choices=("grevlex", "lex"),
-                       default="grevlex", help="term order for reported bases")
-        p.add_argument("--testel", default=None, metavar="POLY",
-                       help="test-element candidate (named elem or polynomial)")
+        for dest, default in cmd.flags.items():
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest,
+                           default=default, **_FLAGS[dest])
         p.add_argument("--format", choices=("json", "csv", "table"),
                        default="json", help="report format")
         p.add_argument("--cache", default=None, metavar="DIR",
                        help="result cache directory (default: $%s)" % CACHE_ENV)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for independent cells")
-        return p
-
-    kwdefaults = {
-        "hk": {"emax": 3}, "ehk": {"emax": 4}, "fsig": {"emax": 4},
-        "mult": {"nmax": 30}, "frobpow": {"emax": 1}, "colon": {},
-        "saturate": {}, "tc-member": {"emax": 2}, "fclosure-member": {"emax": 2},
-        "descent": {"emax": 3, "nmax": 3}, "equimult": {"emax": 2},
-        "rigidity": {"emax": 3}, "lech": {"emax": 3}, "assoc": {"emax": 3},
-        "wy": {"emax": 3}, "repro-monsky": {"emax": 5}, "repro-bm": {"emax": 3},
-    }
-
-    ideal_arg = ("ideal", {"nargs": "?", "default": "m",
-                           "help": "ideal name (default m)"})
-    prime_arg = ("ideal", {"nargs": "?", "default": "p",
-                           "help": "prime ideal name (default p)"})
-    elem_arg = ("element", {"help": "named element or polynomial text"})
-
-    add("hk", "Hilbert-Kunz function of an ideal for e = 1..emax",
-        positionals=[ideal_arg])
-    add("ehk", "Hilbert-Kunz multiplicity estimate with error band",
-        positionals=[ideal_arg])
-    add("fsig", "F-signature function a_e and normalized estimate")
-    add("mult", "Hilbert-Samuel multiplicity of a one-dimensional ring "
-        "along a parameter", positionals=[elem_arg])
-    add("frobpow", "generators of the bracket power I^[p^e]",
-        positionals=[ideal_arg])
-    add("colon", "reduced basis of the colon ideal (I : f)",
-        positionals=[("ideal", {"help": "ideal name"}), elem_arg])
-    add("saturate", "reduced basis of the saturation (I : J^infinity)",
-        positionals=[("ideal", {"help": "ideal name"}),
-                     ("jideal", {"nargs": "?", "default": "m",
-                                 "help": "saturating ideal name (default m)"})])
-    add("tc-member", "tight-closure membership semidecision for z in I*",
-        positionals=[elem_arg, ("ideal", {"help": "ideal name"})])
-    add("fclosure-member", "Frobenius-closure membership semidecision",
-        positionals=[elem_arg, ("ideal", {"help": "ideal name"})])
-    add("descent", "two-parameter descent table for l(R/(P^[q], x^{nq}))",
-        positionals=[prime_arg, elem_arg])
-    add("equimult", "equimultiplicity necessary-condition check at a prime",
-        positionals=[prime_arg])
-    add("rigidity", "colength rigidity l(R/m^[q]) = q^dim * fiber colength",
-        positionals=[prime_arg])
-    add("lech", "row-wise Lech-type bound between nested ideals",
-        positionals=[("ideal", {"help": "smaller (contained) ideal name"}),
-                     ("jideal", {"help": "larger ideal name"})])
-    add("assoc", "additivity of HK rows over the factors of a hypersurface",
-        positionals=[("factors", {"nargs": "+", "metavar": "FACTOR",
-                                  "help": "factor (elem name or polynomial), "
-                                  "optionally with ':mult'"})])
-    add("wy", "iterated-power inequality rows for an ideal inside m^[p]",
-        positionals=[("ideal", {"help": "ideal name"})])
-    add("repro-monsky", "reproduce a quartic-family multiplicity estimate",
-        spec=False)
-    add("repro-bm", "reproduce the fiberwise multiplicity gap table",
-        spec=False)
-
-    monsky = sub.choices["repro-monsky"]
-    monsky.add_argument("--alpha", choices=("0", "1", "t"), required=True,
-                        help="family member: 0, 1, or the parameter t")
-
-    # equimult forwards a separate stage bound to the tight-closure probe
-    sub.choices["equimult"].add_argument(
-        "--tc-emax", type=int, default=2, dest="tc_emax",
-        help="stage bound for the tight-closure probes")
     return top
 
 
 def _params_for_digest(args):
-    skip = {"command", "spec", "format", "cache", "jobs"}
-    out = {}
-    for key, val in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        out[key] = val
-    return out
+    cmd = _COMMANDS[args.command]
+    names = [n for n, _, _ in cmd.positionals] + list(cmd.flags)
+    return {n: getattr(args, n) for n in sorted(names) if n not in _UNHASHED}
 
 
 def _run(args, out):
-    handler, takes_spec = _COMMANDS[args.command]
-    spec_text = ""
-    doc = None
-    if takes_spec:
-        spec_text = _load_spec_text(args.spec)
-        doc = parse_spec(spec_text)
+    cmd = _COMMANDS[args.command]
+    source = getattr(args, "spec", None)
+    spec_text = "" if source is None else _load_spec_text(source)
     params = _params_for_digest(args)
     digest = _digest(spec_text, args.command, params)
 
     cdir = args.cache or os.environ.get(CACHE_ENV)
-    cached = _cache_load(cdir, digest) if cdir else None
+    blob = _cache_load(cdir, digest) if cdir else None
 
     start = time.perf_counter()
-    if cached is not None:
-        result = {"payload": cached["payload"], "exit": cached["exit"],
-                  "warranty": cached["warranty"],
-                  "header": cached["header"], "cells": cached["cells"]}
-    else:
-        result = handler(doc, args)
+    if blob is None:
+        # the spec is parsed only when there is something to compute
+        doc = None if source is None else parse_spec(spec_text)
+        values = [get(doc, getattr(args, name))
+                  for name, get, _ in cmd.positionals if get is not None]
+        res = cmd.handler(doc, args, *values)
+        if doc is not None:
+            res.payload["ring"] = _ring_payload(doc)
+        blob = {"version": VERSION, "payload": res.payload,
+                "exit": 0 if res.ok else 2, "warranty": list(res.warranty),
+                "rows": res.rows}
         if cdir:
-            _cache_store(cdir, digest, {
-                "version": VERSION, "payload": result["payload"],
-                "exit": result["exit"], "warranty": result["warranty"],
-                "header": result["header"], "cells": result["cells"]})
+            _cache_store(cdir, digest, blob)
     elapsed = time.perf_counter() - start
 
     envelope = {
@@ -976,26 +889,19 @@ def _run(args, out):
         "command": args.command,
         "parameters": params,
         "digest": digest,
-        "payload": result["payload"],
-        "warranty": result["warranty"],
+        "payload": blob["payload"],
+        "warranty": blob["warranty"],
         "timing": {"seconds": round(elapsed, 6)},
     }
-    _emit(envelope, result, args.format, out)
-    return result["exit"]
+    _emit(envelope, cmd.header, blob["rows"], args.format, out)
+    return blob["exit"]
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _run(args, sys.stdout)
-    except SpecError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except _DOMAIN_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except _INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
 

@@ -7,9 +7,9 @@ update (product + chain criteria); pair selection uses the sugar strategy
 with ties broken by the lcm's order key, so runs are deterministic.
 
 Colengths of zero-dimensional quotients are counted from the staircase of
-leading monomials: inclusion-exclusion over the minimal generators when
-there are at most 20 of them, otherwise a coordinate-by-coordinate lattice
-sweep.  Both return exact big integers.
+leading monomials by a coordinate-by-coordinate lattice sweep over the
+minimal generators; it returns an exact big integer, or None when the
+staircase is infinite.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ from itertools import combinations
 from .polyring import (Polynomial, Ideal, PresentedRing, MonomialOrder,
                        GREVLEX, RingError,
                        mono_mul, mono_divides, mono_quot, mono_lcm)
-
-# pair selection: "sugar" (degree-bounded, the default) or "normal"
-# (pure lcm order).  Benchmarked on the quartic workloads; see README.
-SELECTION = "sugar"
 
 
 class _GEntry:
@@ -96,9 +92,8 @@ def _spoly(F, f, g):
     return d, sugar
 
 
-def _buchberger(F, keyfn, gen_dicts, selection=None):
+def _buchberger(F, keyfn, gen_dicts):
     """Reduced monic basis (list of term dicts, ascending leading key)."""
-    selection = selection or SELECTION
     f = []          # all entries ever created
     G = set()       # indices of current basis entries
     P = set()       # pending pair indices (i, j), i < j
@@ -151,17 +146,12 @@ def _buchberger(F, keyfn, gen_dicts, selection=None):
             f.append(_GEntry(_make_monic(F, red, lead), keyfn, sug))
             update(len(f) - 1)
 
-    if selection == "sugar":
-        def pair_key(ij):
-            i, j = ij
-            lcm = mono_lcm(lms(i), lms(j))
-            sug = max(f[i].sugar + sum(mono_quot(lcm, lms(i))),
-                      f[j].sugar + sum(mono_quot(lcm, lms(j))))
-            return (sug, keyfn(lcm), i, j)
-    else:
-        def pair_key(ij):
-            i, j = ij
-            return (keyfn(mono_lcm(lms(i), lms(j))), i, j)
+    def pair_key(ij):
+        i, j = ij
+        lcm = mono_lcm(lms(i), lms(j))
+        sug = max(f[i].sugar + sum(mono_quot(lcm, lms(i))),
+                  f[j].sugar + sum(mono_quot(lcm, lms(j))))
+        return (sug, keyfn(lcm), i, j)
 
     while P:
         i, j = min(P, key=pair_key)
@@ -256,41 +246,12 @@ def minimalize_monomials(monos):
     return out
 
 
-def _count_inclusion_exclusion(gens, box):
-    """Standard monomials under the pure-power box via inclusion-exclusion.
-
-    Subsets whose lcm already escapes the box contribute 0, as does every
-    superset, so the recursion prunes on a zero factor.
-    """
-    n = len(box)
-    k = len(gens)
-
-    def vol(lcm):
-        v = 1
-        for i in range(n):
-            side = box[i] - lcm[i]
-            if side <= 0:
-                return 0
-            v *= side
-        return v
-
-    def rec(start, lcm, sign):
-        v = vol(lcm)
-        if v == 0:
-            # every superset only grows the lcm, so the whole subtree is zero
-            return 0
-        total = sign * v
-        for j in range(start, k):
-            total += rec(j + 1, mono_lcm(lcm, gens[j]), -sign)
-        return total
-
-    return rec(0, (0,) * n, 1)
-
-
 def _count_sweep(gens, nv):
     """Recursive last-coordinate sweep; None signals an infinite staircase."""
     if any(all(e == 0 for e in g) for g in gens):
         return 0
+    if nv < 0:
+        return 1  # no variables: the empty monomial alone
     if nv == 0:
         if not gens:
             return None
@@ -312,24 +273,7 @@ def _count_sweep(gens, nv):
 
 def count_standard_monomials(leads, nvars):
     """Number of monomials outside the monomial ideal; None if infinite."""
-    gens = minimalize_monomials(leads)
-    if not gens:
-        return None if nvars > 0 else 1
-    if any(all(e == 0 for e in g) for g in gens):
-        return 0
-    # the staircase is finite iff every variable has a pure power
-    box = [None] * nvars
-    for g in gens:
-        support = [i for i, e in enumerate(g) if e]
-        if len(support) == 1:
-            i = support[0]
-            if box[i] is None or g[i] < box[i]:
-                box[i] = g[i]
-    if any(b is None for b in box):
-        return None
-    if len(gens) <= 20:
-        return _count_inclusion_exclusion(gens, box)
-    return _count_sweep(gens, nvars - 1)
+    return _count_sweep(minimalize_monomials(leads), nvars - 1)
 
 
 def staircase(ideal, order=GREVLEX):
@@ -377,22 +321,12 @@ def _fresh_name(names):
     return cand
 
 
-def _eliminate_first(ring_ext, gens_ext):
-    """Groebner basis of the input under block(1), keeping w-free elements."""
-    order = MonomialOrder("block", 1)
-    raw = _buchberger(ring_ext.field, order.key, [g.terms for g in gens_ext])
-    out = []
-    for d in raw:
-        if all(m[0] == 0 for m in d):
-            out.append({m[1:]: c for m, c in d.items()})
-    return out
+def _eliminate(ring, w_gens, rest_gens):
+    """w-free part of (w * w_gens, (1 - w) * rest_gens) in ring[w].
 
-
-def ideal_intersection(I, J):
-    """I cap J via the single-auxiliary-variable elimination trick."""
-    ring = I.ring
-    if J.ring != ring:
-        raise RingError("intersection: ambient ring mismatch")
+    The basis is taken under block(1) with the fresh variable w first, and
+    the surviving elements come back as term dicts over ring.
+    """
     ext = PresentedRing(ring.field, (_fresh_name(ring.varnames),) + ring.varnames)
     w = ext.var(0)
     one_minus_w = ext.one - w
@@ -400,9 +334,21 @@ def ideal_intersection(I, J):
     def lift(p):
         return Polynomial(ext, {(0,) + m: c for m, c in p.terms.items()})
 
-    gens_ext = [w * lift(g) for g in list(I.gens) + list(ring.relations)]
-    gens_ext += [one_minus_w * lift(g) for g in list(J.gens) + list(ring.relations)]
-    cut = _eliminate_first(ext, gens_ext)
+    gens_ext = [w * lift(g) for g in w_gens]
+    gens_ext += [one_minus_w * lift(g) for g in rest_gens]
+    order = MonomialOrder("block", 1)
+    raw = _buchberger(ext.field, order.key, [g.terms for g in gens_ext])
+    return [{m[1:]: c for m, c in d.items()}
+            for d in raw if all(m[0] == 0 for m in d)]
+
+
+def ideal_intersection(I, J):
+    """I cap J via the single-auxiliary-variable elimination trick."""
+    ring = I.ring
+    if J.ring != ring:
+        raise RingError("intersection: ambient ring mismatch")
+    rels = list(ring.relations)
+    cut = _eliminate(ring, list(I.gens) + rels, list(J.gens) + rels)
     out = Ideal(ring, [Polynomial(ring, d) for d in cut])
     return _canonicalize(out)
 
@@ -439,16 +385,7 @@ def ideal_colon(I, f):
         raise RingError("colon by the zero element")
     if f.constant_value() is not None:
         return _canonicalize(Ideal(ring, list(I.gens)))
-    ext = PresentedRing(ring.field, (_fresh_name(ring.varnames),) + ring.varnames)
-    w = ext.var(0)
-    one_minus_w = ext.one - w
-
-    def lift(p):
-        return Polynomial(ext, {(0,) + m: c for m, c in p.terms.items()})
-
-    gens_ext = [w * lift(g) for g in list(I.gens) + list(ring.relations)]
-    gens_ext.append(one_minus_w * lift(f))
-    cut = _eliminate_first(ext, gens_ext)
+    cut = _eliminate(ring, list(I.gens) + list(ring.relations), [f])
     F, keyfn = ring.field, GREVLEX.key
     quots = [Polynomial(ring, _exact_div(d, f.terms, F, keyfn)) for d in cut]
     return _canonicalize(Ideal(ring, quots))

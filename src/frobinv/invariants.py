@@ -134,10 +134,8 @@ def _sweep(cells, jobs):
     return [_hk_cell(c) for c in cells]
 
 
-def ehk_estimate(I, e_max, jobs=1):
-    """Hilbert-Kunz rows e = 1..e_max and the affine-in-1/q estimate."""
-    if e_max < 2:
-        raise InvariantError("ehk_estimate needs e_max >= 2")
+def hk_rows(I, e_max, jobs=1):
+    """Hilbert-Kunz rows (e, q, l(R/I^{[q]}), l/q^d) for e = 1..e_max."""
     ring = I.ring
     d = ring.dim
     p = ring.field.p
@@ -148,6 +146,16 @@ def ehk_estimate(I, e_max, jobs=1):
             raise InvariantError("ideal is not origin-primary: infinite colength")
         q = p ** e
         rows.append((e, q, ell, Fraction(ell, q ** d)))
+    return rows
+
+
+def ehk_estimate(I, e_max, jobs=1):
+    """Hilbert-Kunz rows e = 1..e_max and the affine-in-1/q estimate."""
+    if e_max < 2:
+        raise InvariantError("ehk_estimate needs e_max >= 2")
+    ring = I.ring
+    d = ring.dim
+    rows = hk_rows(I, e_max, jobs)
     cauchy = [abs(rows[i + 1][3] - rows[i][3]) for i in range(len(rows) - 1)]
     est = _tail_fit(rows)
     band = abs(est - rows[-1][3])
@@ -190,8 +198,10 @@ def hs_multiplicity(ring, x, n_cap=30):
 # ---------------------------------------------------------------------------
 # F-signature
 
-def fsig_function(ring, e_max, jobs=1):
+def fsig_function(ring, e_max):
     """Splitting-number rows a_e = l(R/I_e) with the normalized estimate."""
+    if e_max < 1:
+        raise InvariantError("fsig_function needs e_max >= 1")
     d = ring.dim
     p = ring.field.p
     seq = frobenius.splitting_sequence(ring, e_max)

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from frobinv import cli
 from frobinv.cli import SpecError, main, parse_spec
 from frobinv.corpus import corpus_names, corpus_text
 
@@ -187,12 +188,34 @@ def test_cache_rejects_stale_version(tmp_path):
     assert second["payload"] == first["payload"]  # recomputed, not trusted
 
 
+def test_cache_rejects_changed_source(tmp_path, monkeypatch):
+    cdir = tmp_path / "cache"
+    args = ("hk", "corpus:node", "--emax", "2", "--cache", str(cdir))
+    _, first = run_json(*args)
+    path = cdir / (first["digest"] + ".json")
+    blob = json.loads(path.read_text(encoding="utf-8"))
+    blob["payload"] = {"rows": []}
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    monkeypatch.setattr(cli, "_source_fingerprint", lambda: "changed")
+    _, second = run_json(*args)
+    assert second["digest"] != first["digest"]
+    assert second["payload"] == first["payload"]  # recomputed, not served
+    assert len(os.listdir(cdir)) == 2
+
+
 def test_digest_separates_parameters():
     _, a = run_json("hk", "corpus:node", "--emax", "2")
     _, b = run_json("hk", "corpus:node", "--emax", "3")
     assert a["digest"] != b["digest"]
     _, c = run_json("hk", "corpus:node", "--emax", "2", "--format", "json")
     assert a["digest"] == c["digest"]  # presentation flags stay outside
+
+
+def test_colon_digest_separates_order():
+    _, a = run_json("colon", "corpus:node", "m", "x")
+    _, b = run_json("colon", "corpus:node", "m", "x", "--order", "lex")
+    assert a["digest"] != b["digest"]
+    assert a["parameters"] == {"element": "x", "ideal": "m", "order": "grevlex"}
 
 
 # -- spec sources -----------------------------------------------------------------------
@@ -270,6 +293,13 @@ def test_exit_zero_on_quartic_product_target():
     assert env["payload"]["distance"] == {"den": "1", "num": "0"}
 
 
+def test_exit_three_on_foreign_flag():
+    # hk has no term order to choose: the flag is a usage error, exit 3
+    with pytest.raises(SystemExit) as err:
+        main(["hk", "corpus:node", "--order", "lex"])
+    assert err.value.code == 3
+
+
 def test_exit_three_on_bad_spec(capsys):
     code = main(["hk", "corpus:regular-p2-d2", "nosuchideal"])
     assert code == 3
@@ -289,6 +319,12 @@ def test_exit_three_on_missing_file(capsys):
     assert code == 3
 
 
+def test_exit_three_on_empty_fsig_sweep(capsys):
+    code = main(["fsig", "corpus:node", "--emax", "0"])
+    assert code == 3
+    assert "e_max >= 1" in capsys.readouterr().err
+
+
 def test_exit_three_on_infinite_colength(capsys):
     # y is not a parameter of the node along x: colength blows up
     code = main(["mult", "corpus:node", "y"])
@@ -304,6 +340,21 @@ def test_descent_cli(a1_prime):
     assert code == 0
     assert env["payload"]["monotone_in_n"] is True
     assert env["payload"]["hs_factor"] == 1
+
+
+def test_descent_csv_cells(a1_prime):
+    code, out = run("descent", a1_prime, "p", "z", "--emax", "2", "--nmax", "2",
+                    "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["n,e,q,normalized", "1,1,2,3/2", "1,2,4,3/2",
+                                "2,1,2,5/4", "2,2,4,5/4"]
+
+
+def test_rigidity_csv_cells(a1_prime):
+    code, out = run("rigidity", a1_prime, "p", "--emax", "3", "--format", "csv")
+    assert code == 2
+    assert out.splitlines() == ["e,q,colength,q^dim * fiber,equal",
+                                "1,2,6,4,no", "2,4,24,16,no", "3,8,96,64,no"]
 
 
 def test_assoc_cli_multiplicity_syntax(tmp_path):
