@@ -1,12 +1,16 @@
 """Exact coefficient arithmetic for the three supported field kinds.
 
-* ``PrimeField(p)`` -- integers mod a prime p.
-* ``ExtensionField(p, modulus)`` -- F_{p^k} presented as F_p[a]/(modulus),
-  with a user-supplied monic irreducible modulus (little-endian coefficient
-  tuple, length k+1).
-* ``RationalFunctionField(base, param)`` -- the simple transcendental
-  extension base(t), elements stored as reduced fractions of univariate
-  polynomials over the base field with monic denominator.
+* ``PrimeField(p)`` -- integers mod a prime p; payloads are ints in [0, p).
+* ``ExtensionField(p, modulus)`` -- F_q = F_p[a]/(modulus), q = p^k <= 2^16,
+  for a monic irreducible modulus (little-endian coefficient tuple, length
+  k+1).  The payload of sum c_i a^i is the int code sum c_i p^i; mul, inv and
+  frob are lookups in log/antilog tables built once per process, and add is
+  XOR for p = 2 and a Zech-logarithm lookup for odd p.
+* ``RationalFunctionField(base, param)`` -- base(t).  Payloads are
+  ``(num, den)``: reduced fractions of univariate polynomials, little-endian
+  tuples of base payloads, with monic denominator.  Over F_2 the ops run on
+  the polynomials packed into ints (``_pack2``); other bases use the tuple
+  helpers.
 
 Every element is a :class:`FieldElement` tagging a payload with its
 :class:`FieldSpec`.  Payloads are plain hashable values (ints, tuples) so the
@@ -44,14 +48,6 @@ def _uadd(base, f, g):
     return _utrim_spec(base, out)
 
 
-def _uneg(base, f):
-    return tuple(base.neg(c) for c in f)
-
-
-def _usub(base, f, g):
-    return _uadd(base, f, _uneg(base, g))
-
-
 def _umul(base, f, g):
     if not f or not g:
         return ()
@@ -82,17 +78,14 @@ def _udivmod(base, f, g):
     return _utrim_spec(base, quo), _utrim_spec(base, f)
 
 
-def _ugcd(base, f, g):
-    while g:
-        f, g = g, _udivmod(base, f, g)[1]
-    return f
-
-
-def _umonic(base, f):
-    if not f or f[-1] == base.one:
-        return tuple(f)
-    ilc = base.inv(f[-1])
-    return tuple(base.mul(c, ilc) for c in f)
+def _ucancel(base, f, g):
+    """f and g divided by their gcd."""
+    h, r = f, g
+    while r:
+        h, r = r, _udivmod(base, h, r)[1]
+    if len(h) == 1:
+        return f, g
+    return _udivmod(base, f, h)[0], _udivmod(base, g, h)[0]
 
 
 def _ufrob(base, f):
@@ -106,8 +99,74 @@ def _ufrob(base, f):
     return _utrim_spec(base, out)
 
 
-def _uconst(base, c):
-    return (c,) if c != base.zero else ()
+# ---------------------------------------------------------------------------
+# F_2[t] packed one coefficient per byte, f <-> sum f_i 256^i.  XOR adds.  Byte
+# k of an integer product counts the pairs i + j = k with f_i = g_j = 1: exact
+# while below 256, and its low bit is the F_2 coefficient.
+
+_PIECE2 = (1 << 8 * 255) - 1  # 255 coefficients: byte counts stay <= 255
+
+
+def _pack2(f):
+    return int.from_bytes(bytes(f), "little")
+
+
+def _unpack2(a):
+    return tuple(a.to_bytes((a.bit_length() + 7) >> 3, "little"))
+
+
+def _clmul2(a, b):
+    """Product in F_2[t], cutting a into pieces of at most 255 coefficients."""
+    ones = int.from_bytes(b"\x01" * ((a.bit_length() + b.bit_length() + 7) >> 3), "little")
+    out = 0
+    for s in range(0, a.bit_length(), 8 * 255):
+        out ^= ((a >> s & _PIECE2) * b & ones) << s
+    return out
+
+
+def _divmod2(a, b):
+    quo, nb = 0, b.bit_length()
+    while (s := a.bit_length() - nb) >= 0:
+        quo ^= 1 << s
+        a ^= b << s
+    return quo, a
+
+
+def _cancel2(a, b):
+    """a and b divided by their gcd."""
+    h, r = a, b
+    while r:
+        h, r = r, _divmod2(h, r)[1]
+    if h == 1:
+        return a, b
+    return _divmod2(a, h)[0], _divmod2(b, h)[0]
+
+
+def _render_upoly(base, f, var):
+    """Canonical string of sum f_i var^i, f a tuple of base payloads."""
+    ext = isinstance(base, ExtensionField)
+    terms = []
+    for i in range(len(f) - 1, -1, -1):
+        c = f[i]
+        if c == base.zero:
+            continue
+        cs = base.render(c)
+        if i == 0:
+            terms.append("(%s)" % cs if ext and ("+" in cs or "*" in cs) else cs)
+            continue
+        head = var if i == 1 else "%s^%d" % (var, i)
+        if c == base.one:
+            terms.append(head)
+        elif ext and ("+" in cs):
+            terms.append("(%s)*%s" % (cs, head))
+        else:
+            terms.append("%s*%s" % (cs, head))
+    return "+".join(terms) if terms else "0"
+
+
+def _digits(code, p, n):
+    """The n little-endian base-p digits of code."""
+    return [code // p ** i % p for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +182,6 @@ class FieldSpec:
     #   add/sub/mul/neg/inv -- payload arithmetic
     #   frob(a)             -- a^p
     #   render(a)           -- canonical string, parseable by field_make
-
-    def element(self, payload):
-        return FieldElement(self, payload)
 
     def from_int(self, n):
         raise NotImplementedError
@@ -194,6 +250,10 @@ class PrimeField(FieldSpec):
         return "F_%d" % self.p
 
 
+MAX_EXTENSION_ORDER = 1 << 16  # tables hold O(q) entries
+_TABLES = {}  # ExtensionField.key() -> its (read-only) tables, built once per process
+
+
 class ExtensionField(FieldSpec):
     """F_{p^k} = F_p[gen]/(modulus), modulus monic irreducible of degree k."""
 
@@ -211,84 +271,102 @@ class ExtensionField(FieldSpec):
         self.modulus = mod
         self.degree = len(mod) - 1
         self.gen = gen
-        if not self._modulus_irreducible():
-            raise FieldError("extension modulus is reducible over F_%d" % p)
-        self.zero = (0,) * self.degree
-        self.one = tuple([1] + [0] * (self.degree - 1))
+        q = p ** self.degree
+        if q > MAX_EXTENSION_ORDER:
+            raise FieldError("extension field of order %d exceeds the limit %d = 2^16"
+                             % (q, MAX_EXTENSION_ORDER))
+        tables = _TABLES.get(self.key())
+        if tables is None:
+            if not self._modulus_irreducible():
+                raise FieldError("extension modulus is reducible over F_%d" % p)
+            tables = _TABLES[self.key()] = self._build_tables()
+        self._exp, self._log, self._zech, self._frob = tables
+        self._q1 = q - 1
+        self.zero = 0
+        self.one = 1
+
+    def __reduce__(self):
+        # by constructor arguments: each process builds its own tables once
+        return ExtensionField, (self.p, self.modulus, self.gen)
 
     def _modulus_irreducible(self):
-        # trial division by every monic polynomial of degree 1..k//2;
-        # desk-scale moduli only (the examples need F_4 and F_16)
-        base, k = self.base, self.degree
-        if self.p ** (k // 2 + 1) > 200000:
-            raise FieldError("modulus too large for the brute irreducibility check")
-        for d in range(1, k // 2 + 1):
+        # trial division by every monic polynomial of degree 1..k//2
+        for d in range(1, self.degree // 2 + 1):
             for code in range(self.p ** d):
-                coeffs, c = [], code
-                for _ in range(d):
-                    coeffs.append(c % self.p)
-                    c //= self.p
-                cand = tuple(coeffs) + (1,)
-                if not _udivmod(base, self.modulus, cand)[1]:
+                cand = tuple(_digits(code, self.p, d)) + (1,)
+                if not _udivmod(self.base, self.modulus, cand)[1]:
                     return False
         return True
+
+    def _build_tables(self):
+        """Antilog (doubled, so exp[i + j] needs no reduction), log, Zech-log
+        and Frobenius tables, from the first primitive element in code order."""
+        base, p, k = self.base, self.p, self.degree
+        q1 = p ** k - 1
+        for g in range(p, q1 + 1):
+            gen = _utrim_spec(base, _digits(g, p, k))
+            exp, f = [], (1,)
+            while not exp or f != (1,):
+                exp.append(self._fix(f))
+                f = _udivmod(base, _umul(base, f, gen), self.modulus)[1]
+            if len(exp) == q1:
+                break
+        log = [0] * (q1 + 1)
+        for i, c in enumerate(exp):
+            log[c] = i
+        # zech[d] = log(1 + g^d), None where 1 + g^d = 0 (1 + c: constant digit + 1)
+        zech = []
+        for c in exp:
+            s = c - c % p + (c + 1) % p
+            zech.append(log[s] if s else None)
+        frob = [0] + [exp[log[c] * p % q1] for c in range(1, q1 + 1)]
+        return tuple(exp + exp), tuple(log), tuple(zech), tuple(frob)
 
     def key(self):
         return ("ext", self.p, self.modulus, self.gen)
 
     def _fix(self, f):
-        f = tuple(f) + (0,) * (self.degree - len(f))
-        return f[: self.degree]
+        """The payload of sum f_i gen^i, f a little-endian coefficient tuple."""
+        return sum(c % self.p * self.p ** i for i, c in enumerate(tuple(f)[: self.degree]))
 
     def from_int(self, n):
-        return self._fix((n % self.p,))
+        return n % self.p
 
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        if self.p == 2:
+            return a ^ b
+        if not a or not b:
+            return a or b
+        la = self._log[a]
+        # a + b = a (1 + b/a); a negative index wraps mod q - 1 as the log does
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        return a ^ b if self.p == 2 else self.add(a, self.neg(b))
 
     def neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        if self.p == 2 or not a:
+            return a
+        return self._exp[self._log[a] + self._q1 // 2]  # -1 = g^((q-1)/2)
 
     def mul(self, a, b):
-        prod = _umul(self.base, _utrim_spec(self.base, a), _utrim_spec(self.base, b))
-        _, rem = _udivmod(self.base, prod, self.modulus)
-        return self._fix(rem)
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
     def inv(self, a):
-        at = _utrim_spec(self.base, a)
-        if not at:
+        if not a:
             raise ZeroDivisionError("inverse of zero in F_%d^%d" % (self.p, self.degree))
-        # extended Euclid in F_p[x]
-        r0, r1 = self.modulus, at
-        s0, s1 = (), (self.base.one,)
-        while r1:
-            q, r = _udivmod(self.base, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _usub(self.base, s0, _umul(self.base, q, s1))
-        ilc = self.base.inv(r0[-1])
-        return self._fix(tuple(self.base.mul(c, ilc) for c in s0))
+        return self._exp[self._q1 - self._log[a]]
 
     def frob(self, a):
-        return self.pow(a, self.p)
+        return self._frob[a]
 
     def render(self, a):
-        terms = []
-        for i in range(len(a) - 1, -1, -1):
-            c = a[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = self.gen if i == 1 else "%s^%d" % (self.gen, i)
-                terms.append(head if c == 1 else "%d*%s" % (c, head))
-        return "+".join(terms) if terms else "0"
+        return _render_upoly(self.base, _digits(a, self.p, self.degree), self.gen)
 
     def __repr__(self):
-        return "F_%d[%s]/(%s)" % (self.p, self.gen, self.render(self.modulus))
+        return "F_%d[%s]/(%s)" % (self.p, self.gen,
+                                  _render_upoly(self.base, self.modulus, self.gen))
 
 
 class RationalFunctionField(FieldSpec):
@@ -302,11 +380,30 @@ class RationalFunctionField(FieldSpec):
         self.base = base
         self.p = base.p
         self.param = param
+        self._f2 = base.key() == ("prime", 2)  # ops run on packed ints
         self.zero = ((), (base.one,))
         self.one = ((base.one,), (base.one,))
 
+    def __reduce__(self):
+        return RationalFunctionField, (self.base, self.param)
+
     def key(self):
         return ("ratfunc", self.base.key(), self.param)
+
+    def _monic(self, num, den):
+        """num/den scaled so the denominator is monic."""
+        base = self.base
+        if den[-1] == base.one:
+            return (num, den)
+        ilc = base.inv(den[-1])
+        return (tuple(base.mul(c, ilc) for c in num), tuple(base.mul(c, ilc) for c in den))
+
+    def _reduced2(self, num, den):
+        """The payload of num/den for packed F_2[t] polynomials, den != 0."""
+        if not num:
+            return self.zero
+        num, den = _cancel2(num, den)
+        return (_unpack2(num), _unpack2(den))
 
     def make(self, num, den):
         base = self.base
@@ -314,26 +411,25 @@ class RationalFunctionField(FieldSpec):
         den = _utrim_spec(base, den)
         if not den:
             raise ZeroDivisionError("zero denominator in %s(%s)" % (base, self.param))
+        if self._f2:
+            return self._reduced2(_pack2(num), _pack2(den))
         if not num:
-            return ((), (base.one,))
-        g = _ugcd(base, num, den)
-        if len(g) > 1:
-            num = _udivmod(base, num, g)[0]
-            den = _udivmod(base, den, g)[0]
-        if den[-1] != base.one:
-            ilc = base.inv(den[-1])
-            num = tuple(base.mul(c, ilc) for c in num)
-            den = tuple(base.mul(c, ilc) for c in den)
-        return (num, den)
+            return self.zero
+        return self._monic(*_ucancel(base, num, den))
 
     def from_int(self, n):
-        return self.make(_uconst(self.base, self.base.from_int(n)), (self.base.one,))
+        return self.make((self.base.from_int(n),), (self.base.one,))
 
     def param_element(self):
         return ((self.base.zero, self.base.one), (self.base.one,))
 
     def add(self, a, b):
         (n1, d1), (n2, d2) = a, b
+        if self._f2:
+            n1, d1, n2, d2 = _pack2(n1), _pack2(d1), _pack2(n2), _pack2(d2)
+            if d1 == d2:
+                return self._reduced2(n1 ^ n2, d1)
+            return self._reduced2(_clmul2(n1, d2) ^ _clmul2(n2, d1), _clmul2(d1, d2))
         base = self.base
         if d1 == d2:
             return self.make(_uadd(base, n1, n2), d1)
@@ -341,68 +437,40 @@ class RationalFunctionField(FieldSpec):
         return self.make(num, _umul(base, d1, d2))
 
     def neg(self, a):
-        return (_uneg(self.base, a[0]), a[1])
+        return a if self.p == 2 else (tuple(self.base.neg(c) for c in a[0]), a[1])
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         (n1, d1), (n2, d2) = a, b
-        base = self.base
         if not n1 or not n2:
             return self.zero
         # cross-cancel first: keeps the gcd calls on small operands
-        g1 = _ugcd(base, n1, d2)
-        if len(g1) > 1:
-            n1 = _udivmod(base, n1, g1)[0]
-            d2 = _udivmod(base, d2, g1)[0]
-        g2 = _ugcd(base, n2, d1)
-        if len(g2) > 1:
-            n2 = _udivmod(base, n2, g2)[0]
-            d1 = _udivmod(base, d1, g2)[0]
-        num, den = _umul(base, n1, n2), _umul(base, d1, d2)
-        if den[-1] != base.one:
-            ilc = base.inv(den[-1])
-            num = tuple(base.mul(c, ilc) for c in num)
-            den = tuple(base.mul(c, ilc) for c in den)
-        return (num, den)
+        if self._f2:
+            n1, d2 = _cancel2(_pack2(n1), _pack2(d2))
+            n2, d1 = _cancel2(_pack2(n2), _pack2(d1))
+            return (_unpack2(_clmul2(n1, n2)), _unpack2(_clmul2(d1, d2)))
+        base = self.base
+        n1, d2 = _ucancel(base, n1, d2)
+        n2, d1 = _ucancel(base, n2, d1)
+        return self._monic(_umul(base, n1, n2), _umul(base, d1, d2))
 
     def inv(self, a):
         num, den = a
         if not num:
             raise ZeroDivisionError("inverse of zero in %s(%s)" % (self.base, self.param))
-        return self.make(den, num)
+        return self._monic(den, num)  # a is reduced, so den/num is too
 
     def frob(self, a):
         return (_ufrob(self.base, a[0]), _ufrob(self.base, a[1]))
 
-    def _render_upoly(self, f):
-        base = self.base
-        ext = isinstance(base, ExtensionField)
-        terms = []
-        for i in range(len(f) - 1, -1, -1):
-            c = f[i]
-            if c == base.zero:
-                continue
-            cs = base.render(c)
-            if i == 0:
-                terms.append("(%s)" % cs if ext and ("+" in cs or "*" in cs) else cs)
-                continue
-            head = self.param if i == 1 else "%s^%d" % (self.param, i)
-            if c == base.one:
-                terms.append(head)
-            elif ext and ("+" in cs):
-                terms.append("(%s)*%s" % (cs, head))
-            else:
-                terms.append("%s*%s" % (cs, head))
-        return "+".join(terms) if terms else "0"
-
     def render(self, a):
         num, den = a
-        ns = self._render_upoly(num)
+        ns = _render_upoly(self.base, num, self.param)
         if den == (self.base.one,):
             return ns
-        return "(%s)/(%s)" % (ns, self._render_upoly(den))
+        return "(%s)/(%s)" % (ns, _render_upoly(self.base, den, self.param))
 
     def __repr__(self):
         return "%r(%s)" % (self.base, self.param)

@@ -314,6 +314,16 @@ def test_exit_three_on_nonprime_char(tmp_path, capsys):
     assert "line 1, col 1" in capsys.readouterr().err
 
 
+def test_exit_three_on_oversized_extension(tmp_path, capsys):
+    path = tmp_path / "big.ring"
+    path.write_text("char 2; ext a^17 + a^3 + 1; vars x y; ideal m = (x, y);",
+                    encoding="utf-8")
+    code = main(["hk", str(path), "--emax", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "131072" in err and "65536" in err
+
+
 def test_exit_three_on_missing_file(capsys):
     code = main(["hk", "/nonexistent/path.ring"])
     assert code == 3

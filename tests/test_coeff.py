@@ -2,11 +2,14 @@
 
 Fixed-value cases pin the documented element constructions and Frobenius
 images; the hypothesis suites check the field axioms on randomized triples
-for all three kinds of field.
+for all three kinds of field, and compare the table-driven F_{p^k} and the
+packed F_2(t) arithmetic with the schoolbook references below.
 """
 
+import pickle
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from frobinv.coeff import (
     ExtensionField,
@@ -23,8 +26,11 @@ F3 = PrimeField(3)
 F5 = PrimeField(5)
 F4 = ExtensionField(2, (1, 1, 1))          # F_2[a]/(a^2+a+1)
 F9 = ExtensionField(3, (1, 0, 1), gen="b")  # F_3[b]/(b^2+1)
+F8 = ExtensionField(2, (1, 1, 0, 1))       # F_2[a]/(a^3+a+1)
+F16 = ExtensionField(2, (1, 1, 0, 0, 1))   # F_2[a]/(a^4+a+1)
 F2T = RationalFunctionField(F2, "t")
 F3T = RationalFunctionField(F3, "t")
+F4T = RationalFunctionField(F4, "t")
 
 
 def el(spec, text):
@@ -68,6 +74,12 @@ def test_parse_rejects_garbage():
 def test_extension_requires_irreducible_modulus():
     with pytest.raises(FieldError):
         ExtensionField(2, (1, 0, 1))  # a^2+1 = (a+1)^2 over F_2
+
+
+def test_extension_order_is_bounded():
+    # a^17 + a^3 + 1 is irreducible, but F_{2^17} is past the table limit
+    with pytest.raises(FieldError, match="131072.*65536"):
+        ExtensionField(2, (1, 0, 0, 1) + (0,) * 13 + (1,))
 
 
 # -- Frobenius --------------------------------------------------------------
@@ -165,3 +177,166 @@ def test_fraction_reduction_is_canonical(x, y):
     rhs = x * x + x * y + y * x + y * y
     assert lhs == rhs
     assert hash(lhs) == hash(rhs)
+
+
+# -- differential tests against schoolbook references ------------------------------
+
+
+def _trim(f):
+    f = list(f)
+    while f and not f[-1]:
+        f.pop()
+    return tuple(f)
+
+
+def ref_f2_add(f, g):
+    n = max(len(f), len(g))
+    f, g = tuple(f) + (0,) * (n - len(f)), tuple(g) + (0,) * (n - len(g))
+    return _trim(a ^ b for a, b in zip(f, g))
+
+
+def ref_f2_mul(f, g):
+    out = [0] * (len(f) + len(g))
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] ^= b
+    return _trim(out)
+
+
+def ref_f2_divmod(f, g):
+    f, quo = list(_trim(f)), [0] * len(f)
+    while len(f) >= len(g):
+        k = len(f) - len(g)
+        quo[k] = 1
+        for i, b in enumerate(g):
+            f[k + i] ^= b
+        f = list(_trim(f))
+    return _trim(quo), tuple(f)
+
+
+def ref_f2_fraction(num, den):
+    """num/den over F_2 reduced by plain Euclid, as an F_2(t) payload."""
+    num, den = _trim(num), _trim(den)
+    if not num:
+        return ((), (1,))
+    g, h = num, den
+    while h:
+        g, h = h, ref_f2_divmod(g, h)[1]
+    return ref_f2_divmod(num, g)[0], ref_f2_divmod(den, g)[0]
+
+
+def _f2_polys(min_size, max_size):
+    return st.lists(st.integers(0, 1), min_size=min_size, max_size=max_size).map(
+        lambda c: tuple(c) + (1,))
+
+
+# short operands, and ones past 255 coefficients, where the packed product
+# must cut its operand into pieces to keep every byte count below 256
+F2_DENS = st.one_of(_f2_polys(0, 12), _f2_polys(255, 300))
+F2_NUMS = st.one_of(st.just(()), F2_DENS)
+LONG = (1,) * 300
+
+
+@settings(max_examples=40, deadline=None)
+@given(F2_NUMS, F2_DENS, F2_NUMS, F2_DENS)
+@example(LONG, (1,), LONG, (0, 1))
+@example(LONG, LONG[:-1] + (0, 1), (1, 1), LONG)
+def test_f2t_packed_ops_match_tuple_euclid(n1, d1, n2, d2):
+    x, y = F2T.make(n1, d1), F2T.make(n2, d2)
+    assert x == ref_f2_fraction(n1, d1)
+    assert F2T.add(x, y) == ref_f2_fraction(
+        ref_f2_add(ref_f2_mul(n1, d2), ref_f2_mul(n2, d1)), ref_f2_mul(d1, d2))
+    assert F2T.add(x, x) == F2T.zero
+    assert F2T.mul(x, y) == ref_f2_fraction(ref_f2_mul(n1, n2), ref_f2_mul(d1, d2))
+    if n1:
+        assert F2T.inv(x) == ref_f2_fraction(d1, n1)
+
+
+def _ext_digits(K, a):
+    return [a // K.p ** i % K.p for i in range(K.degree)]
+
+
+def _ext_code(K, coeffs):
+    return sum(c % K.p * K.p ** i for i, c in enumerate(coeffs))
+
+
+def ref_ext_mul(K, a, b):
+    """Schoolbook product of two codes, reduced mod the modulus."""
+    p, k = K.p, K.degree
+    f, g = _ext_digits(K, a), _ext_digits(K, b)
+    prod = [0] * (2 * k - 1)
+    for i, u in enumerate(f):
+        for j, v in enumerate(g):
+            prod[i + j] = (prod[i + j] + u * v) % p
+    for top in range(2 * k - 2, k - 1, -1):
+        c = prod[top]
+        for i, m in enumerate(K.modulus):
+            prod[top - k + i] = (prod[top - k + i] - c * m) % p
+    return _ext_code(K, prod[:k])
+
+
+EXT_FIELDS = {"F4": F4, "F8": F8, "F9": F9, "F16": F16}
+
+
+@pytest.mark.parametrize("name", EXT_FIELDS)
+def test_extension_tables_match_schoolbook(name):
+    K = EXT_FIELDS[name]
+    codes = st.integers(0, K.p ** K.degree - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(codes, codes)
+    def check(a, b):
+        da, db = _ext_digits(K, a), _ext_digits(K, b)
+        assert K.add(a, b) == _ext_code(K, [u + v for u, v in zip(da, db)])
+        assert K.sub(a, b) == _ext_code(K, [u - v for u, v in zip(da, db)])
+        assert K.neg(a) == _ext_code(K, [-u for u in da])
+        assert K.mul(a, b) == ref_ext_mul(K, a, b)
+        power = 1
+        for _ in range(K.p):
+            power = ref_ext_mul(K, power, a)
+        assert K.frob(a) == power
+        if a:
+            assert ref_ext_mul(K, a, K.inv(a)) == 1
+        else:
+            with pytest.raises(ZeroDivisionError):
+                K.inv(a)
+
+    check()
+
+
+def _ratfunc_payloads(K):
+    coeffs = st.integers(0, K.base.p ** getattr(K.base, "degree", 1) - 1)
+    num = st.lists(coeffs, max_size=4)
+    den = st.lists(coeffs, max_size=3).map(lambda c: tuple(c) + (1,))
+    return st.tuples(num, den).map(lambda nd: K.make(*nd))
+
+
+SPECS = {"F2": F2, "F5": F5, "F4": F4, "F9": F9, "F16": F16,
+         "F2(t)": F2T, "F3(t)": F3T, "F4(t)": F4T}
+
+
+def _payloads(K):
+    if isinstance(K, RationalFunctionField):
+        return _ratfunc_payloads(K)
+    return st.integers(0, K.p ** getattr(K, "degree", 1) - 1)
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_payload_round_trips(name):
+    K = SPECS[name]
+    copy = pickle.loads(pickle.dumps(K))
+    assert copy == K and hash(copy) == hash(K)
+    if isinstance(K, ExtensionField):
+        assert copy._exp is K._exp  # tables are per process, not pickled
+
+    @settings(max_examples=40, deadline=None)
+    @given(_payloads(K))
+    def check(payload):
+        x = FieldElement(K, payload)
+        assert field_make(K, K.render(payload)) == x
+        assert pickle.loads(pickle.dumps(x)) == x
+        if isinstance(K, RationalFunctionField) and payload[0]:
+            assert K.inv(payload) == K.make(payload[1], payload[0])
+
+    check()
