@@ -20,6 +20,8 @@ Groebner kernel can work on them directly through the spec's raw-op methods
 
 from __future__ import annotations
 
+import operator
+
 
 class FieldError(ValueError):
     pass
@@ -132,11 +134,18 @@ def _divmod2(a, b):
     return quo, a
 
 
+def _mod2(a, b):
+    nb = b.bit_length()
+    while (s := a.bit_length() - nb) >= 0:
+        a ^= b << s
+    return a
+
+
 def _cancel2(a, b):
     """a and b divided by their gcd."""
     h, r = a, b
     while r:
-        h, r = r, _divmod2(h, r)[1]
+        h, r = r, _mod2(h, r)
     if h == 1:
         return a, b
     return _divmod2(a, h)[0], _divmod2(b, h)[0]
@@ -301,14 +310,10 @@ class ExtensionField(FieldSpec):
     def _build_tables(self):
         """Antilog (doubled, so exp[i + j] needs no reduction), log, Zech-log
         and Frobenius tables, from the first primitive element in code order."""
-        base, p, k = self.base, self.p, self.degree
+        p, k = self.p, self.degree
         q1 = p ** k - 1
         for g in range(p, q1 + 1):
-            gen = _utrim_spec(base, _digits(g, p, k))
-            exp, f = [], (1,)
-            while not exp or f != (1,):
-                exp.append(self._fix(f))
-                f = _udivmod(base, _umul(base, f, gen), self.modulus)[1]
+            exp = self._powers(g)
             if len(exp) == q1:
                 break
         log = [0] * (q1 + 1)
@@ -321,6 +326,46 @@ class ExtensionField(FieldSpec):
             zech.append(log[s] if s else None)
         frob = [0] + [exp[log[c] * p % q1] for c in range(1, q1 + 1)]
         return tuple(exp + exp), tuple(log), tuple(zech), tuple(frob)
+
+    def _powers(self, g):
+        """Codes of 1, g, g^2, ... up to the first power equal to 1 again."""
+        p, k = self.p, self.degree
+        exp = [1]
+        if p == 2:
+            # c * g is the XOR of c * a^i over the set bits i of g, and c * a
+            # is a shift, then an XOR with the modulus when bit k comes up
+            mcode = sum(c << i for i, c in enumerate(self.modulus))
+            c = 1
+            while True:
+                out, h = 0, g
+                while h:
+                    if h & 1:
+                        out ^= c
+                    h >>= 1
+                    c <<= 1
+                    if c >> k:
+                        c ^= mcode
+                if out == 1:
+                    return exp
+                exp.append(out)
+                c = out
+        # odd p: times g is F_p-linear on digit vectors; column j of its
+        # matrix is g * a^j, from g by shifting and subtracting the modulus
+        cols, col = [], _digits(g, p, k)
+        for _ in range(k):
+            cols.append(col)
+            t, col = col[-1], [0] + col[:-1]
+            if t:
+                col = [(x - t * m) % p for x, m in zip(col, self.modulus)]
+        rows = list(zip(*cols))
+        weights = [p ** i for i in range(k)]
+        digits = [1] + [0] * (k - 1)
+        while True:
+            digits = [sum(map(operator.mul, row, digits)) % p for row in rows]
+            code = sum(map(operator.mul, digits, weights))
+            if code == 1:
+                return exp
+            exp.append(code)
 
     def key(self):
         return ("ext", self.p, self.modulus, self.gen)

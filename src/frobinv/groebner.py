@@ -2,9 +2,14 @@
 
 The kernel works on raw term dicts (monomial tuple -> coefficient payload)
 through a FieldSpec's raw ops, so the same code path serves F_p, F_{p^k},
-and rational-function coefficients.  Pair pruning uses the Gebauer-Moeller
-update (product + chain criteria); pair selection uses the sugar strategy
-with ties broken by the lcm's order key, so runs are deterministic.
+and rational-function coefficients.  Reduction takes terms from the top
+down off a min-heap of the order's ``desc_key``s, next to the term dict;
+a monomial is pushed when it enters the dict, and a popped one that has
+cancelled since is skipped.  Pair pruning uses the Gebauer-Moeller update
+(product + chain criteria); pair selection uses the sugar strategy with
+ties broken by the lcm's order key, so runs are deterministic.  Each pair's
+(sugar, lcm key) is computed once, when the pair is formed, and pairs are
+popped off a heap, skipping those pruned since.
 
 Colengths of zero-dimensional quotients are counted from the staircase of
 leading monomials by a coordinate-by-coordinate lattice sweep over the
@@ -15,6 +20,7 @@ staircase is infinite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .polyring import (Polynomial, Ideal, PresentedRing, MonomialOrder,
@@ -23,12 +29,11 @@ from .polyring import (Polynomial, Ideal, PresentedRing, MonomialOrder,
 
 
 class _GEntry:
-    __slots__ = ("terms", "lmono", "lkey", "sugar")
+    __slots__ = ("terms", "lmono", "sugar")
 
-    def __init__(self, terms, keyfn, sugar):
+    def __init__(self, terms, lmono, sugar):
         self.terms = terms
-        self.lmono = max(terms, key=keyfn)
-        self.lkey = keyfn(self.lmono)
+        self.lmono = lmono
         self.sugar = sugar
 
 
@@ -40,40 +45,61 @@ def _make_monic(F, terms, lmono):
     return {m: F.mul(ic, v) for m, v in terms.items()}
 
 
-def _reduce(F, keyfn, terms, basis, full, sugar=0):
+def _ordered(desc, terms):
+    """A working copy of terms and the min-heap of its (desc_key, monomial)s."""
+    p = dict(terms)
+    heap = [(desc(m), m) for m in p]
+    heapify(heap)
+    return p, heap
+
+
+def _submul(F, desc, p, heap, c, sh, terms):
+    """p -= c * x^sh * terms in place; a monomial new to p goes on the heap."""
+    zero, sub, mul = F.zero, F.sub, F.mul
+    for m, v in terms.items():
+        mm = mono_mul(m, sh)
+        old = p.get(mm)
+        if old is None:
+            p[mm] = sub(zero, mul(c, v))
+            heappush(heap, (desc(mm), mm))
+        else:
+            nv = sub(old, mul(c, v))
+            if nv == zero:
+                del p[mm]
+            else:
+                p[mm] = nv
+
+
+def _reduce(F, desc, terms, basis, full, sugar=0):
     """Divide terms by the monic basis entries (sorted by ascending lead).
 
+    Terms are taken from the top down off the heap; a popped monomial no
+    longer in the working dict cancelled after it was pushed, and is skipped.
     full=False stops at the first irreducible leading term (top-reduction,
     used inside the main loop); full=True computes the normal form.  Returns
-    (terms, sugar) with the sugar updated through every cancellation.
+    (terms, leading monomial or None for zero, sugar) with the sugar updated
+    through every cancellation.
     """
-    p = dict(terms)
+    p, heap = _ordered(desc, terms)
     tail = {}
-    while p:
-        t = max(p, key=keyfn)
-        c = p[t]
-        hit = None
+    while heap:
+        t = heappop(heap)[1]
+        c = p.get(t)
+        if c is None:
+            continue
         for b in basis:
             if mono_divides(b.lmono, t):
-                hit = b
                 break
-        if hit is None:
+        else:
             if not full:
-                p.update(tail)
-                return p, sugar
+                return p, t, sugar
             del p[t]
             tail[t] = c
             continue
-        sh = mono_quot(t, hit.lmono)
-        sugar = max(sugar, hit.sugar + sum(sh))
-        for m, v in hit.terms.items():
-            mm = mono_mul(m, sh)
-            nv = F.sub(p.get(mm, F.zero), F.mul(c, v))
-            if nv == F.zero:
-                p.pop(mm, None)
-            else:
-                p[mm] = nv
-    return tail, sugar
+        sh = mono_quot(t, b.lmono)
+        sugar = max(sugar, b.sugar + sum(sh))
+        _submul(F, desc, p, heap, c, sh, b.terms)
+    return tail, next(iter(tail), None), sugar
 
 
 def _spoly(F, f, g):
@@ -92,88 +118,73 @@ def _spoly(F, f, g):
     return d, sugar
 
 
-def _buchberger(F, keyfn, gen_dicts):
+def _buchberger(F, order, gen_dicts):
     """Reduced monic basis (list of term dicts, ascending leading key)."""
+    key, desc = order.key, order.desc_key
     f = []          # all entries ever created
     G = set()       # indices of current basis entries
-    P = set()       # pending pair indices (i, j), i < j
+    basis = []      # the entries of G, ascending by leading key
+    P = {}          # pending pairs (i, j), i < j -> lcm of their leads
+    heap = []       # (sugar, key(lcm), i, j) of every pair formed
 
-    def lms(i):
-        return f[i].lmono
-
-    def update(ih):
+    def add(terms, mh, sugar):
         # Gebauer-Moeller: prune new pairs against each other (chain
         # criterion), drop coprime-lead pairs (product criterion), prune the
-        # old pair set, and evict basis leads the new lead divides.
-        nonlocal P, G
-        mh = lms(ih)
+        # old pair set, and evict basis leads the new lead mh divides.  Each
+        # lcm(mh, lm(g)) is computed once per update.
+        nonlocal G, basis
+        ih = len(f)
+        f.append(_GEntry(_make_monic(F, terms, mh), mh, sugar))
+        Lh = {ig: mono_lcm(mh, f[ig].lmono) for ig in G}
+        coprime = {ig for ig in G if mono_mul(mh, f[ig].lmono) == Lh[ig]}
         cand = set(G)
         kept = set()
         while cand:
             ig = cand.pop()
-            L = mono_lcm(mh, lms(ig))
-
-            def dominated_by(ip):
-                return mono_divides(mono_lcm(mh, lms(ip)), L)
-
-            if mono_mul(mh, lms(ig)) == L or (
-                    not any(dominated_by(ic) for ic in cand)
-                    and not any(dominated_by(ik) for ik in kept)):
+            L = Lh[ig]
+            if ig in coprime or (
+                    not any(mono_divides(Lh[ic], L) for ic in cand)
+                    and not any(mono_divides(Lh[ik], L) for ik in kept)):
                 kept.add(ig)
-        new_pairs = {(min(ih, ig), max(ih, ig)) for ig in kept
-                     if mono_mul(mh, lms(ig)) != mono_lcm(mh, lms(ig))}
-        pruned = set()
-        for i, j in P:
-            L = mono_lcm(lms(i), lms(j))
-            if (not mono_divides(mh, L)
-                    or mono_lcm(lms(i), mh) == L
-                    or mono_lcm(lms(j), mh) == L):
-                pruned.add((i, j))
-        P = pruned | new_pairs
-        G = {ig for ig in G if not mono_divides(mh, lms(ig))}
-        G.add(ih)
 
-    def cur_basis():
-        return [f[k] for k in sorted(G, key=lambda k: f[k].lkey)]
+        def lcm_h(i):
+            L = Lh.get(i)
+            if L is None:
+                L = Lh[i] = mono_lcm(mh, f[i].lmono)
+            return L
+
+        for ij, L in list(P.items()):
+            if mono_divides(mh, L) and lcm_h(ij[0]) != L and lcm_h(ij[1]) != L:
+                del P[ij]
+        for ig in kept - coprime:
+            L = Lh[ig]
+            g, sl = f[ig], sum(L)
+            sug = max(g.sugar + sl - sum(g.lmono), sugar + sl - sum(mh))
+            P[ig, ih] = L
+            heappush(heap, (sug, key(L), ig, ih))
+        G = {ig for ig in G if not mono_divides(mh, f[ig].lmono)}
+        G.add(ih)
+        basis = sorted((f[k] for k in G), key=lambda e: key(e.lmono))
 
     for d in gen_dicts:
-        if not d:
-            continue
-        entry = _GEntry(d, keyfn, max(sum(m) for m in d))
-        red, sug = _reduce(F, keyfn, entry.terms, cur_basis(), False, entry.sugar)
-        if red:
-            lead = max(red, key=keyfn)
-            f.append(_GEntry(_make_monic(F, red, lead), keyfn, sug))
-            update(len(f) - 1)
+        if d:
+            red, lead, sug = _reduce(F, desc, d, basis, False, max(sum(m) for m in d))
+            if lead is not None:
+                add(red, lead, sug)
 
-    def pair_key(ij):
-        i, j = ij
-        lcm = mono_lcm(lms(i), lms(j))
-        sug = max(f[i].sugar + sum(mono_quot(lcm, lms(i))),
-                  f[j].sugar + sum(mono_quot(lcm, lms(j))))
-        return (sug, keyfn(lcm), i, j)
-
-    while P:
-        i, j = min(P, key=pair_key)
-        P.discard((i, j))
+    while heap:
+        _, _, i, j = heappop(heap)
+        if P.pop((i, j), None) is None:
+            continue  # pruned after it was formed
         s, sug = _spoly(F, f[i], f[j])
-        red, sug = _reduce(F, keyfn, s, cur_basis(), False, sug)
-        if red:
-            lead = max(red, key=keyfn)
-            f.append(_GEntry(_make_monic(F, red, lead), keyfn, sug))
-            update(len(f) - 1)
+        red, lead, sug = _reduce(F, desc, s, basis, False, sug)
+        if lead is not None:
+            add(red, lead, sug)
 
-    # inter-reduce to the unique reduced basis
-    idx = sorted(G, key=lambda k: f[k].lkey)
-    out = []
-    for i in idx:
-        others = [f[j] for j in idx if j != i]
-        red, _ = _reduce(F, keyfn, f[i].terms, others, True)
-        if red:
-            lead = max(red, key=keyfn)
-            out.append(_make_monic(F, red, lead))
-    out.sort(key=lambda d: keyfn(max(d, key=keyfn)))
-    return out
+    # inter-reduce to the unique reduced basis; the leads divide no other
+    # lead, so each entry keeps its monic lead and the ascending order
+    return [_reduce(F, desc, e.terms, [b for b in basis if b is not e], True)[0]
+            for e in basis]
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +201,18 @@ def groebner_basis(ideal, order=GREVLEX):
     if cached is None:
         ring = ideal.ring
         gens = [g.terms for g in ideal.gens] + [r.terms for r in ring.relations]
-        raw = _buchberger(ring.field, order.key, gens)
+        raw = _buchberger(ring.field, order, gens)
         cached = tuple(Polynomial(ring, d) for d in raw)
         ideal._basis_cache[ck] = cached
     return list(cached)
 
 
 def normal_form(f, ideal, order=GREVLEX):
-    basis = groebner_basis(ideal, order)
-    entries = [_GEntry(g.terms, order.key, g.degree()) for g in basis]
-    red, _ = _reduce(ideal.ring.field, order.key, f.terms, entries, True)
+    entries = []
+    for g in groebner_basis(ideal, order):
+        lead = g.leading_monomial(order)
+        entries.append(_GEntry(g.terms, lead, g.degree()))
+    red, _, _ = _reduce(ideal.ring.field, order.desc_key, f.terms, entries, True)
     return Polynomial(ideal.ring, red)
 
 
@@ -337,7 +350,7 @@ def _eliminate(ring, w_gens, rest_gens):
     gens_ext = [w * lift(g) for g in w_gens]
     gens_ext += [one_minus_w * lift(g) for g in rest_gens]
     order = MonomialOrder("block", 1)
-    raw = _buchberger(ext.field, order.key, [g.terms for g in gens_ext])
+    raw = _buchberger(ext.field, order, [g.terms for g in gens_ext])
     return [{m[1:]: c for m, c in d.items()}
             for d in raw if all(m[0] == 0 for m in d)]
 
@@ -353,26 +366,23 @@ def ideal_intersection(I, J):
     return _canonicalize(out)
 
 
-def _exact_div(num_terms, den_terms, F, keyfn):
+def _exact_div(num_terms, den_terms, F, order):
     """Quotient of a known multiple; raises if the division leaves a remainder."""
-    p = dict(num_terms)
-    dl = max(den_terms, key=keyfn)
-    dc = den_terms[dl]
+    desc = order.desc_key
+    p, heap = _ordered(desc, num_terms)
+    dl = min(den_terms, key=desc)
+    idc = F.inv(den_terms[dl])
     quo = {}
-    while p:
-        t = max(p, key=keyfn)
+    while heap:
+        t = heappop(heap)[1]
+        c = p.get(t)
+        if c is None:
+            continue
         if not mono_divides(dl, t):
             raise RingError("exact division left a remainder")
         sh = mono_quot(t, dl)
-        c = F.mul(p[t], F.inv(dc))
-        quo[sh] = c
-        for m, v in den_terms.items():
-            mm = mono_mul(m, sh)
-            nv = F.sub(p.get(mm, F.zero), F.mul(c, v))
-            if nv == F.zero:
-                p.pop(mm, None)
-            else:
-                p[mm] = nv
+        c = quo[sh] = F.mul(c, idc)
+        _submul(F, desc, p, heap, c, sh, den_terms)
     return quo
 
 
@@ -386,8 +396,7 @@ def ideal_colon(I, f):
     if f.constant_value() is not None:
         return _canonicalize(Ideal(ring, list(I.gens)))
     cut = _eliminate(ring, list(I.gens) + list(ring.relations), [f])
-    F, keyfn = ring.field, GREVLEX.key
-    quots = [Polynomial(ring, _exact_div(d, f.terms, F, keyfn)) for d in cut]
+    quots = [Polynomial(ring, _exact_div(d, f.terms, ring.field, GREVLEX)) for d in cut]
     return _canonicalize(Ideal(ring, quots))
 
 

@@ -50,11 +50,19 @@ def grevlex_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
+def _grevlex_desc(m):
+    return (-sum(m), m[::-1])
+
+
 class MonomialOrder:
     """grevlex, lex, or block(k): eliminate the first k variables.
 
     block(k) compares the first k exponents by grevlex, ties broken by
     grevlex on the rest -- an elimination order for the leading block.
+
+    ``key`` grows with the order; ``desc_key`` is a flat tuple that shrinks
+    as the order grows (the smallest desc_key is the leading monomial), so a
+    min-heap of desc_keys pops terms from the top down.
     """
 
     def __init__(self, kind="grevlex", split=0):
@@ -64,11 +72,18 @@ class MonomialOrder:
         self.split = split
         if kind == "grevlex":
             self.key = grevlex_key
+            self.desc_key = _grevlex_desc
         elif kind == "lex":
             self.key = lambda m: m
+            self.desc_key = lambda m: tuple(-e for e in m)
         else:
             k = split
             self.key = lambda m: (grevlex_key(m[:k]), grevlex_key(m[k:]))
+
+            def desc_key(m):
+                a, b = m[:k], m[k:]
+                return (-sum(a), *a[::-1], -sum(b), *b[::-1])
+            self.desc_key = desc_key
 
     def cache_key(self):
         return (self.kind, self.split)

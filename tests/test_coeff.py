@@ -305,6 +305,29 @@ def test_extension_tables_match_schoolbook(name):
     check()
 
 
+@pytest.mark.parametrize("p,modulus", [(3, (1, 0, 1)), (3, (1, 2, 0, 1)),
+                                       (2, (1, 1, 1, 1, 1)), (2, (1, 1, 0, 0, 1))],
+                         ids=["F9", "F27", "F16-a^4+a^3+a^2+a+1", "F16-a^4+a+1"])
+def test_extension_antilog_walks_first_primitive_element(p, modulus):
+    # b^2 + 1 over F_3 and a^4 + a^3 + a^2 + a + 1 over F_2 are not
+    # primitive: the search passes over the generator to the first code of
+    # full order
+    K = ExtensionField(p, modulus)
+    q1 = p ** K.degree - 1
+
+    def order(g):
+        n, power = 1, g
+        while power != 1:
+            n, power = n + 1, ref_ext_mul(K, power, g)
+        return n
+
+    g = next(c for c in range(p, q1 + 1) if order(c) == q1)
+    powers = [1]
+    while len(powers) < q1:
+        powers.append(ref_ext_mul(K, powers[-1], g))
+    assert list(K._exp[:q1]) == powers
+
+
 def _ratfunc_payloads(K):
     coeffs = st.integers(0, K.base.p ** getattr(K.base, "degree", 1) - 1)
     num = st.lists(coeffs, max_size=4)

@@ -10,7 +10,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobinv.coeff import PrimeField
+from frobinv.coeff import ExtensionField, PrimeField
 from frobinv.groebner import (
     colength,
     count_standard_monomials,
@@ -26,7 +26,7 @@ from frobinv.groebner import (
     saturate,
     staircase,
 )
-from frobinv.polyring import GREVLEX, LEX, Ideal, ring_make
+from frobinv.polyring import GREVLEX, LEX, Ideal, MonomialOrder, Polynomial, ring_make
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -264,3 +264,157 @@ def test_generators_reduce_to_zero_modulo_basis(gens):
     for g in basis:
         assert is_member(g, I)
         assert is_member(g * RAND_RING.parse("x+y"), I)
+
+
+# -- differential check against a reference kernel ---------------------------
+#
+# The reference is the plain Buchberger algorithm: the leading term is found
+# by max() over every term, the next pair by min() over every pending pair,
+# and no pair is pruned.  Reduced bases and normal forms are unique, so the
+# kernel must match it term for term.
+
+
+def ref_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def ref_lead(order, terms):
+    return max(terms, key=order.key)
+
+
+def ref_submul(F, p, c, sh, g):
+    """p -= c * x^sh * g in place."""
+    for m, v in g.items():
+        mm = tuple(a + b for a, b in zip(m, sh))
+        nv = F.sub(p.get(mm, F.zero), F.mul(c, v))
+        if nv == F.zero:
+            p.pop(mm, None)
+        else:
+            p[mm] = nv
+
+
+def ref_reduce(F, order, terms, basis):
+    """Normal form of terms by the monic dicts in basis."""
+    p, rem = dict(terms), {}
+    while p:
+        t = ref_lead(order, p)
+        g = next((g for g in basis if ref_divides(ref_lead(order, g), t)), None)
+        if g is None:
+            rem[t] = p.pop(t)
+        else:
+            sh = tuple(a - b for a, b in zip(t, ref_lead(order, g)))
+            ref_submul(F, p, p[t], sh, g)
+    return rem
+
+
+def ref_monic(F, order, terms):
+    ic = F.inv(terms[ref_lead(order, terms)])
+    return {m: F.mul(ic, v) for m, v in terms.items()}
+
+
+def ref_basis(F, order, gens):
+    """Reduced monic basis as term dicts, ascending by leading monomial."""
+    G = [ref_monic(F, order, g) for g in gens if g]
+    P = [(i, j) for j in range(len(G)) for i in range(j)]
+
+    def lcm(ij):
+        a, b = (ref_lead(order, G[k]) for k in ij)
+        return tuple(map(max, a, b))
+
+    while P:
+        ij = min(P, key=lambda ij: (order.key(lcm(ij)), ij))
+        P.remove(ij)
+        L, s = lcm(ij), {}
+        for k, c in zip(ij, (F.neg(F.one), F.one)):
+            ref_submul(F, s, c, tuple(a - b for a, b in zip(L, ref_lead(order, G[k]))), G[k])
+        r = ref_reduce(F, order, s, G)
+        if r:
+            G.append(ref_monic(F, order, r))
+            P += [(k, len(G) - 1) for k in range(len(G) - 1)]
+    G.sort(key=lambda g: order.key(ref_lead(order, g)))
+    minimal = []
+    for g in G:
+        if not any(ref_divides(ref_lead(order, h), ref_lead(order, g)) for h in minimal):
+            minimal.append(g)
+    return [ref_reduce(F, order, g, [h for h in minimal if h is not g]) for g in minimal]
+
+
+def ref_eliminate(F, w_gens, rest_gens):
+    """w-free part of the block(1) basis of (w * w_gens, (1 - w) * rest_gens)."""
+    gens = [{(1,) + m: c for m, c in g.items()} for g in w_gens]
+    for g in rest_gens:
+        d = {(0,) + m: c for m, c in g.items()}
+        d.update({(1,) + m: F.neg(c) for m, c in g.items()})
+        gens.append(d)
+    basis = ref_basis(F, MonomialOrder("block", 1), gens)
+    return [{m[1:]: c for m, c in g.items()} for g in basis if all(m[0] == 0 for m in g)]
+
+
+def ref_exact_div(F, num, den):
+    p, quo = dict(num), {}
+    dl = ref_lead(GREVLEX, den)
+    while p:
+        t = ref_lead(GREVLEX, p)
+        sh = tuple(a - b for a, b in zip(t, dl))
+        assert min(sh) >= 0
+        quo[sh] = F.mul(p[t], F.inv(den[dl]))
+        ref_submul(F, p, quo[sh], sh, den)
+    return quo
+
+
+F4 = ExtensionField(2, (1, 1, 1))
+DIFF_FIELDS = {"F2": F2, "F3": F3, "F4": F4}
+DIFF_ORDERS = [GREVLEX, LEX, MonomialOrder("block", 1)]
+
+
+def _raw_polys(F):
+    coeffs = st.integers(1, F.p ** getattr(F, "degree", 1) - 1)
+    monos = st.tuples(*[st.integers(0, 2)] * 3)
+    return st.dictionaries(monos, coeffs, min_size=1, max_size=3)
+
+
+# x^3, y^3, z^3 join every random ideal: a lex basis of three random
+# quintics can take minutes in either kernel, a finite quotient cannot
+CUBES = [{(3, 0, 0): 1}, {(0, 3, 0): 1}, {(0, 0, 3): 1}]
+
+
+@pytest.mark.parametrize("order", DIFF_ORDERS, ids=repr)
+@pytest.mark.parametrize("name", DIFF_FIELDS)
+def test_kernel_matches_reference(name, order):
+    F = DIFF_FIELDS[name]
+    R = ring_make(F, ("x", "y", "z"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_raw_polys(F), min_size=1, max_size=3).map(lambda g: g + CUBES),
+           _raw_polys(F))
+    def check(gens, f):
+        I = Ideal(R, [Polynomial(R, g) for g in gens])
+        want = ref_basis(F, order, gens)
+        assert [g.terms for g in groebner_basis(I, order)] == want
+        assert normal_form(Polynomial(R, f), I, order).terms == ref_reduce(F, order, f, want)
+
+    check()
+
+
+COLON_CASES = [
+    # (field, relations, I, J, f)
+    (F3, [], ["x^2+2*y*z", "y^2", "z^3+x*y"], ["x*y+z", "x^2+y"], "x+y*z"),
+    (F4, ["z^3+a*x*y*z+y^3"], ["x^2", "y^2+a*z^2", "z^2*x"], ["x+a*y", "y*z"], "x*z+a*y^2"),
+]
+
+
+@pytest.mark.parametrize("case", COLON_CASES, ids=["F3", "F4-quotient"])
+def test_colon_and_intersection_match_reference(case):
+    F, rels, I_gens, J_gens, f_text = case
+    R = ring_make(F, ("x", "y", "z"), relations=rels)
+    I, J, f = ideal(R, *I_gens), ideal(R, *J_gens), R.parse(f_text)
+    raw_rels = [r.terms for r in R.relations]
+    raw_I = [g.terms for g in I.gens] + raw_rels
+
+    cut = ref_eliminate(F, raw_I, [f.terms])
+    want = ref_basis(F, GREVLEX, [ref_exact_div(F, d, f.terms) for d in cut] + raw_rels)
+    assert [g.terms for g in ideal_colon(I, f).gens] == want
+
+    cut = ref_eliminate(F, raw_I, [g.terms for g in J.gens] + raw_rels)
+    want = ref_basis(F, GREVLEX, cut + raw_rels)
+    assert [g.terms for g in ideal_intersection(I, J).gens] == want

@@ -115,6 +115,21 @@ def test_block_order_prefers_first_block():
     assert f.leading_monomial(order) == (1, 0, 0)
 
 
+ORDERS = [GREVLEX, LEX] + [MonomialOrder("block", k) for k in range(5)]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=repr)
+def test_descending_key_sorts_like_reversed_key(order):
+    # every block split k = 0..n of a four-variable ring
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 5)] * 4), unique=True, max_size=12))
+    def check(monos):
+        assert (sorted(monos, key=order.desc_key)
+                == sorted(monos, key=order.key, reverse=True))
+
+    check()
+
+
 # -- arithmetic --------------------------------------------------------------
 
 
