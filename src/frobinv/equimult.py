@@ -179,10 +179,7 @@ def colength_identity_check(prime, x, e_max, fiber=None):
     if isinstance(x, str):
         x = ring.parse(x)
     fp = fiber or fiber_presentation(prime)
-    quotient = ring_make(ring.field, ring.varnames,
-                         relations=[str(r) for r in ring.relations]
-                         + [str(g) for g in prime.gens])
-    hs = invariants.hs_multiplicity(quotient, str(x))
+    hs = invariants.curve_multiplicity(prime, x)
     rows = []
     for e in range(1, e_max + 1):
         q = ring.field.p ** e
@@ -431,6 +428,8 @@ class BMGapReport:
 def bm_gap_table(alphas, e_min=2, e_max=4, field=None, jobs=1):
     """Normalized HK at each m_alpha against the localized rows at
     p = (x,y,z): gap_e = l(R/m_alpha^{[q]})/q^3 - l_fiber(p^{[q]})/q^2."""
+    if e_max < e_min:
+        raise EquimultError("the gap table needs e_max >= e_min = %d" % e_min)
     ring = brenner_monsky_ring(field)
     prime = Ideal(ring, [ring.var(0), ring.var(1), ring.var(2)])
     fp = fiber_presentation(prime)

@@ -11,6 +11,10 @@ ties broken by the lcm's order key, so runs are deterministic.  Each pair's
 (sugar, lcm key) is computed once, when the pair is formed, and pairs are
 popped off a heap, skipping those pruned since.
 
+Intersection, colon and saturation each eliminate a fresh variable w under
+block(1).  Saturation needs no chain of colons: I : J^infty is the
+intersection over the generators g of J of the eliminations (I, 1 - w*g) cap R.
+
 Colengths of zero-dimensional quotients are counted from the staircase of
 leading monomials by a coordinate-by-coordinate lattice sweep over the
 minimal generators; it returns an exact big integer, or None when the
@@ -20,6 +24,7 @@ staircase is infinite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
@@ -285,8 +290,8 @@ def _count_sweep(gens, nv):
 
 
 def count_standard_monomials(leads, nvars):
-    """Number of monomials outside the monomial ideal; None if infinite."""
-    return _count_sweep(minimalize_monomials(leads), nvars - 1)
+    """Monomials outside the ideal of the leads, minimal or not; None if infinite."""
+    return _count_sweep(list(leads), nvars - 1)
 
 
 def staircase(ideal, order=GREVLEX):
@@ -334,23 +339,19 @@ def _fresh_name(names):
     return cand
 
 
-def _eliminate(ring, w_gens, rest_gens):
-    """w-free part of (w * w_gens, (1 - w) * rest_gens) in ring[w].
+def _eliminate(ring, build):
+    """w-free part of the block(1) basis of build(w, lift) in ring[w].
 
-    The basis is taken under block(1) with the fresh variable w first, and
-    the surviving elements come back as term dicts over ring.
+    The fresh variable w comes first; lift carries a polynomial of ring into
+    ring[w].  The surviving elements come back as term dicts over ring.
     """
     ext = PresentedRing(ring.field, (_fresh_name(ring.varnames),) + ring.varnames)
-    w = ext.var(0)
-    one_minus_w = ext.one - w
 
     def lift(p):
         return Polynomial(ext, {(0,) + m: c for m, c in p.terms.items()})
 
-    gens_ext = [w * lift(g) for g in w_gens]
-    gens_ext += [one_minus_w * lift(g) for g in rest_gens]
-    order = MonomialOrder("block", 1)
-    raw = _buchberger(ext.field, order, [g.terms for g in gens_ext])
+    gens = build(ext.var(0), lift)
+    raw = _buchberger(ext.field, MonomialOrder("block", 1), [g.terms for g in gens])
     return [{m[1:]: c for m, c in d.items()}
             for d in raw if all(m[0] == 0 for m in d)]
 
@@ -361,9 +362,10 @@ def ideal_intersection(I, J):
     if J.ring != ring:
         raise RingError("intersection: ambient ring mismatch")
     rels = list(ring.relations)
-    cut = _eliminate(ring, list(I.gens) + rels, list(J.gens) + rels)
-    out = Ideal(ring, [Polynomial(ring, d) for d in cut])
-    return _canonicalize(out)
+    cut = _eliminate(ring, lambda w, lift:
+                     [w * lift(g) for g in list(I.gens) + rels]
+                     + [(1 - w) * lift(g) for g in list(J.gens) + rels])
+    return _canonicalize(Ideal(ring, [Polynomial(ring, d) for d in cut]))
 
 
 def _exact_div(num_terms, den_terms, F, order):
@@ -393,40 +395,35 @@ def ideal_colon(I, f):
         f = ring.parse(f)
     if f.is_zero():
         raise RingError("colon by the zero element")
-    if f.constant_value() is not None:
-        return _canonicalize(Ideal(ring, list(I.gens)))
-    cut = _eliminate(ring, list(I.gens) + list(ring.relations), [f])
+    cut = _eliminate(ring, lambda w, lift:
+                     [w * lift(g) for g in list(I.gens) + list(ring.relations)]
+                     + [(1 - w) * lift(f)])
     quots = [Polynomial(ring, _exact_div(d, f.terms, ring.field, GREVLEX)) for d in cut]
     return _canonicalize(Ideal(ring, quots))
 
 
+def _intersect_all(ring, ideals):
+    """Canonical intersection of the ideals; R when there are none."""
+    if not ideals:
+        return _canonicalize(Ideal(ring, [ring.one]))
+    return _canonicalize(reduce(ideal_intersection, ideals))
+
+
 def ideal_colon_ideal(I, J):
     """(I : J) as the intersection of the generator-wise colons."""
-    gens = [g for g in J.gens if not g.is_zero()]
-    if not gens:
-        return _canonicalize(Ideal(I.ring, [I.ring.one]))
-    result = ideal_colon(I, gens[0])
-    for g in gens[1:]:
-        result = ideal_intersection(result, ideal_colon(I, g))
-    return result
+    return _intersect_all(I.ring, [ideal_colon(I, g) for g in J.gens])
 
 
 def saturate(I, J):
-    """Stable value of the chain I : J \\subseteq I : J^2 \\subseteq ...
-
-    Each step colons the previous result by J; the chain is stable when two
-    successive reduced bases agree.
-    """
-    current = _canonicalize(Ideal(I.ring, list(I.gens)))
-    while True:
-        nxt = ideal_colon_ideal(current, J)
-        if _basis_keys(nxt) == _basis_keys(current):
-            return current
-        current = nxt
-
-
-def _basis_keys(I):
-    return [g.canonical_key() for g in groebner_basis(I)]
+    """(I : J^infty) as the intersection over the generators g of J of
+    I : g^infty = (I + relations + (1 - w*g)) cap R, one block(1) elimination
+    in R[w] each (Cox-Little-O'Shea, section 4.4), with no chain of colons to
+    iterate.  J with no nonzero generator saturates to R."""
+    ring = I.ring
+    base = list(I.gens) + list(ring.relations)
+    cuts = [_eliminate(ring, lambda w, lift: [lift(h) for h in base] + [1 - w * lift(g)])
+            for g in J.gens]
+    return _intersect_all(ring, [Ideal(ring, [Polynomial(ring, d) for d in c]) for c in cuts])
 
 
 def _canonicalize(I):

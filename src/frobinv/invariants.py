@@ -12,11 +12,10 @@ max(|fit - last row|, last Cauchy difference).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .polyring import Ideal, ring_make
+from .polyring import Ideal, Polynomial, ring_make
 from . import groebner
 from . import frobenius
 
@@ -129,6 +128,8 @@ def _hk_cell(args):
 
 def _sweep(cells, jobs):
     if jobs and jobs > 1:
+        # imported here: the pool's modules cost every process start otherwise
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_hk_cell, cells))
     return [_hk_cell(c) for c in cells]
@@ -195,6 +196,13 @@ def hs_multiplicity(ring, x, n_cap=30):
     raise InvariantError("multiplicity did not stabilize below n = %d" % n_cap)
 
 
+def curve_multiplicity(prime, x):
+    """hs_multiplicity of the parameter x on the curve R/prime."""
+    ring = prime.ring
+    curve = ring_make(ring.field, ring.varnames, list(ring.relations) + list(prime.gens))
+    return hs_multiplicity(curve, Polynomial(curve, x.terms))
+
+
 # ---------------------------------------------------------------------------
 # F-signature
 
@@ -225,6 +233,8 @@ def descent_sequence(prime, x, n_max, e_max, fiber_estimate=None, jobs=1):
     at the prime is supplied, the report carries the product prediction
     e(x on R/p) * estimate next to the observed per-n limits.
     """
+    if e_max < 1 or n_max < 1:
+        raise InvariantError("descent needs e_max >= 1 and n_max >= 1")
     ring = prime.ring
     p = ring.field.p
     d = ring.dim
@@ -267,10 +277,7 @@ def descent_sequence(prime, x, n_max, e_max, fiber_estimate=None, jobs=1):
                    for n in range(1, n_max))
 
     # multiplicity of x on the curve R/p, for the limit prediction
-    quotient = ring_make(ring.field, ring.varnames,
-                         relations=[str(r) for r in ring.relations]
-                         + [str(g) for g in prime.gens])
-    hs = hs_multiplicity(quotient, str(x))
+    hs = curve_multiplicity(prime, x)
     prediction = None
     if fiber_estimate is not None:
         prediction = hs.multiplicity * fiber_estimate

@@ -42,10 +42,6 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_degree(a):
-    return sum(a)
-
-
 def grevlex_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 

@@ -4,6 +4,7 @@ formats, exit codes, caching, and determinism."""
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -333,6 +334,25 @@ def test_exit_three_on_empty_fsig_sweep(capsys):
     code = main(["fsig", "corpus:node", "--emax", "0"])
     assert code == 3
     assert "e_max >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["descent", "corpus:brenner-monsky", "p", "h", "--emax", "0"],
+    ["descent", "corpus:brenner-monsky", "p", "h", "--nmax", "0"],
+    ["repro-bm", "--emax", "1"],
+], ids=["descent-emax0", "descent-nmax0", "repro-bm-emax1"])
+def test_exit_three_on_empty_grid(argv, capsys):
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_import_leaves_process_pool_out():
+    # the pool is imported only by a sweep with jobs > 1
+    code = ("import sys, frobinv.cli; "
+            "sys.exit('multiprocessing' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_exit_three_on_infinite_colength(capsys):

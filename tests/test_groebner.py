@@ -10,7 +10,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobinv import groebner
 from frobinv.coeff import ExtensionField, PrimeField
+from frobinv.equimult import brenner_monsky_ring
+from frobinv.frobenius import frobenius_power
 from frobinv.groebner import (
     colength,
     count_standard_monomials,
@@ -367,10 +370,10 @@ DIFF_FIELDS = {"F2": F2, "F3": F3, "F4": F4}
 DIFF_ORDERS = [GREVLEX, LEX, MonomialOrder("block", 1)]
 
 
-def _raw_polys(F):
+def _raw_polys(F, terms=3):
     coeffs = st.integers(1, F.p ** getattr(F, "degree", 1) - 1)
     monos = st.tuples(*[st.integers(0, 2)] * 3)
-    return st.dictionaries(monos, coeffs, min_size=1, max_size=3)
+    return st.dictionaries(monos, coeffs, min_size=1, max_size=terms)
 
 
 # x^3, y^3, z^3 join every random ideal: a lex basis of three random
@@ -418,3 +421,102 @@ def test_colon_and_intersection_match_reference(case):
     cut = ref_eliminate(F, raw_I, [g.terms for g in J.gens] + raw_rels)
     want = ref_basis(F, GREVLEX, cut + raw_rels)
     assert [g.terms for g in ideal_intersection(I, J).gens] == want
+
+
+# -- saturation against the colon chain --------------------------------------
+#
+# The reference climbs I : J, I : J^2, ... one ideal colon at a time until two
+# steps agree; saturate must reach the same reduced basis without the chain.
+
+
+def ref_saturate(I, J):
+    current = I
+    while True:
+        nxt = ideal_colon_ideal(current, J)
+        if ideal_equals(nxt, current):
+            return nxt
+        current = nxt
+
+
+def _cone():
+    return ring_make(F2, ("x", "y", "z"), relations=["x^2+z*y"])
+
+
+def _odd_a1():
+    return ring_make(F3, ("x", "y", "z"), relations=["x*y+2*z^2"])
+
+
+def _bm():
+    return brenner_monsky_ring(F4)
+
+
+def _bracket(make, names, e):
+    """(names)^[p^e] and the origin ideal, in a fresh copy of the ring."""
+    def build():
+        R = make()
+        return frobenius_power(ideal(R, *names), e), R.origin_ideal()
+    return build
+
+
+SATURATION_CASES = {
+    "cone-p^[2]": _bracket(_cone, "xy", 1),
+    "cone-p^[4]": _bracket(_cone, "xy", 2),
+    "cone-m^[4]": _bracket(_cone, "xyz", 2),
+    "cone-m^[8]": _bracket(_cone, "xyz", 3),
+    "odd-a1-p^[3]": _bracket(_odd_a1, "xy", 1),
+    "odd-a1-p^[9]": _bracket(_odd_a1, "xy", 2),
+    "brenner-monsky-p^[2]": _bracket(_bm, "xyz", 1),
+    "brenner-monsky-p^[4]": _bracket(_bm, "xyz", 2),
+}
+
+
+@pytest.mark.parametrize("name", SATURATION_CASES)
+def test_saturation_matches_colon_chain(name):
+    I, J = SATURATION_CASES[name]()
+    got = [g.terms for g in groebner_basis(saturate(I, J))]
+    assert got == [g.terms for g in groebner_basis(ref_saturate(I, J))]
+
+
+@pytest.mark.parametrize("name", DIFF_FIELDS)
+def test_saturation_matches_colon_chain_random(name):
+    F = DIFF_FIELDS[name]
+    R = ring_make(F, ("x", "y", "z"))
+
+    # binomials: on three-term generators over F_4 the reference chain can
+    # pass 5 s where saturate takes under a second
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_raw_polys(F, 2), min_size=1, max_size=3),
+           st.lists(_raw_polys(F, 2), min_size=1, max_size=2))
+    def check(I_terms, J_terms):
+        I = Ideal(R, [Polynomial(R, g) for g in I_terms])
+        J = Ideal(R, [Polynomial(R, g) for g in J_terms])
+        got = [g.terms for g in groebner_basis(saturate(I, J))]
+        assert got == [g.terms for g in groebner_basis(ref_saturate(I, J))]
+
+    check()
+
+
+def test_saturation_runs_one_elimination_per_generator(monkeypatch):
+    # eliminations run under block(1); the grevlex runs canonicalize results
+    runs = []
+    kernel = groebner._buchberger
+
+    def counted(F, order, gens):
+        runs.append(order.kind)
+        return kernel(F, order, gens)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    for name in ("cone-m^[8]", "odd-a1-p^[3]", "brenner-monsky-p^[2]"):
+        I, J = SATURATION_CASES[name]()
+        runs.clear()
+        saturate(I, J)
+        assert runs.count("block") <= 2 * len(J.gens) - 1, name
+
+
+def test_saturation_edge_cases():
+    R = ring2("x", "y")
+    I = ideal(R, "x^2", "x*y")
+    for J in (Ideal(R, []), ideal(R, "0")):
+        assert [str(g) for g in groebner_basis(saturate(I, J))] == ["1"]
+    for J in (ideal(R, "1"), ideal(R, "y", "1")):
+        assert ideal_equals(saturate(I, J), I)
