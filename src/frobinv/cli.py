@@ -49,7 +49,6 @@ from . import __version__ as VERSION
 from . import corpus
 from .coeff import (
     ExtensionField,
-    FieldElement,
     FieldError,
     PrimeField,
     RationalFunctionField,
@@ -227,13 +226,10 @@ def _build_extension(p, text, line, col):
     deg = f.degree()
     if deg < 2:
         raise SpecError("extension modulus must have degree >= 2", line, col)
-    coeffs = [f.coefficient((k,)).payload for k in range(deg + 1)]
-    if coeffs[-1] != 1:
-        inv = pow(coeffs[-1], p - 2, p)
-        coeffs = [(c * inv) % p for c in coeffs]
-        f = f.scale(helper.field.from_int(inv))
+    f = f / f.leading_coefficient()
+    coeffs = tuple(f.coefficient((k,)).payload for k in range(deg + 1))
     with _located(line, col):
-        field = ExtensionField(p, tuple(coeffs), gen=gen)
+        field = ExtensionField(p, coeffs, gen=gen)
     return field, str(f)
 
 
@@ -613,7 +609,7 @@ def cmd_repro_monsky(doc, args):
 
 def cmd_repro_bm(doc, args):
     K = ExtensionField(2, (1, 1, 1))
-    gen = FieldElement(K, K._fix((0, 1)))
+    gen = K.symbols()["a"]
     rep = bm_gap_table([0, 1, gen, gen + 1], e_min=2, e_max=args.emax,
                        field=K, jobs=args.jobs)
     threshold = Fraction(1, 50)
@@ -652,6 +648,17 @@ _FACTORS = ("factors", None, {"nargs": "+", "metavar": "FACTOR",
                               "help": "factor (elem name or polynomial), "
                                       "optionally with ':mult'"})
 
+def _jobs(text):
+    """The --jobs type: a worker count of at least one."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
+
+
 _FLAGS = {
     "emax": {"type": int, "help": "largest Frobenius exponent e (q = p^e)"},
     "nmax": {"type": int,
@@ -664,7 +671,7 @@ _FLAGS = {
                 "help": "stage bound for the tight-closure probes"},
     "alpha": {"choices": tuple(_MONSKY_MODES), "required": True,
               "help": "family member: 0, 1, or the parameter t"},
-    "jobs": {"type": int, "help": "worker processes for independent cells"},
+    "jobs": {"type": _jobs, "help": "worker processes for independent cells (>= 1)"},
 }
 
 # the spec enters the digest as its text; --jobs changes how cells are

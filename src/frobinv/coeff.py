@@ -15,7 +15,10 @@
 Every element is a :class:`FieldElement` tagging a payload with its
 :class:`FieldSpec`.  Payloads are plain hashable values (ints, tuples) so the
 Groebner kernel can work on them directly through the spec's raw-op methods
-(``add``/``mul``/``inv``/...) without wrapper overhead.
+(``add``/``mul``/``inv``/...) without wrapper overhead.  No other module
+builds, takes apart or classifies a payload: named constants come from
+``symbols()``, c t^k from ``monomial`` and t -> alpha from ``evaluate``, and
+a field's kind is its ``kind`` string.
 """
 
 from __future__ import annotations
@@ -195,6 +198,10 @@ class FieldSpec:
     def from_int(self, n):
         raise NotImplementedError
 
+    def symbols(self):
+        """Name -> FieldElement of each named constant; no variable may take one."""
+        return {}
+
     def pow(self, a, n):
         if n < 0:
             a, n = self.inv(a), -n
@@ -370,6 +377,9 @@ class ExtensionField(FieldSpec):
     def key(self):
         return ("ext", self.p, self.modulus, self.gen)
 
+    def symbols(self):
+        return {self.gen: FieldElement(self, self._fix((0, 1)))}
+
     def _fix(self, f):
         """The payload of sum f_i gen^i, f a little-endian coefficient tuple."""
         return sum(c % self.p * self.p ** i for i, c in enumerate(tuple(f)[: self.degree]))
@@ -420,7 +430,7 @@ class RationalFunctionField(FieldSpec):
     kind = "rational-function"
 
     def __init__(self, base, param="t"):
-        if not isinstance(base, (PrimeField, ExtensionField)):
+        if base.kind not in ("prime", "extension"):
             raise FieldError("rational-function base must be a finite field")
         self.base = base
         self.p = base.p
@@ -465,8 +475,31 @@ class RationalFunctionField(FieldSpec):
     def from_int(self, n):
         return self.make((self.base.from_int(n),), (self.base.one,))
 
-    def param_element(self):
-        return ((self.base.zero, self.base.one), (self.base.one,))
+    def monomial(self, c, k):
+        """The payload of c t^k, c a base payload."""
+        base = self.base
+        if c == base.zero:
+            return self.zero
+        return ((base.zero,) * k + (c,), (base.one,))
+
+    def symbols(self):
+        # the parameter shadows a base symbol of the same name
+        out = {name: FieldElement(self, self.monomial(c.payload, 0))
+               for name, c in self.base.symbols().items()}
+        out[self.param] = FieldElement(self, self.monomial(self.base.one, 1))
+        return out
+
+    def evaluate(self, a, point):
+        """The base payload a(point), point a base payload, by Horner's rule;
+        raises ZeroDivisionError where the denominator of a vanishes."""
+        base = self.base
+        values = []
+        for f in a:  # numerator, then denominator
+            acc = base.zero
+            for c in reversed(f):
+                acc = base.add(base.mul(acc, point), c)
+            values.append(acc)
+        return base.mul(values[0], base.inv(values[1]))
 
     def add(self, a, b):
         (n1, d1), (n2, d2) = a, b
@@ -709,24 +742,18 @@ class _ExprParser:
 def field_make(spec, literal):
     """Parse a constant literal in the spec's syntax into a FieldElement.
 
-    Prime fields accept integers; extension fields additionally accept the
-    generator name; rational-function fields accept the parameter and
-    division.
+    Integers and the names in ``spec.symbols()`` are the atoms: the
+    generator of an extension field, and over base(t) the parameter and the
+    base's symbols.
     """
+    symbols = spec.symbols()
 
     def atom(tok):
         kind, val = tok
         if kind == "int":
             return FieldElement(spec, spec.from_int(val))
-        if isinstance(spec, ExtensionField) and val == spec.gen:
-            gen = spec._fix((0, 1))
-            return FieldElement(spec, gen)
-        if isinstance(spec, RationalFunctionField):
-            if val == spec.param:
-                return FieldElement(spec, spec.param_element())
-            if isinstance(spec.base, ExtensionField) and val == spec.base.gen:
-                gen = spec.base._fix((0, 1))
-                return FieldElement(spec, ((gen,), (spec.base.one,)))
+        if val in symbols:
+            return symbols[val]
         raise FieldError("unknown symbol %r for field %r" % (val, spec))
 
     try:

@@ -52,15 +52,11 @@ class FiberPresentation:
         """Push a polynomial of R into the fiber ring."""
         fr = self.fiber_ring
         K = fr.field
-        base = K.base
         j = self.t_index
         out = {}
         for m, c in f.terms.items():
-            k = m[j]
             mm = m[:j] + m[j + 1:]
-            num = (base.zero,) * k + (c,)
-            payload = K.make(num, (base.one,))
-            out[mm] = K.add(out.get(mm, K.zero), payload)
+            out[mm] = K.add(out.get(mm, K.zero), K.monomial(c, m[j]))
         return Polynomial(fr, out)
 
     def map_ideal(self, I):
@@ -75,29 +71,16 @@ class FiberPresentation:
             alpha = FieldElement(base, base.from_int(alpha))
         if alpha.spec != base:
             raise EquimultError("specialization point must lie in %r" % base)
-
-        def ev(upoly):
-            acc = base.zero
-            for c in reversed(upoly):
-                acc = base.add(base.mul(acc, alpha.payload), c)
-            return acc
-
+        out = ring_make(base, self.fiber_ring.varnames)
         rels = []
         for r in self.fiber_ring.relations:
-            terms = {}
-            for m, (num, den) in r.terms.items():
-                dv = ev(den)
-                if dv == base.zero:
-                    raise EquimultError("denominator vanishes at the "
-                                        "specialization point")
-                c = base.mul(ev(num), base.inv(dv))
-                if c != base.zero:
-                    terms[m] = c
-            rels.append(terms)
-        out = ring_make(base, self.fiber_ring.varnames)
-        rel_polys = [Polynomial(out, t) for t in rels]
-        return ring_make(base, self.fiber_ring.varnames,
-                         relations=[r for r in rel_polys if not r.is_zero()])
+            try:
+                terms = {m: K.evaluate(c, alpha.payload) for m, c in r.terms.items()}
+            except ZeroDivisionError:
+                raise EquimultError("denominator vanishes at the "
+                                    "specialization point") from None
+            rels.append(Polynomial(out, terms))
+        return ring_make(base, self.fiber_ring.varnames, relations=rels)
 
 
 def fiber_presentation(prime, t_name=None):
@@ -107,7 +90,7 @@ def fiber_presentation(prime, t_name=None):
     degree-one leading terms covering every variable except one survivor.
     """
     ring = prime.ring
-    if not isinstance(ring.field, (PrimeField, ExtensionField)):
+    if ring.field.kind == "rational-function":
         raise EquimultError("fiber presentations need a finite coefficient field")
     basis = groebner.groebner_basis(prime)
     lead_vars = set()
@@ -128,12 +111,8 @@ def fiber_presentation(prime, t_name=None):
     name = ring.varnames[j]
     K = RationalFunctionField(ring.field, name)
     varnames = ring.varnames[:j] + ring.varnames[j + 1:]
-    shell = ring_make(K, varnames)
-    fp = FiberPresentation(ring, prime, j, name, shell)
-    rels = [fp.map_poly(r) for r in ring.relations]
-    rels = [r for r in rels if not r.is_zero()]
-    if rels:
-        fp.fiber_ring = ring_make(K, varnames, relations=rels)
+    fp = FiberPresentation(ring, prime, j, name, ring_make(K, varnames))
+    fp.fiber_ring = ring_make(K, varnames, relations=[fp.map_poly(r) for r in ring.relations])
     return fp
 
 
@@ -179,7 +158,7 @@ def colength_identity_check(prime, x, e_max, fiber=None):
     if isinstance(x, str):
         x = ring.parse(x)
     fp = fiber or fiber_presentation(prime)
-    hs = invariants.curve_multiplicity(prime, x)
+    hs = invariants.parameter_degree(prime, x)
     rows = []
     for e in range(1, e_max + 1):
         q = ring.field.p ** e
@@ -187,9 +166,9 @@ def colength_identity_check(prime, x, e_max, fiber=None):
         lhs = groebner.colength(Ideal(ring, list(pq.gens) + [x]))
         if lhs is None:
             raise EquimultError("(p^[q], x) is not origin-primary")
-        rhs = hs.multiplicity * localized_hk(prime, e, fiber=fp)
+        rhs = hs * localized_hk(prime, e, fiber=fp)
         rows.append((e, q, lhs, rhs, lhs - rhs))
-    return ColengthIdentityReport(prime, x, hs.multiplicity, rows,
+    return ColengthIdentityReport(prime, x, hs, rows,
                                   all(r[4] == 0 for r in rows))
 
 
@@ -207,6 +186,8 @@ def rigidity_check(prime, e_max, fiber=None):
     minimal generators of F_*^e R and F_*^e R_p agree; a failing row
     certifies (conditionally) that the HK multiplicities differ.
     """
+    if e_max < 1:
+        raise EquimultError("rigidity_check needs e_max >= 1")
     ring = prime.ring
     fp = fiber or fiber_presentation(prime)
     dimq = groebner.ideal_dimension(prime)
@@ -243,6 +224,8 @@ def equimult_check(prime, c=None, e_max=3, tc_e_max=2):
     A certified non-member violates the necessary condition for
     equimultiplicity -- conditionally on the multiplier being a test element.
     """
+    if e_max < 1:
+        raise EquimultError("equimult_check needs e_max >= 1")
     ring = prime.ring
     if groebner.ideal_dimension(prime) != 1:
         raise EquimultError("equimultiplicity check needs dim R/p = 1")
@@ -380,7 +363,7 @@ def monsky_repro(alpha_spec, e_max, lam_modulus=(1, 1, 1), jobs=1):
         target = Fraction(7, 2)
     elif alpha_spec == "algebraic":
         K = ExtensionField(2, lam_modulus)
-        lam = FieldElement(K, K._fix((0, 1)))
+        lam = K.symbols()[K.gen]
         alpha = lam * lam + lam
         if not alpha:
             raise EquimultError("lam^2 + lam vanished; modulus does not give "
@@ -389,7 +372,7 @@ def monsky_repro(alpha_spec, e_max, lam_modulus=(1, 1, 1), jobs=1):
         target = 3 + Fraction(1, 4 ** K.degree)
     elif alpha_spec == "transcendental":
         K = RationalFunctionField(PrimeField(2), "t")
-        alpha = FieldElement(K, K.param_element())
+        alpha = K.symbols()["t"]
         ring = quartic_ring(alpha)
         target = Fraction(3)
     else:
@@ -409,9 +392,7 @@ def brenner_monsky_ring(field=None):
 
 
 def bm_maximal_ideal(ring, alpha):
-    """m_alpha = (x, y, z, t - alpha)."""
-    if isinstance(alpha, int):
-        alpha = FieldElement(ring.field, ring.field.from_int(alpha))
+    """m_alpha = (x, y, z, t - alpha), alpha a field element or an int."""
     t = ring.var(3)
     return Ideal(ring, [ring.var(0), ring.var(1), ring.var(2),
                         t - ring.const(alpha)])
@@ -510,6 +491,8 @@ def wy_inequality_check(I, e_max):
     to the Kunz-type bound l(R/m^{[pq]}) >= (pq)^d, and the derived pair
     compares p^d with l(R/m^{[p]}).
     """
+    if e_max < 1:
+        raise EquimultError("wy_inequality_check needs e_max >= 1")
     ring = I.ring
     p = ring.field.p
     d = ring.dim

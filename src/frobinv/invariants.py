@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .polyring import Ideal, Polynomial, ring_make
+from .polyring import Ideal, ring_make
 from . import groebner
 from . import frobenius
 
@@ -137,6 +137,8 @@ def _sweep(cells, jobs):
 
 def hk_rows(I, e_max, jobs=1):
     """Hilbert-Kunz rows (e, q, l(R/I^{[q]}), l/q^d) for e = 1..e_max."""
+    if e_max < 1:
+        raise InvariantError("hk_rows needs e_max >= 1")
     ring = I.ring
     d = ring.dim
     p = ring.field.p
@@ -196,11 +198,20 @@ def hs_multiplicity(ring, x, n_cap=30):
     raise InvariantError("multiplicity did not stabilize below n = %d" % n_cap)
 
 
-def curve_multiplicity(prime, x):
-    """hs_multiplicity of the parameter x on the curve R/prime."""
+def parameter_degree(prime, x):
+    """e(x on R/prime) = l(R/((prime : x^infty) + xR)) for dim R/prime = 1.
+
+    Saturating drops the finite-length x-torsion of R/prime and leaves a
+    one-dimensional ring on which x is a nonzerodivisor, so Cohen-Macaulay,
+    where e(x) is the colength of x.  For a prime p not containing x,
+    (p : x^infty) = p.
+    """
     ring = prime.ring
-    curve = ring_make(ring.field, ring.varnames, list(ring.relations) + list(prime.gens))
-    return hs_multiplicity(curve, Polynomial(curve, x.terms))
+    sat = groebner.saturate(prime, Ideal(ring, [x]))
+    c = groebner.colength(Ideal(ring, list(sat.gens) + [x]))
+    if c is None:
+        raise InvariantError("%s is not a parameter on R/p: infinite colength" % x)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +288,10 @@ def descent_sequence(prime, x, n_max, e_max, fiber_estimate=None, jobs=1):
                    for n in range(1, n_max))
 
     # multiplicity of x on the curve R/p, for the limit prediction
-    hs = curve_multiplicity(prime, x)
-    prediction = None
-    if fiber_estimate is not None:
-        prediction = hs.multiplicity * fiber_estimate
+    hs = parameter_degree(prime, x)
+    prediction = None if fiber_estimate is None else hs * fiber_estimate
     return DescentReport(prime, x, d, table, per_n, monotone, prediction,
-                         hs.multiplicity, (prime,))
+                         hs, (prime,))
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +299,8 @@ def descent_sequence(prime, x, n_max, e_max, fiber_estimate=None, jobs=1):
 
 def lech_check(I, J, e_max):
     """Row-wise l(R/I^{[q]}) <= l(J/I) l(R/m^{[q]}) + l(R/J^{[q]}) for I in J."""
+    if e_max < 1:
+        raise InvariantError("lech_check needs e_max >= 1")
     ring = I.ring
     if not groebner.ideal_contains(J, I):
         raise InvariantError("lech_check needs I contained in J")

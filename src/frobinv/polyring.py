@@ -1,9 +1,10 @@
 """Sparse multivariate polynomials, monomial orders, and ring presentations.
 
 A :class:`PresentedRing` is a polynomial ring over one of the coeff module's
-fields, modulo a (possibly empty) list of relations, together with a
-distinguished maximal ideal (the "origin").  All colengths downstream are of
-ideals primary to the origin, for which the affine and local counts agree.
+fields, modulo a (possibly empty) list of relations that vanish at the
+origin, whose maximal ideal the variables generate.  All colengths
+downstream are of ideals primary to the origin, for which the affine and
+local counts agree.
 
 Monomials are plain exponent tuples; polynomials map monomials to nonzero raw
 coefficient payloads (see coeff) and carry their ring.
@@ -11,8 +12,7 @@ coefficient payloads (see coeff) and carry their ring.
 
 from __future__ import annotations
 
-from .coeff import (FieldElement, FieldError, ExtensionField,
-                    RationalFunctionField, tokenize, _ExprParser)
+from .coeff import FieldElement, FieldError, tokenize, _ExprParser
 
 
 class RingError(ValueError):
@@ -212,10 +212,6 @@ class Polynomial:
         ic = F.inv(c)
         return Polynomial(self.ring, {m: F.mul(v, ic) for m, v in self.terms.items()})
 
-    def scale(self, payload):
-        F = self.ring.field
-        return Polynomial(self.ring, {m: F.mul(v, payload) for m, v in self.terms.items()})
-
     def derivative(self, var_index):
         F = self.ring.field
         out = {}
@@ -307,18 +303,10 @@ class PresentedRing:
         self.nvars = len(self.varnames)
         if len(set(self.varnames)) != self.nvars or not self.varnames:
             raise RingError("variable names must be nonempty and distinct")
-        reserved = set()
-        if isinstance(field, ExtensionField):
-            reserved.add(field.gen)
-        if isinstance(field, RationalFunctionField):
-            reserved.add(field.param)
-            if isinstance(field.base, ExtensionField):
-                reserved.add(field.base.gen)
-        clash = reserved & set(self.varnames)
+        clash = set(field.symbols()) & set(self.varnames)
         if clash:
             raise RingError("variable names clash with field symbols: %s" % sorted(clash))
         self.relations = ()
-        self.origin = ()
         self.dim = self.nvars
         self._key = None
 
@@ -352,7 +340,8 @@ class PresentedRing:
         return parse_polynomial(self, text)
 
     def origin_ideal(self):
-        return Ideal(self, list(self.origin))
+        """The maximal ideal of the origin, generated by the variables."""
+        return Ideal(self, self.gens())
 
     def monomial(self, expvec, coeff=None):
         payload = self.field.one if coeff is None else coeff.payload
@@ -363,8 +352,7 @@ class PresentedRing:
     def key(self):
         if self._key is None:
             self._key = (self.field.key(), self.varnames,
-                         tuple(r.canonical_key() for r in self.relations),
-                         tuple(g.canonical_key() for g in self.origin))
+                         tuple(r.canonical_key() for r in self.relations))
         return self._key
 
     def __eq__(self, other):
@@ -381,17 +369,15 @@ class PresentedRing:
         """The same polynomial ring with no relations (used by Fedder colons)."""
         if not self.relations:
             return self
-        amb = PresentedRing(self.field, self.varnames)
-        amb.origin = tuple(Polynomial(amb, g.terms) for g in self.origin)
-        return amb
+        return PresentedRing(self.field, self.varnames)
 
 
-def ring_make(field, varnames, relations=(), origin=None):
-    """Build a PresentedRing; relations/origin may be strings or Polynomials.
+def ring_make(field, varnames, relations=()):
+    """Build a PresentedRing; relations may be strings or Polynomials.
 
     The dimension is computed from the grevlex staircase of the relation
-    ideal; the origin must be maximal (colength-one check) and defaults to
-    the ideal of all variables.
+    ideal.  Every relation must vanish at the origin, so that the variables
+    generate a maximal ideal with residue field k.
     """
     ring = PresentedRing(field, varnames)
 
@@ -402,21 +388,12 @@ def ring_make(field, varnames, relations=(), origin=None):
             return Polynomial(ring, obj.terms)
         raise RingError("relation must be a string or Polynomial, got %r" % (obj,))
 
-    rels = tuple(as_poly(r) for r in relations)
-    if any(r.is_zero() for r in rels):
-        rels = tuple(r for r in rels if not r.is_zero())
+    rels = tuple(r for r in map(as_poly, relations) if not r.is_zero())
     ring.relations = rels
-
-    if origin is None:
-        ring.origin = tuple(ring.gens())
-    else:
-        ring.origin = tuple(as_poly(g) for g in origin)
 
     from . import groebner  # deferred: groebner depends on this module
 
     if rels:
-        if any(r.constant_value() not in (None, field.zero) for r in rels):
-            raise RingError("relation ideal is the unit ideal")
         gb = groebner.groebner_basis(Ideal(ring.ambient(),
                                            [Polynomial(ring.ambient(), r.terms) for r in rels]))
         if gb and gb[0].constant_value() is not None:
@@ -426,10 +403,10 @@ def ring_make(field, varnames, relations=(), origin=None):
     else:
         ring.dim = ring.nvars
 
-    origin_ideal = Ideal(ring, list(ring.origin))
-    if groebner.colength(origin_ideal) != 1:
+    # (variables + relations) has colength one iff no relation has a constant term
+    origin = (0,) * ring.nvars
+    if any(origin in r.terms for r in rels):
         raise RingError("origin ideal is not maximal with residue field k")
-    ring._key = None
     return ring
 
 

@@ -77,6 +77,70 @@ def test_parse_spec_comments_and_blank_lines():
     assert "m" in doc.ideals
 
 
+# one script per SpecError branch of the DSL, with its positioned message
+_SPEC_ERRORS = [
+    ("empty-statement", "char 2;; vars x;", "line 1, col 8: empty statement"),
+    ("no-terminator", "char 2; vars x",
+     "line 1, col 9: statement is missing its ';' terminator"),
+    ("binding-no-equals", "char 2; vars x; ideal m (x);",
+     "line 1, col 17: expected 'ideal NAME = ...'"),
+    ("binding-bad-name", "char 2; vars x; ideal 1m = (x);",
+     "line 1, col 17: bad ideal name '1m'"),
+    ("binding-empty-body", "char 2; vars x; elem f = ;", "line 1, col 17: empty elem body"),
+    ("ext-bad-character", "char 2; ext a^2 + a + 1 $; vars x;",
+     "line 1, col 9: unexpected character '$' at position 12"),
+    ("ext-no-symbol", "char 2; ext 1 + 1; vars x;",
+     "line 1, col 9: extension modulus must use exactly one symbol, got none"),
+    ("ext-two-symbols", "char 2; ext a^2 + b; vars x;",
+     "line 1, col 9: extension modulus must use exactly one symbol, got ['a', 'b']"),
+    ("ext-unparsable", "char 2; ext a^2 + + 1; vars x;",
+     "line 1, col 9: cannot parse 'a^2 + + 1': unexpected token '+'"),
+    ("ext-degree-one", "char 2; ext a + 1; vars x;",
+     "line 1, col 9: extension modulus must have degree >= 2"),
+    ("ext-reducible", "char 2; ext a^2 + 1; vars x;",
+     "line 1, col 9: extension modulus is reducible over F_2"),
+    ("duplicate-char", "char 2; char 3; vars x;", "line 1, col 9: duplicate 'char' statement"),
+    ("char-not-integer", "char two; vars x;",
+     "line 1, col 1: characteristic must be an integer, got 'two'"),
+    ("empty-ext", "char 2; ext; vars x;", "line 1, col 9: empty 'ext' statement"),
+    ("bad-param", "char 2; param 1t; vars x;", "line 1, col 9: bad parameter name '1t'"),
+    ("empty-vars", "char 2; vars;", "line 1, col 9: empty 'vars' statement"),
+    ("bad-variable", "char 2; vars x 1y;", "line 1, col 9: bad variable name '1y'"),
+    ("duplicate-variable", "char 2; vars x x;", "line 1, col 9: duplicate variable 'x'"),
+    ("empty-rel", "char 2; vars x; rel;", "line 1, col 17: empty 'rel' statement"),
+    ("ideal-no-parens", "char 2; vars x; ideal m = x;",
+     "line 1, col 17: ideal generators must be parenthesized"),
+    ("ideal-empty-generator", "char 2; vars x; ideal m = (x, );",
+     "line 1, col 17: empty ideal generator"),
+    ("unknown-statement", "char 2; vars x; frob x;", "line 1, col 17: unknown statement 'frob'"),
+    ("missing-char", "vars x;", "line 1, col 1: missing 'char' statement"),
+    ("nonprime-char", "char 4; vars x;", "line 1, col 1: characteristic 4 is not prime"),
+    ("missing-vars", "char 2;", "line 1, col 1: missing 'vars' statement"),
+    ("vars-clash-generator", "char 2; ext a^2 + a + 1; vars a x;",
+     "line 1, col 26: variable names clash with field symbols: ['a']"),
+    ("vars-clash-parameter", "char 2; param t; vars x t;",
+     "line 1, col 18: variable names clash with field symbols: ['t']"),
+    ("vars-clash-base-generator", "char 2; ext a^2 + a + 1; param t; vars x a;",
+     "line 1, col 35: variable names clash with field symbols: ['a']"),
+    ("rel-unknown-symbol", "char 2; vars x;\nrel x*w;",
+     "line 2, col 1: unknown symbol 'w' in 'x*w'"),
+    ("rel-off-origin", "char 2; vars x;\nrel x + 1;",
+     "line 2, col 1: origin ideal is not maximal with residue field k"),
+    ("rel-unit", "char 2; vars x;\nrel 1;", "line 2, col 1: relation ideal is the unit ideal"),
+    ("duplicate-name", "char 2; vars x; ideal m = (x); elem m = x;",
+     "line 1, col 32: duplicate name 'm'"),
+]
+
+
+@pytest.mark.parametrize("script, message", [case[1:] for case in _SPEC_ERRORS],
+                         ids=[case[0] for case in _SPEC_ERRORS])
+def test_exit_three_on_spec_error(script, message, tmp_path, capsys):
+    path = tmp_path / "bad.ring"
+    path.write_text(script, encoding="utf-8")
+    assert main(["hk", str(path)]) == 3
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_render_parse_fixed_point_on_corpus():
     for name in corpus_names():
         text = corpus_text(name)
@@ -340,10 +404,30 @@ def test_exit_three_on_empty_fsig_sweep(capsys):
     ["descent", "corpus:brenner-monsky", "p", "h", "--emax", "0"],
     ["descent", "corpus:brenner-monsky", "p", "h", "--nmax", "0"],
     ["repro-bm", "--emax", "1"],
-], ids=["descent-emax0", "descent-nmax0", "repro-bm-emax1"])
+    ["hk", "corpus:node", "--emax", "0"],
+    ["hk", "corpus:node", "--emax", "-2"],
+    ["lech", "corpus:node", "m", "m", "--emax", "0"],
+    ["wy", "corpus:node", "m", "--emax", "0"],
+    ["rigidity", "corpus:brenner-monsky", "p", "--emax", "0"],
+    ["equimult", "corpus:brenner-monsky", "p", "--emax", "-1"],
+    ["tc-member", "corpus:node", "x", "m", "--emax", "0"],
+    ["fclosure-member", "corpus:node", "x", "m", "--emax", "-1"],
+    ["hk", "corpus:node", "--jobs", "0"],
+    ["descent", "corpus:brenner-monsky", "p", "h", "--jobs", "-3"],
+], ids=["descent-emax0", "descent-nmax0", "repro-bm-emax1", "hk-emax0", "hk-emax-2",
+        "lech-emax0", "wy-emax0", "rigidity-emax0", "equimult-emax-1",
+        "tc-member-emax0", "fclosure-member-emax-1", "hk-jobs0", "descent-jobs-3"])
 def test_exit_three_on_empty_grid(argv, capsys):
-    assert main(argv) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a usage error leaves through argparse
+        code = exc.code
+    assert code == 3
+    err = capsys.readouterr().err
+    if "--jobs" in argv:
+        assert "argument --jobs: must be at least 1" in err
+    else:
+        assert err.startswith("error: ")
 
 
 def test_import_leaves_process_pool_out():

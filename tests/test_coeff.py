@@ -62,6 +62,30 @@ def test_rational_function_canonical_form():
     assert x == el(F3T, "t+1")
 
 
+def test_symbols_name_the_field_constants():
+    assert F2.symbols() == {}
+    assert F9.symbols() == {"b": el(F9, "b")}
+    assert F2T.symbols() == {"t": el(F2T, "t")}
+    assert F4T.symbols() == {"a": el(F4T, "a"), "t": el(F4T, "t")}
+    # a parameter named like the base generator shadows it
+    assert RationalFunctionField(F4, "a").symbols() == {
+        "a": FieldElement(RationalFunctionField(F4, "a"), ((0, 1), (1,)))}
+
+
+@pytest.mark.parametrize("K, point", [(F2T, "1"), (F3T, "2"), (F4T, "a")],
+                         ids=["F2(t)", "F3(t)", "F4(t)"])
+def test_ratfunc_monomial_and_evaluation(K, point):
+    base = K.base
+    c = el(base, point)
+    assert FieldElement(K, K.monomial(c.payload, 3)) == el(K, "(%s)*t^3" % point)
+    assert K.monomial(base.zero, 2) == K.zero
+    f = el(K, "(t^2 + %s*t + 1)/(t + %s + 1)" % (point, point))
+    at = (c * c + c * c + 1) / (c + c + 1)
+    assert FieldElement(base, K.evaluate(f.payload, c.payload)) == at
+    with pytest.raises(ZeroDivisionError):
+        K.evaluate(el(K, "1/(t - %s)" % point).payload, c.payload)
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(FieldError):
         el(F4, "a +")

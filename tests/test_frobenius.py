@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobinv.coeff import PrimeField, RationalFunctionField
+from frobinv.coeff import ExtensionField, PrimeField, RationalFunctionField
 from frobinv.frobenius import (
     FrobeniusError,
     frobenius_closure_membership,
@@ -49,11 +49,16 @@ def test_bracket_power_composes():
 
 
 def test_power_normal_form_matches_plain_power():
-    R = ring_make(F2, ("x", "y"))
-    I = ideal(R, "x^3", "y^3")
-    f = R.parse("x+y")
-    direct = normal_form(f ** 10, I)
-    assert power_normal_form(f, 10, I) == direct
+    # F_3 and F_4 give base-p digits other than 0 and 1, and a Frobenius twist
+    # that moves coefficients
+    for field, gens, f in [(F2, ("x^3", "y^3"), "x+y"),
+                           (F3, ("x^4", "y^4", "x^2*y^2"), "x+2*y+x*y"),
+                           (ExtensionField(2, (1, 1, 1)), ("x^5", "y^5"), "x+a*y+a^2*x*y")]:
+        R = ring_make(field, ("x", "y"))
+        I = ideal(R, *gens)
+        f = R.parse(f)
+        for n in (0, 1, 7, 10, 26):
+            assert power_normal_form(f, n, I) == normal_form(f ** n, I), (field, n)
 
 
 # -- tight-closure membership -------------------------------------------------

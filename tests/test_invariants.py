@@ -16,6 +16,7 @@ from frobinv.invariants import (
     hk_function,
     hs_multiplicity,
     lech_check,
+    parameter_degree,
 )
 from frobinv.polyring import Ideal, ring_make
 
@@ -156,6 +157,19 @@ def test_hs_rejects_non_parameter():
     S = ring_make(F2, ("x", "y"), relations=["x"])
     with pytest.raises(InvariantError):
         hs_multiplicity(S, "x")  # x = 0 on S
+
+
+@pytest.mark.parametrize("gens, x, degree", [
+    (("y^2 + x^3",), "x", 2),
+    (("y^2 + x^3",), "y", 3),
+    # an embedded point at the origin: l(R/(P + xR)) = 2, but e(x on R/P) = 1
+    (("y^2", "x*y"), "x", 1),
+], ids=["cusp-x", "cusp-y", "embedded-point"])
+def test_parameter_degree_matches_hs_multiplicity(gens, x, degree):
+    R = ring_make(F2, ("x", "y"))
+    assert parameter_degree(ideal(R, *gens), R.parse(x)) == degree
+    curve = ring_make(F2, ("x", "y"), relations=list(gens))
+    assert hs_multiplicity(curve, x).multiplicity == degree
 
 
 # -- F-signature ----------------------------------------------------------------
