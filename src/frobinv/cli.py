@@ -445,7 +445,7 @@ def cmd_fsig(doc, args):
 
 
 def cmd_mult(doc, args, x):
-    res = hs_multiplicity(doc.ring, x, n_cap=args.nmax)
+    res = hs_multiplicity(doc.ring, x)
     lengths = [_S(l) for l in res.lengths]
     payload = {"element": str(x), "multiplicity": res.multiplicity,
                "cm_defect": res.cm_defect, "lengths": lengths}
@@ -691,7 +691,7 @@ _COMMANDS = {
                     "Hilbert-Kunz multiplicity estimate with error band"),
     "fsig": _Command(cmd_fsig, [_SPEC], {"emax": 4}, ["e", "q", "a_e", "normalized"],
                      "F-signature function a_e and normalized estimate"),
-    "mult": _Command(cmd_mult, [_SPEC, _ELEM], {"nmax": 30}, ["n", "length"],
+    "mult": _Command(cmd_mult, [_SPEC, _ELEM], {}, ["n", "length"],
                      "Hilbert-Samuel multiplicity of a one-dimensional ring along a "
                      "parameter"),
     "frobpow": _Command(cmd_frobpow, [_SPEC, _IDEAL], {"emax": 1}, _GENERATORS,

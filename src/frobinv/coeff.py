@@ -670,7 +670,7 @@ def tokenize(text):
     return toks
 
 
-class _ExprParser:
+class ExprParser:
     """Recursive-descent + - * / ^ ( ) evaluator over caller-supplied atoms."""
 
     def __init__(self, toks, atom):
@@ -757,6 +757,6 @@ def field_make(spec, literal):
         raise FieldError("unknown symbol %r for field %r" % (val, spec))
 
     try:
-        return _ExprParser(tokenize(literal), atom).parse()
+        return ExprParser(tokenize(literal), atom).parse()
     except ZeroDivisionError as exc:
         raise FieldError("in %r: %s" % (literal, exc)) from None

@@ -117,14 +117,11 @@ def fiber_presentation(prime, t_name=None):
 
 
 def localized_hk(prime, e, fiber=None):
-    """l over k(t) of the image of p^{[p^e]} in the fiber presentation."""
+    """l over k(t) of the image of p^{[p^e]} in the fiber presentation: the
+    bracket power of the image of p, as the fiber map commutes with
+    Frobenius."""
     fp = fiber or fiber_presentation(prime)
-    image = fp.map_ideal(frobenius.frobenius_power(prime, e))
-    c = groebner.colength(image)
-    if c is None:
-        raise EquimultError("fiber colength is infinite; prime not m-primary "
-                            "in the fiber")
-    return c
+    return invariants.hk_function(fp.map_ideal(prime), e)
 
 
 def localized_hk_report(prime, e_max, fiber=None, jobs=1):
@@ -139,8 +136,6 @@ def localized_hk_report(prime, e_max, fiber=None, jobs=1):
 
 @dataclass
 class ColengthIdentityReport:
-    prime: object
-    parameter: object
     hs_factor: int      # e(x on R/p)
     rows: list          # (e, q, l(R/(p^[q]+xR)), hs_factor * l_fiber, residual)
     all_zero: bool
@@ -159,22 +154,19 @@ def colength_identity_check(prime, x, e_max, fiber=None):
         x = ring.parse(x)
     fp = fiber or fiber_presentation(prime)
     hs = invariants.parameter_degree(prime, x)
+    fiber_rows, = invariants.hk_table([fp.map_ideal(prime)], range(1, e_max + 1))
     rows = []
-    for e in range(1, e_max + 1):
-        q = ring.field.p ** e
+    for e, q, ell, _ in fiber_rows:
         pq = frobenius.frobenius_power(prime, e)
         lhs = groebner.colength(Ideal(ring, list(pq.gens) + [x]))
         if lhs is None:
             raise EquimultError("(p^[q], x) is not origin-primary")
-        rhs = hs * localized_hk(prime, e, fiber=fp)
-        rows.append((e, q, lhs, rhs, lhs - rhs))
-    return ColengthIdentityReport(prime, x, hs, rows,
-                                  all(r[4] == 0 for r in rows))
+        rows.append((e, q, lhs, hs * ell, lhs - hs * ell))
+    return ColengthIdentityReport(hs, rows, all(r[4] == 0 for r in rows))
 
 
 @dataclass
 class RigidityReport:
-    prime: object
     rows: list          # (e, q, l(R/m^[q]), q^{dim R/p} * l_fiber, ok)
     all_pass: bool
 
@@ -191,14 +183,12 @@ def rigidity_check(prime, e_max, fiber=None):
     ring = prime.ring
     fp = fiber or fiber_presentation(prime)
     dimq = groebner.ideal_dimension(prime)
-    m = ring.origin_ideal()
     rows = []
-    for e in range(1, e_max + 1):
-        q = ring.field.p ** e
-        lhs = invariants.hk_function(m, e)
-        rhs = q ** dimq * localized_hk(prime, e, fiber=fp)
+    for (e, q, lhs, _), (_, _, ell, _) in zip(*invariants.hk_table(
+            [ring.origin_ideal(), fp.map_ideal(prime)], range(1, e_max + 1))):
+        rhs = q ** dimq * ell
         rows.append((e, q, lhs, rhs, lhs == rhs))
-    return RigidityReport(prime, rows, all(r[4] for r in rows))
+    return RigidityReport(rows, all(r[4] for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +196,6 @@ def rigidity_check(prime, e_max, fiber=None):
 
 @dataclass
 class EquimultVerdict:
-    prime: object
     status: str            # consistent | violates-necessary-condition | inconclusive
     witness: object        # (e, polynomial) for a violation, else None
     records: list          # (e, [(z, fclosure verdict, tc verdict), ...])
@@ -226,6 +215,8 @@ def equimult_check(prime, c=None, e_max=3, tc_e_max=2):
     """
     if e_max < 1:
         raise EquimultError("equimult_check needs e_max >= 1")
+    if tc_e_max < 1:
+        raise EquimultError("equimult_check needs tc_e_max >= 1")
     ring = prime.ring
     if groebner.ideal_dimension(prime) != 1:
         raise EquimultError("equimultiplicity check needs dim R/p = 1")
@@ -264,7 +255,7 @@ def equimult_check(prime, c=None, e_max=3, tc_e_max=2):
         residuals = colength_identity_check(prime, t, e_max, fiber=fp)
     except (EquimultError, invariants.InvariantError):
         pass
-    return EquimultVerdict(prime, status, witness, records, residuals, WARRANTY)
+    return EquimultVerdict(status, witness, records, residuals, WARRANTY)
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +293,13 @@ def filtration_check(I, seq, c=None, tc_e_max=2):
                                        frobenius.frobenius_power(seq[idx - 1], 1)):
             failures.append("L_%d^[p] is not inside L_%d" % (idx, idx + 1))
     rows = []
-    for idx, L in enumerate(seq, start=1):
-        q = p ** idx
+    irows, = invariants.hk_table([I], range(1, len(seq) + 1))
+    for L, (idx, q, _, ci) in zip(seq, irows):
         cl = groebner.colength(L)
-        ci = invariants.hk_function(I, idx)
         if cl is None:
             raise EquimultError("L_%d has infinite colength" % idx)
-        rows.append((idx, q, Fraction(cl, q ** d), Fraction(ci, q ** d),
-                     abs(Fraction(cl, q ** d) - Fraction(ci, q ** d))))
+        cl = Fraction(cl, q ** d)
+        rows.append((idx, q, cl, ci, abs(cl - ci)))
     qmax = p ** len(seq)
     trends = bool(rows) and rows[-1][4] <= Fraction(1, qmax)
     spots = []
@@ -340,7 +330,6 @@ def quartic_ring(alpha):
 
 @dataclass
 class MonskyRepro:
-    alpha_spec: str
     ring: object
     report: object       # HKReport
     target: Fraction
@@ -378,8 +367,7 @@ def monsky_repro(alpha_spec, e_max, lam_modulus=(1, 1, 1), jobs=1):
     else:
         raise EquimultError("alpha_spec must be zero | algebraic | transcendental")
     report = invariants.ehk_estimate(ring.origin_ideal(), e_max, jobs=jobs)
-    return MonskyRepro(alpha_spec, ring, report,
-                       target, abs(report.estimate - target))
+    return MonskyRepro(ring, report, target, abs(report.estimate - target))
 
 
 def brenner_monsky_ring(field=None):
@@ -414,31 +402,17 @@ def bm_gap_table(alphas, e_min=2, e_max=4, field=None, jobs=1):
     ring = brenner_monsky_ring(field)
     prime = Ideal(ring, [ring.var(0), ring.var(1), ring.var(2)])
     fp = fiber_presentation(prime)
-    fiber_rows = []
-    fib = {}
-    for e in range(e_min, e_max + 1):
-        q = 2 ** e
-        ell = localized_hk(prime, e, fiber=fp)
-        fib[e] = Fraction(ell, q ** 2)
-        fiber_rows.append((e, q, ell, fib[e]))
     ideals = [bm_maximal_ideal(ring, alpha) for alpha in alphas]
-    es = list(range(e_min, e_max + 1))
-    cells = [(m_alpha, e) for m_alpha in ideals for e in es]
-    lengths = invariants._sweep(cells, jobs)
+    # the fiber ideal first: its cells are the largest, so the pool starts them first
+    fiber_rows, *residue_rows = invariants.hk_table(
+        [fp.map_ideal(prime)] + ideals, range(e_min, e_max + 1), jobs)
     alpha_rows = {}
-    min_gap = None
-    i = 0
-    for m_alpha in ideals:
-        rows = []
-        for e in es:
-            q = 2 ** e
-            ell = lengths[i]
-            i += 1
-            norm = Fraction(ell, q ** 3)
-            gap = norm - fib[e]
-            rows.append((e, q, ell, norm, gap))
-            min_gap = gap if min_gap is None else min(min_gap, gap)
-        alpha_rows[str(m_alpha.gens[3])] = rows
+    for m_alpha, rows in zip(ideals, residue_rows):
+        alpha_rows[str(m_alpha.gens[3])] = [
+            (e, q, ell, norm, norm - fib[3])
+            for (e, q, ell, norm), fib in zip(rows, fiber_rows)]
+    min_gap = min((row[4] for rows in alpha_rows.values() for row in rows),
+                  default=None)
     return BMGapReport(ring, fiber_rows, alpha_rows, min_gap)
 
 
@@ -463,12 +437,9 @@ def specialization_consistency(alpha, e_max, field=None):
     direct = quartic_ring(alpha)
     rel_match = ([r.canonical_key() for r in specialized.relations]
                  == [r.canonical_key() for r in direct.relations])
-    rows = []
-    for e in range(1, e_max + 1):
-        q = 2 ** e
-        a = invariants.hk_function(specialized.origin_ideal(), e)
-        b = invariants.hk_function(direct.origin_ideal(), e)
-        rows.append((e, q, a, b, a == b))
+    rows = [(e, q, a, b, a == b) for (e, q, a, _), (_, _, b, _) in zip(
+        *invariants.hk_table([specialized.origin_ideal(), direct.origin_ideal()],
+                             range(1, e_max + 1)))]
     return SpecializationReport(alpha, rel_match, rows,
                                 rel_match and all(r[4] for r in rows))
 
@@ -501,10 +472,9 @@ def wy_inequality_check(I, e_max):
     if not groebner.ideal_contains(mp, I):
         raise EquimultError("wy check needs I inside m^{[p]}")
     rows = []
-    for e in range(1, e_max + 1):
-        q = p ** e
-        iq = invariants.hk_function(I, e)
-        mpq = invariants.hk_function(m, e + 1)
+    # (m^{[p]})^{[q]} = m^{[pq]}: both rows come from one table at levels 1..e_max
+    for (e, q, iq, _), (_, _, mpq, _) in zip(
+            *invariants.hk_table([I, mp], range(1, e_max + 1))):
         lhs = (iq - mpq) + (p ** d) * (q ** d)
         rows.append((e, q, lhs, iq, iq >= lhs))
     mp_len = groebner.colength(mp)

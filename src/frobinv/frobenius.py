@@ -138,18 +138,16 @@ def splitting_ideal(ring, e):
 class SplittingIdealSeq:
     """Splitting ideals I_e with their colength proxies a_e = l(R/I_e)."""
     ring: object
-    relation: object  # the hypersurface f, or None in the regular case
     entries: list     # (e, I_e, a_e)
 
 
 def splitting_sequence(ring, e_max):
     _check_splitting_ring(ring)
-    f = ring.relations[0] if ring.relations else None
     entries = []
     for e in range(1, e_max + 1):
         Ie = splitting_ideal(ring, e)
         entries.append((e, Ie, groebner.colength(Ie)))
-    return SplittingIdealSeq(ring, f, entries)
+    return SplittingIdealSeq(ring, entries)
 
 
 def jacobian_candidate(ring):

@@ -52,20 +52,17 @@ class FSigReport:
 class HSResult:
     multiplicity: int
     cm_defect: int
-    lengths: list       # l(S/x^n) for n = 1..stabilization
+    lengths: list       # l(S/x^n) for n = 1 up to the certified stop
 
 
 @dataclass
 class DescentReport:
-    prime: object
-    parameter: object
     dim: int
     table: dict         # (n, e) -> Fraction(l(R/(p^[q], x^{nq})), n q^d)
     per_n_estimates: dict
     monotone_in_n: bool
     prediction: object  # Fraction or None: e(x on R/p) * fiber estimate
     hs_factor: int      # e(x on R/p)
-    primes: tuple       # minimal primes entering the prediction
 
 
 @dataclass
@@ -115,10 +112,7 @@ def _tail_fit(rows):
 
 def hk_function(I, e):
     """l(R/I^{[p^e]}) as an exact big integer."""
-    c = groebner.colength(frobenius.frobenius_power(I, e))
-    if c is None:
-        raise InvariantError("ideal is not origin-primary: infinite colength")
-    return c
+    return hk_table([I], [e])[0][0][2]
 
 
 def _hk_cell(args):
@@ -135,67 +129,79 @@ def _sweep(cells, jobs):
     return [_hk_cell(c) for c in cells]
 
 
+def hk_table(ideals, levels, jobs=1):
+    """Hilbert-Kunz rows (e, q, l(R/I^{[q]}), l/q^d) of each ideal at each
+    level e, all from one sweep; one list of rows per ideal, in order.  The
+    ideals may live in different rings: each row is normalized by its own."""
+    levels = list(levels)
+    lengths = iter(_sweep([(I, e) for I in ideals for e in levels], jobs))
+    table = []
+    for I in ideals:
+        p, d = I.ring.field.p, I.ring.dim
+        rows = []
+        for e in levels:
+            ell = next(lengths)
+            if ell is None:
+                raise InvariantError("ideal is not origin-primary: infinite colength")
+            q = p ** e
+            rows.append((e, q, ell, Fraction(ell, q ** d)))
+        table.append(rows)
+    return table
+
+
 def hk_rows(I, e_max, jobs=1):
     """Hilbert-Kunz rows (e, q, l(R/I^{[q]}), l/q^d) for e = 1..e_max."""
     if e_max < 1:
         raise InvariantError("hk_rows needs e_max >= 1")
-    ring = I.ring
-    d = ring.dim
-    p = ring.field.p
-    lengths = _sweep([(I, e) for e in range(1, e_max + 1)], jobs)
-    rows = []
-    for e, ell in zip(range(1, e_max + 1), lengths):
-        if ell is None:
-            raise InvariantError("ideal is not origin-primary: infinite colength")
-        q = p ** e
-        rows.append((e, q, ell, Fraction(ell, q ** d)))
-    return rows
+    return hk_table([I], range(1, e_max + 1), jobs)[0]
 
 
-def ehk_estimate(I, e_max, jobs=1):
-    """Hilbert-Kunz rows e = 1..e_max and the affine-in-1/q estimate."""
+def _fit_levels(e_max):
+    """The levels 1..e_max of a fitted estimate, which needs two rows."""
     if e_max < 2:
         raise InvariantError("ehk_estimate needs e_max >= 2")
-    ring = I.ring
-    d = ring.dim
-    rows = hk_rows(I, e_max, jobs)
+    return range(1, e_max + 1)
+
+
+def _hk_report(I, rows):
+    """The affine-in-1/q estimate of I's Hilbert-Kunz rows, with its band."""
     cauchy = [abs(rows[i + 1][3] - rows[i][3]) for i in range(len(rows) - 1)]
     est = _tail_fit(rows)
     band = abs(est - rows[-1][3])
     if cauchy:
         band = max(band, cauchy[-1])
-    return HKReport(ring, I, rows, d, est, "affine-in-1/q", band, cauchy)
+    return HKReport(I.ring, I, rows, I.ring.dim, est, "affine-in-1/q", band, cauchy)
+
+
+def ehk_estimate(I, e_max, jobs=1):
+    """Hilbert-Kunz rows e = 1..e_max and the affine-in-1/q estimate."""
+    return _hk_report(I, hk_table([I], _fit_levels(e_max), jobs)[0])
 
 
 # ---------------------------------------------------------------------------
 # Hilbert-Samuel multiplicity on a one-dimensional presentation
 
-def hs_multiplicity(ring, x, n_cap=30):
-    """e(xS) by stabilization of l(S/x^{n+1}) - l(S/x^n).
+def hs_multiplicity(ring, x):
+    """e(xS) exactly, with the lengths l(S/x^n S) up to a certified stop.
 
-    Stabilization is certified by two equal consecutive differences -- a
-    desk-scale heuristic; the difference sequence of a parameter on a
-    one-dimensional ring is eventually constant.  cm_defect = l(S/xS) - e(xS)
-    vanishes exactly when x is a nonzerodivisor deep enough, the
-    Cohen-Macaulay case.
+    The differences l(S/x^{n+1}S) - l(S/x^n S) = l(S/(xS + (0 : x^n))) never
+    increase and end at e(xS) = l(S/((0 : x^infty) + xS)), the parameter
+    degree of x on S itself; so the lengths stop at the first n >= 3 whose
+    last two differences both equal e(xS).  cm_defect = l(S/xS) - e(xS)
+    vanishes exactly when x is a nonzerodivisor, the Cohen-Macaulay case.
     """
     if ring.dim != 1:
         raise InvariantError("hs_multiplicity needs a one-dimensional ring")
     if isinstance(x, str):
         x = ring.parse(x)
-    lengths = []
-    diffs = []
-    for n in range(1, n_cap + 1):
-        c = groebner.colength(Ideal(ring, [x ** n]))
-        if c is None:
-            raise InvariantError("%s is not a parameter: infinite colength" % x)
-        lengths.append(c)
-        if n >= 2:
-            diffs.append(lengths[-1] - lengths[-2])
-        if len(diffs) >= 2 and diffs[-1] == diffs[-2]:
-            mult = diffs[-1]
-            return HSResult(mult, lengths[0] - mult, lengths)
-    raise InvariantError("multiplicity did not stabilize below n = %d" % n_cap)
+    first = groebner.colength(Ideal(ring, [x]))
+    if first is None:
+        raise InvariantError("%s is not a parameter: infinite colength" % x)
+    mult = parameter_degree(Ideal(ring, []), x)
+    lengths = [first]
+    while len(lengths) < 3 or {lengths[-1] - lengths[-2], lengths[-2] - lengths[-3]} != {mult}:
+        lengths.append(groebner.colength(Ideal(ring, [x ** (len(lengths) + 1)])))
+    return HSResult(mult, first - mult, lengths)
 
 
 def parameter_degree(prime, x):
@@ -290,8 +296,7 @@ def descent_sequence(prime, x, n_max, e_max, fiber_estimate=None, jobs=1):
     # multiplicity of x on the curve R/p, for the limit prediction
     hs = parameter_degree(prime, x)
     prediction = None if fiber_estimate is None else hs * fiber_estimate
-    return DescentReport(prime, x, d, table, per_n, monotone, prediction,
-                         hs, (prime,))
+    return DescentReport(d, table, per_n, monotone, prediction, hs)
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +314,12 @@ def lech_check(I, J, e_max):
     if ci is None or cj is None:
         raise InvariantError("lech_check needs origin-primary ideals")
     gap = ci - cj  # l(J/I)
-    m = ring.origin_ideal()
     rows = []
-    ok = True
-    for e in range(1, e_max + 1):
-        lhs = hk_function(I, e)
-        rhs = gap * hk_function(m, e) + hk_function(J, e)
-        good = lhs <= rhs
-        ok = ok and good
-        rows.append((e, lhs, rhs, good))
-    return LechReport(rows, ok)
+    for (e, _, lhs, _), (_, _, lm, _), (_, _, lj, _) in zip(
+            *hk_table([I, ring.origin_ideal(), J], range(1, e_max + 1))):
+        rhs = gap * lm + lj
+        rows.append((e, lhs, rhs, lhs <= rhs))
+    return LechReport(rows, all(r[3] for r in rows))
 
 
 def assoc_check(ring, factors, e_max, jobs=1):
@@ -352,17 +353,16 @@ def assoc_check(ring, factors, e_max, jobs=1):
             if groebner.ideal_dimension(pair) > n - 2:
                 raise InvariantError("factors %d and %d share a component" % (i, j))
 
-    total = ehk_estimate(ring.origin_ideal(), e_max, jobs=jobs)
-    components = []
-    for f, a in parsed:
-        comp_ring = ring_make(ring.field, ring.varnames, relations=[str(f)])
-        components.append((a, ehk_estimate(comp_ring.origin_ideal(), e_max, jobs=jobs)))
+    ideals = [ring.origin_ideal()] + [
+        ring_make(ring.field, ring.varnames, relations=[str(f)]).origin_ideal()
+        for f, _ in parsed]
+    total, *components = [_hk_report(I, rows) for I, rows in
+                          zip(ideals, hk_table(ideals, _fit_levels(e_max), jobs))]
+    weights = [Fraction(a) for _, a in parsed]
     rows = []
-    for idx in range(e_max):
-        e, q, _, lhs = total.rows[idx]
-        rhs = sum((Fraction(a) * rep.rows[idx][3] for a, rep in components),
+    for idx, (e, q, _, lhs) in enumerate(total.rows):
+        rhs = sum((a * rep.rows[idx][3] for a, rep in zip(weights, components)),
                   Fraction(0))
         rows.append((e, q, lhs, rhs, abs(lhs - rhs)))
-    rhs_est = sum((Fraction(a) * rep.estimate for a, rep in components), Fraction(0))
-    return AssocReport(ring, parsed, rows, [rep for _, rep in components],
-                       total.estimate, rhs_est)
+    rhs_est = sum((a * rep.estimate for a, rep in zip(weights, components)), Fraction(0))
+    return AssocReport(ring, parsed, rows, components, total.estimate, rhs_est)

@@ -12,7 +12,7 @@ coefficient payloads (see coeff) and carry their ring.
 
 from __future__ import annotations
 
-from .coeff import FieldElement, FieldError, tokenize, _ExprParser
+from .coeff import FieldElement, FieldError, tokenize, ExprParser
 
 
 class RingError(ValueError):
@@ -504,6 +504,6 @@ def parse_polynomial(ring, text):
             raise RingError("unknown symbol %r in %r" % (val, text)) from None
 
     try:
-        return _ExprParser(tokenize(text), atom).parse()
+        return ExprParser(tokenize(text), atom).parse()
     except FieldError as exc:
         raise RingError("cannot parse %r: %s" % (text, exc)) from None

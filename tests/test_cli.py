@@ -400,6 +400,20 @@ def test_exit_three_on_empty_fsig_sweep(capsys):
     assert "e_max >= 1" in capsys.readouterr().err
 
 
+A1_SPEC = ("char 2; vars x y z; rel x^2 + z*y; ideal p = (x, y); "
+           "ideal m = (x, y, z);")
+LINE_SPEC = "char 2; vars x y; ideal p = (x);"
+
+
+def with_spec_file(argv, tmp_path):
+    """argv with a ring script in the spec position written to a file."""
+    if len(argv) < 2 or not argv[1].startswith("char "):
+        return argv
+    path = tmp_path / "spec.ring"
+    path.write_text(argv[1], encoding="utf-8")
+    return [argv[0], str(path)] + argv[2:]
+
+
 @pytest.mark.parametrize("argv", [
     ["descent", "corpus:brenner-monsky", "p", "h", "--emax", "0"],
     ["descent", "corpus:brenner-monsky", "p", "h", "--nmax", "0"],
@@ -414,10 +428,15 @@ def test_exit_three_on_empty_fsig_sweep(capsys):
     ["fclosure-member", "corpus:node", "x", "m", "--emax", "-1"],
     ["hk", "corpus:node", "--jobs", "0"],
     ["descent", "corpus:brenner-monsky", "p", "h", "--jobs", "-3"],
+    # with and without a saturation candidate to probe
+    ["equimult", A1_SPEC, "p", "--tc-emax", "0"],
+    ["equimult", LINE_SPEC, "p", "--tc-emax", "0"],
 ], ids=["descent-emax0", "descent-nmax0", "repro-bm-emax1", "hk-emax0", "hk-emax-2",
         "lech-emax0", "wy-emax0", "rigidity-emax0", "equimult-emax-1",
-        "tc-member-emax0", "fclosure-member-emax-1", "hk-jobs0", "descent-jobs-3"])
-def test_exit_three_on_empty_grid(argv, capsys):
+        "tc-member-emax0", "fclosure-member-emax-1", "hk-jobs0", "descent-jobs-3",
+        "equimult-a1-tc-emax0", "equimult-line-tc-emax0"])
+def test_exit_three_on_empty_grid(argv, tmp_path, capsys):
+    argv = with_spec_file(argv, tmp_path)
     try:
         code = main(argv)
     except SystemExit as exc:  # a usage error leaves through argparse
@@ -428,6 +447,50 @@ def test_exit_three_on_empty_grid(argv, capsys):
         assert "argument --jobs: must be at least 1" in err
     else:
         assert err.startswith("error: ")
+    if "--tc-emax" in argv:
+        assert err == "error: equimult_check needs tc_e_max >= 1\n"
+
+
+def test_mult_has_no_depth_flag(capsys):
+    # the lengths stop where the differences are certified to have settled
+    with pytest.raises(SystemExit) as exc:
+        main(["mult", "corpus:node", "x+y", "--nmax", "2"])
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --nmax 2" in capsys.readouterr().err
+    code, env = run_json("mult", "corpus:node", "x+y")
+    assert code == 0
+    assert env["parameters"] == {"element": "x+y"}
+    assert env["payload"]["lengths"] == ["2", "4", "6"]
+    assert (env["payload"]["multiplicity"], env["payload"]["cm_defect"]) == (2, 0)
+
+
+ASSOC_SPEC = ("char 2; vars x y; rel x^2*y; ideal m = (x, y); "
+              "elem s = x; elem w = y;")
+
+
+@pytest.mark.parametrize("argv", [
+    ["assoc", ASSOC_SPEC, "s:2", "w"],
+    ["repro-bm", "--emax", "2"],
+    ["descent", "corpus:brenner-monsky", "p", "h"],
+    ["hk", "corpus:a1-char2"],
+], ids=["assoc", "repro-bm", "descent", "hk"])
+def test_one_process_pool_per_command(argv, tmp_path, monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class Counting(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    argv = with_spec_file(argv, tmp_path)
+    code, serial = run_json(*argv, "--jobs", "1")
+    assert started == []
+    code2, pooled = run_json(*argv, "--jobs", "2")
+    assert started == [2]
+    assert (code2, strip_timing(pooled)) == (code, strip_timing(serial))
 
 
 def test_import_leaves_process_pool_out():

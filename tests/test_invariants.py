@@ -164,12 +164,22 @@ def test_hs_rejects_non_parameter():
     (("y^2 + x^3",), "y", 3),
     # an embedded point at the origin: l(R/(P + xR)) = 2, but e(x on R/P) = 1
     (("y^2", "x*y"), "x", 1),
-], ids=["cusp-x", "cusp-y", "embedded-point"])
+    # a double line with an embedded point: the differences run 2, 2, 1, 1
+    (("y^2", "x^3*y"), "x", 1),
+], ids=["cusp-x", "cusp-y", "embedded-point", "double-line-embedded-point"])
 def test_parameter_degree_matches_hs_multiplicity(gens, x, degree):
     R = ring_make(F2, ("x", "y"))
     assert parameter_degree(ideal(R, *gens), R.parse(x)) == degree
     curve = ring_make(F2, ("x", "y"), relations=list(gens))
     assert hs_multiplicity(curve, x).multiplicity == degree
+
+
+def test_hs_lengths_run_past_an_early_plateau():
+    # two equal differences (2, 2) that are not yet e(x) do not stop the lengths
+    S = ring_make(F2, ("x", "y"), relations=["y^2", "x^3*y"])
+    res = hs_multiplicity(S, "x")
+    assert (res.multiplicity, res.cm_defect) == (1, 1)
+    assert res.lengths == [2, 4, 6, 7, 8]
 
 
 # -- F-signature ----------------------------------------------------------------
