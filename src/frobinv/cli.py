@@ -18,7 +18,8 @@ parses back to the same document.
 Every command prints a report envelope.  The JSON form is deterministic:
 keys are sorted, lengths and other potentially large counts are decimal
 strings, rationals are ``{"num": ..., "den": ...}`` objects, and the only
-run-dependent field is ``timing``, which sits outside the payload.  CSV
+run-dependent field is ``timing`` (the seconds spent, and ``cache``: ``hit``,
+``miss`` or ``off``), which sits outside the payload.  CSV
 and table forms render the same rows with exact entries.  Each command
 is one entry of the ``_COMMANDS`` table, which declares its positionals,
 its own flags and its column header; every command also takes
@@ -33,55 +34,20 @@ input (usage errors, syntax, unknown names, non-prime characteristic,
 infinite colengths, missing files).
 """
 
+# Only what every invocation runs is imported here.  A computing layer is
+# imported by the function that uses it, so that ``--version`` and a cache
+# hit load none of them.
 import argparse
-import csv
 import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 from collections import namedtuple
 from contextlib import contextmanager
-from fractions import Fraction
 
 from . import __version__ as VERSION
 from . import corpus
-from .coeff import (
-    ExtensionField,
-    FieldError,
-    PrimeField,
-    RationalFunctionField,
-    tokenize,
-)
-from .polyring import GREVLEX, LEX, Ideal, RingError, parse_polynomial, ring_make
-from . import groebner
-from .frobenius import (
-    FrobeniusError,
-    frobenius_closure_membership,
-    frobenius_power,
-    jacobian_candidate,
-    tc_membership,
-)
-from .invariants import (
-    InvariantError,
-    assoc_check,
-    descent_sequence,
-    ehk_estimate,
-    fsig_function,
-    hk_rows,
-    hs_multiplicity,
-    lech_check,
-)
-from .equimult import (
-    WARRANTY,
-    EquimultError,
-    bm_gap_table,
-    equimult_check,
-    monsky_repro,
-    rigidity_check,
-    wy_inequality_check,
-)
 
 CACHE_ENV = "FROBINV_CACHE"
 
@@ -97,9 +63,15 @@ class SpecError(ValueError):
         self.col = col
 
 
-# every error that main reports as bad input, exit 3
-_INPUT_ERRORS = (SpecError, OSError, FieldError, RingError, FrobeniusError,
-                 InvariantError, EquimultError)
+def _input_errors():
+    """Every error that main reports as bad input, exit 3."""
+    from .coeff import FieldError
+    from .polyring import RingError
+    from .frobenius import FrobeniusError
+    from .invariants import InvariantError
+    from .equimult import EquimultError
+    return (SpecError, OSError, FieldError, RingError, FrobeniusError,
+            InvariantError, EquimultError)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +111,8 @@ def _statements(text):
 def _located(line, col):
     """Report a field or ring error raised in the block as a SpecError at
     (line, col); without a position the message is passed on unchanged."""
+    from .coeff import FieldError
+    from .polyring import RingError
     try:
         yield
     except (FieldError, RingError) as exc:
@@ -212,6 +186,8 @@ class RingSpecDocument:
 
 def _build_extension(p, text, line, col):
     """Turn an 'ext' body into an ExtensionField plus its canonical text."""
+    from .coeff import ExtensionField, PrimeField, tokenize
+    from .polyring import ring_make
     with _located(line, col):
         toks = tokenize(text)
     names = sorted({val for kind, val in toks if kind == "name"})
@@ -235,6 +211,8 @@ def _build_extension(p, text, line, col):
 
 def parse_spec(text):
     """Parse a ring-description script into a RingSpecDocument."""
+    from .coeff import FieldError, PrimeField, RationalFunctionField
+    from .polyring import Ideal, parse_polynomial, ring_make
     stmts = _statements(text)
     char = ext_t = param = varnames = None
     char_pos = ext_pos = param_pos = vars_pos = (1, 1)
@@ -352,6 +330,7 @@ def _S(n):
 
 def _R(x):
     """Exact rational -> {"num","den"} with decimal-string parts."""
+    from fractions import Fraction
     f = Fraction(x)
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
@@ -407,6 +386,8 @@ def _get_poly(doc, token):
 
 
 def _basis_text(I, order):
+    from . import groebner
+    from .polyring import GREVLEX, LEX
     order = {"grevlex": GREVLEX, "lex": LEX}[order]
     return [str(g) for g in groebner.groebner_basis(I, order)]
 
@@ -422,11 +403,13 @@ def _ring_payload(doc):
 
 
 def cmd_hk(doc, args, I):
+    from .invariants import hk_rows
     rows = _hk_json(hk_rows(I, args.emax, args.jobs))
     return _Result({"ideal": args.ideal, "dim": doc.ring.dim, "rows": rows}, rows)
 
 
 def cmd_ehk(doc, args, I):
+    from .invariants import ehk_estimate
     rep = ehk_estimate(I, args.emax, jobs=args.jobs)
     rows = _hk_json(rep.rows)
     payload = {"ideal": args.ideal, "dim": rep.dim, "rows": rows,
@@ -437,6 +420,7 @@ def cmd_ehk(doc, args, I):
 
 
 def cmd_fsig(doc, args):
+    from .invariants import fsig_function
     rep = fsig_function(doc.ring, args.emax)
     rows = _hk_json(rep.rows)
     payload = {"dim": rep.dim, "rows": rows, "estimate": _R(rep.estimate),
@@ -445,6 +429,7 @@ def cmd_fsig(doc, args):
 
 
 def cmd_mult(doc, args, x):
+    from .invariants import hs_multiplicity
     res = hs_multiplicity(doc.ring, x)
     lengths = [_S(l) for l in res.lengths]
     payload = {"element": str(x), "multiplicity": res.multiplicity,
@@ -453,6 +438,7 @@ def cmd_mult(doc, args, x):
 
 
 def cmd_frobpow(doc, args, I):
+    from .frobenius import frobenius_power
     J = frobenius_power(I, args.emax)
     q = doc.ring.field.p ** args.emax
     gens = [str(g) for g in J.gens]
@@ -462,6 +448,7 @@ def cmd_frobpow(doc, args, I):
 
 
 def cmd_colon(doc, args, I, f):
+    from . import groebner
     gens = _basis_text(groebner.ideal_colon(I, f), args.order)
     payload = {"ideal": args.ideal, "element": str(f), "order": args.order,
                "generators": gens}
@@ -469,6 +456,7 @@ def cmd_colon(doc, args, I, f):
 
 
 def cmd_saturate(doc, args, I, J):
+    from . import groebner
     gens = _basis_text(groebner.saturate(I, J), args.order)
     payload = {"ideal": args.ideal, "by": args.jideal, "order": args.order,
                "generators": gens}
@@ -476,6 +464,8 @@ def cmd_saturate(doc, args, I, J):
 
 
 def cmd_tc_member(doc, args, z, I):
+    from .equimult import WARRANTY
+    from .frobenius import jacobian_candidate, tc_membership
     if args.testel is not None:
         c = _get_poly(doc, args.testel)
     else:
@@ -489,6 +479,7 @@ def cmd_tc_member(doc, args, z, I):
 
 
 def cmd_fclosure_member(doc, args, z, I):
+    from .frobenius import frobenius_closure_membership
     v = frobenius_closure_membership(z, I, args.emax)
     payload = {"element": str(z), "ideal": args.ideal,
                "verdict": _verdict_payload(v)}
@@ -497,6 +488,7 @@ def cmd_fclosure_member(doc, args, z, I):
 
 
 def cmd_descent(doc, args, P, x):
+    from .invariants import descent_sequence
     rep = descent_sequence(P, x, args.nmax, args.emax, jobs=args.jobs)
     p = doc.ring.field.p
     rows = [[n, e, _S(p ** e), _R(v)]
@@ -511,6 +503,8 @@ def cmd_descent(doc, args, P, x):
 
 
 def cmd_equimult(doc, args, P):
+    from .equimult import equimult_check
+    from .frobenius import FrobeniusError, jacobian_candidate
     if args.testel is not None:
         c = _get_poly(doc, args.testel)
     else:
@@ -543,6 +537,7 @@ def cmd_equimult(doc, args, P):
 
 
 def cmd_rigidity(doc, args, P):
+    from .equimult import rigidity_check
     rep = rigidity_check(P, args.emax)
     rows = [[e, _S(q), _S(lhs), _S(rhs), bool(ok)]
             for e, q, lhs, rhs, ok in rep.rows]
@@ -551,6 +546,7 @@ def cmd_rigidity(doc, args, P):
 
 
 def cmd_lech(doc, args, I, J):
+    from .invariants import lech_check
     rep = lech_check(I, J, args.emax)
     rows = [[e, _S(lhs), _S(rhs), bool(ok)] for e, lhs, rhs, ok in rep.rows]
     payload = {"ideal": args.ideal, "inside": args.jideal, "rows": rows,
@@ -559,6 +555,7 @@ def cmd_lech(doc, args, I, J):
 
 
 def cmd_assoc(doc, args):
+    from .invariants import assoc_check
     factors = []
     for token in args.factors:
         base, _, mult = token.rpartition(":")
@@ -579,6 +576,7 @@ def cmd_assoc(doc, args):
 
 
 def cmd_wy(doc, args, I):
+    from .equimult import wy_inequality_check
     rep = wy_inequality_check(I, args.emax)
     rows = [[e, _S(q), _S(lhs), _S(rhs), bool(ok)]
             for e, q, lhs, rhs, ok in rep.rows]
@@ -589,15 +587,19 @@ def cmd_wy(doc, args, I):
     return _Result(payload, rows, rep.all_pass)
 
 
+# family member -> mode and the tolerance on the distance to the target
 _MONSKY_MODES = {
-    "0": ("zero", Fraction(1, 10)),
-    "1": ("algebraic", Fraction(1, 10)),
-    "t": ("transcendental", Fraction(3, 20)),
+    "0": ("zero", "1/10"),
+    "1": ("algebraic", "1/10"),
+    "t": ("transcendental", "3/20"),
 }
 
 
 def cmd_repro_monsky(doc, args):
+    from fractions import Fraction
+    from .equimult import monsky_repro
     mode, tol = _MONSKY_MODES[args.alpha]
+    tol = Fraction(tol)
     rep = monsky_repro(mode, args.emax, jobs=args.jobs)
     ok = rep.within <= tol
     rows = _hk_json(rep.report.rows)
@@ -608,6 +610,9 @@ def cmd_repro_monsky(doc, args):
 
 
 def cmd_repro_bm(doc, args):
+    from fractions import Fraction
+    from .coeff import ExtensionField
+    from .equimult import bm_gap_table
     K = ExtensionField(2, (1, 1, 1))
     gen = K.symbols()["a"]
     rep = bm_gap_table([0, 1, gen, gen + 1], e_min=2, e_max=args.emax,
@@ -766,6 +771,7 @@ def _emit(envelope, header, rows, fmt, out):
         return
     cells = [[_cell(v) for v in row] for row in rows]
     if fmt == "csv":
+        import csv
         w = csv.writer(out, lineterminator="\n")
         w.writerow(header)
         w.writerows(cells)
@@ -799,6 +805,7 @@ def _cache_load(cdir, digest):
 
 
 def _cache_store(cdir, digest, blob):
+    import tempfile
     os.makedirs(cdir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cdir, prefix=".frobinv-", suffix=".tmp")
     try:
@@ -874,6 +881,7 @@ def _run(args, out):
 
     cdir = args.cache or os.environ.get(CACHE_ENV)
     blob = _cache_load(cdir, digest) if cdir else None
+    cache = "off" if not cdir else "miss" if blob is None else "hit"
 
     start = time.perf_counter()
     if blob is None:
@@ -898,7 +906,7 @@ def _run(args, out):
         "digest": digest,
         "payload": blob["payload"],
         "warranty": blob["warranty"],
-        "timing": {"seconds": round(elapsed, 6)},
+        "timing": {"cache": cache, "seconds": round(elapsed, 6)},
     }
     _emit(envelope, cmd.header, blob["rows"], args.format, out)
     return blob["exit"]
@@ -908,7 +916,10 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return _run(args, sys.stdout)
-    except _INPUT_ERRORS as exc:
+    except Exception as exc:
+        # the error classes are looked up only now: they live in the layers
+        if not isinstance(exc, _input_errors()):
+            raise
         print("error: %s" % exc, file=sys.stderr)
         return 3
 

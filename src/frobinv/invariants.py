@@ -12,7 +12,7 @@ max(|fit - last row|, last Cauchy difference).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyring import Ideal, ring_make

@@ -229,6 +229,7 @@ def test_cache_roundtrip(tmp_path):
     code, warm = run_json(*args)
     assert code == 0
     assert strip_timing(cold) == strip_timing(warm)
+    assert (cold["timing"]["cache"], warm["timing"]["cache"]) == ("miss", "hit")
     assert not [f for f in os.listdir(cdir) if f.endswith(".tmp")]
 
 
@@ -500,6 +501,72 @@ def test_import_leaves_process_pool_out():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+LAYERS = {"coeff", "polyring", "groebner", "frobenius", "invariants", "equimult"}
+
+
+# ``python -m frobinv`` that reports, on exit, the modules it imported
+# (``-X importtime`` does not see imports made through importlib)
+FRESH_MAIN = """\
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write("modules: %s\\n" % " ".join(sys.modules)))
+runpy.run_module("frobinv", run_name="__main__", alter_sys=True)
+"""
+
+
+def fresh_frobinv(*argv):
+    """The frobinv command in a fresh interpreter.  Returns the exit code,
+    stdout, the other stderr lines and the computing layers it imported."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("FROBINV_CACHE", None)
+    proc = subprocess.run([sys.executable, "-c", FRESH_MAIN, *argv],
+                          env=env, capture_output=True, text=True)
+    err = proc.stderr.splitlines()
+    imported = err.pop().split()
+    assert imported[0] == "modules:"
+    layers = {m for m in LAYERS if "frobinv." + m in imported}
+    return proc.returncode, proc.stdout, err, layers
+
+
+def test_version_loads_no_layer():
+    code, out, _, layers = fresh_frobinv("--version")
+    assert (code, out) == (0, "frobinv %s\n" % cli.VERSION)
+    assert layers == set()
+
+
+def test_cache_hit_loads_no_layer(tmp_path):
+    args = ("hk", "corpus:a1-char2", "--cache", str(tmp_path))
+    code, cold = run_json(*args)
+    assert (code, cold["timing"]["cache"]) == (0, "miss")
+    code, out, _, layers = fresh_frobinv(*args)
+    warm = json.loads(out)
+    assert (code, warm["timing"]["cache"]) == (0, "hit")
+    assert strip_timing(warm) == strip_timing(cold)
+    assert layers == set()
+
+
+def test_colon_loads_only_its_layers():
+    code, out, _, layers = fresh_frobinv("colon", "corpus:node", "m", "x")
+    assert code == 0
+    assert json.loads(out)["timing"]["cache"] == "off"
+    assert "groebner" in layers
+    assert not layers & {"invariants", "equimult"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["hk", "corpus:nosuch"],
+    ["hk", "/nonexistent/path.ring"],
+    ["hk", "char 4; vars x; ideal m = (x);"],
+    ["mult", "corpus:node", "y"],
+], ids=["unknown-corpus", "missing-file", "nonprime-char", "infinite-colength"])
+def test_exit_three_in_fresh_process(argv, tmp_path):
+    # the error classes that mean bad input are looked up only after the
+    # error, in a process that may not have loaded their layers yet
+    code, out, err, _ = fresh_frobinv(*with_spec_file(argv, tmp_path))
+    assert (code, out) == (3, "")
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_exit_three_on_infinite_colength(capsys):

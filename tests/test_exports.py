@@ -1,0 +1,70 @@
+"""The package's public names: each is looked up lazily in the layer that
+defines it, and ``from frobinv import <name>`` works for every one."""
+
+import importlib
+import os
+import re
+import subprocess
+import sys
+
+import pytest
+
+import frobinv
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.dirname(os.path.dirname(frobinv.__file__))
+
+
+def fresh_python(code):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("name", sorted(frobinv._EXPORTS))
+def test_export_is_the_layers_object(name):
+    layer = importlib.import_module("frobinv." + frobinv._EXPORTS[name])
+    assert getattr(frobinv, name) is getattr(layer, name)
+    namespace = {}
+    exec("from frobinv import %s" % name, namespace)
+    assert namespace[name] is getattr(layer, name)
+
+
+def test_layers_are_attributes():
+    for layer in frobinv._LAYERS:
+        assert getattr(frobinv, layer) is importlib.import_module("frobinv." + layer)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        frobinv.no_such_name
+    with pytest.raises(ImportError):
+        exec("from frobinv import no_such_name", {})
+
+
+def test_dir_lists_the_exports():
+    names = set(dir(frobinv))
+    assert set(frobinv._EXPORTS) <= names
+    assert set(frobinv._LAYERS) <= names
+    assert "__version__" in names
+
+
+def test_import_loads_no_layer():
+    code = ("import sys, frobinv; "
+            "print(sorted(m for m in sys.modules if m.startswith('frobinv.')))")
+    assert fresh_python(code).stdout == "[]\n"
+
+
+def test_first_lookup_loads_one_layer():
+    code = ("import sys; from frobinv import PrimeField; "
+            "print(sorted(m for m in sys.modules if m.startswith('frobinv.')))")
+    assert fresh_python(code).stdout == "['frobinv.coeff']\n"
+
+
+def test_readme_example_runs():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    assert len(blocks) == 1
+    proc = fresh_python(blocks[0])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "6 64 6144 3/2"
