@@ -63,15 +63,24 @@ class SpecError(ValueError):
         self.col = col
 
 
+# the error each computing layer raises on bad input
+_LAYER_ERRORS = (("coeff", "FieldError"), ("polyring", "RingError"),
+                 ("frobenius", "FrobeniusError"), ("invariants", "InvariantError"),
+                 ("equimult", "EquimultError"))
+
+
 def _input_errors():
-    """Every error that main reports as bad input, exit 3."""
-    from .coeff import FieldError
-    from .polyring import RingError
-    from .frobenius import FrobeniusError
-    from .invariants import InvariantError
-    from .equimult import EquimultError
-    return (SpecError, OSError, FieldError, RingError, FrobeniusError,
-            InvariantError, EquimultError)
+    """Every error that main reports as bad input, exit 3.
+
+    A layer can have raised its error only once it was loaded, so the
+    classes are read from the layers already imported and none is loaded.
+    """
+    errors = [SpecError, OSError]
+    for layer, name in _LAYER_ERRORS:
+        mod = sys.modules.get("%s.%s" % (__package__, layer))
+        if mod is not None:
+            errors.append(getattr(mod, name))
+    return tuple(errors)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +473,7 @@ def cmd_saturate(doc, args, I, J):
 
 
 def cmd_tc_member(doc, args, z, I):
-    from .equimult import WARRANTY
-    from .frobenius import jacobian_candidate, tc_membership
+    from .frobenius import WARRANTY, jacobian_candidate, tc_membership
     if args.testel is not None:
         c = _get_poly(doc, args.testel)
     else:

@@ -26,14 +26,11 @@ from .coeff import (PrimeField, ExtensionField, RationalFunctionField,
                     FieldElement)
 from .polyring import Polynomial, Ideal, ring_make
 from . import groebner, frobenius, invariants
+from .frobenius import WARRANTY
 
 
 class EquimultError(ValueError):
     pass
-
-
-WARRANTY = ("conditional on the supplied multiplier being a test element "
-            "and the ring being formally unmixed; neither is verified")
 
 
 # ---------------------------------------------------------------------------

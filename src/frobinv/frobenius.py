@@ -22,6 +22,11 @@ class FrobeniusError(ValueError):
     pass
 
 
+# what a tc_membership verdict is conditional on
+WARRANTY = ("conditional on the supplied multiplier being a test element "
+            "and the ring being formally unmixed; neither is verified")
+
+
 @dataclass
 class ClosureVerdict:
     """Outcome of a closure-membership semidecision.

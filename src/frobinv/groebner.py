@@ -1,15 +1,23 @@
 """Buchberger kernel and the ideal-theoretic operations built on it.
 
-The kernel works on raw term dicts (monomial tuple -> coefficient payload)
+The kernel works on term dicts (packed monomial -> coefficient payload)
 through a FieldSpec's raw ops, so the same code path serves F_p, F_{p^k},
-and rational-function coefficients.  Reduction takes terms from the top
-down off a min-heap of the order's ``desc_key``s, next to the term dict;
-a monomial is pushed when it enters the dict, and a popped one that has
-cancelled since is skipped.  Pair pruning uses the Gebauer-Moeller update
-(product + chain criteria); pair selection uses the sugar strategy with
-ties broken by the lcm's order key, so runs are deterministic.  Each pair's
-(sugar, lcm key) is computed once, when the pair is formed, and pairs are
-popped off a heap, skipping those pruned since.
+and rational-function coefficients.  Inside the kernel a monomial is one
+int (``_Packer``): a product is an add, divisibility is one subtract and
+one mask, and the monomial order is int comparison.  Tuples are converted
+at the boundary only, when a basis computation, normal form or exact
+division starts and ends.  The field width is chosen from the input's
+degrees with headroom; a product that sets a guard bit raises ``_Overflow``
+and the whole computation reruns at twice the width.
+
+Reduction takes terms from the top down off a min-heap of negated packed
+monomials, next to the term dict; a monomial is pushed when it enters the
+dict, and a popped one that has cancelled since is skipped.  Pair pruning
+uses the Gebauer-Moeller update (product + chain criteria); pair selection
+uses the sugar strategy with ties broken by the lcm in the order, so runs
+are deterministic.  Each pair's (sugar, lcm) is computed once, when the
+pair is formed, and pairs are popped off a heap, skipping those pruned
+since.
 
 Intersection, colon and saturation each eliminate a fresh variable w under
 block(1).  Saturation needs no chain of colons: I : J^infty is the
@@ -29,8 +37,75 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .polyring import (Polynomial, Ideal, PresentedRing, MonomialOrder,
-                       GREVLEX, RingError,
-                       mono_mul, mono_divides, mono_quot, mono_lcm)
+                       GREVLEX, RingError, mono_divides, mono_lcm)
+
+
+class _Overflow(Exception):
+    """A monomial passed the field width: the run restarts at twice the width."""
+
+
+class _Packer:
+    """Exponent vectors of one order and arity packed into one int.
+
+    An order is lex on a list of non-negative linear forms in the exponents;
+    grevlex's are the prefix sums S_n, S_{n-1}, ..., S_1 (S_k = e_1+...+e_k),
+    block(k)'s those of the first block and then of the second, lex's the
+    exponents.  From the top down the int holds those forms, the exponents
+    e_1..e_n and the total degree, ``width`` bits each, whose top bit is a
+    guard that stays clear.  Every field is linear, so a product is a + b, a
+    quotient b - a, a | b is ``not (b - a) & guard``, the order is int
+    comparison and the degree is ``m & mask`` (Bachmann-Schoenemann,
+    ISSAC 1998).
+    """
+
+    def __init__(self, order, nvars, width):
+        n, k = nvars, min(order.split, nvars)
+
+        def prefix_sums(lo, hi):
+            return [(lo, j) for j in range(hi, lo, -1)]
+
+        if order.kind == "lex":
+            forms = [(i, i + 1) for i in range(n)]
+        else:
+            forms = prefix_sums(0, k) + prefix_sums(k, n)
+        fields = forms + [(i, i + 1) for i in range(n)] + [(0, n)]
+        shifts = [width * f for f in reversed(range(len(fields)))]
+        self.mask = (1 << width) - 1
+        self.limit = 1 << (width - 1)     # every field, the degree included
+        self.guard = sum(self.limit << s for s in shifts)
+        # pack is linear: the packed unit vectors span it
+        self.units = [sum(1 << s for s, (lo, hi) in zip(shifts, fields) if lo <= i < hi)
+                      for i in range(n)]
+        self.shifts = shifts[len(forms):len(forms) + n]   # of e_1..e_n
+
+    def pack(self, m):
+        if sum(m) >= self.limit:
+            raise _Overflow
+        return sum(e * u for e, u in zip(m, self.units) if e)
+
+    def unpack(self, v):
+        mask = self.mask
+        return tuple((v >> s) & mask for s in self.shifts)
+
+    def pack_terms(self, terms):
+        return {self.pack(m): c for m, c in terms.items()}
+
+    def unpack_terms(self, terms):
+        return {self.unpack(m): c for m, c in terms.items()}
+
+
+def _packed(order, nvars, dicts, run):
+    """run(packer), with fields wide enough for the dicts' degrees with
+    headroom, and again at twice the width whenever a product overflows."""
+    # a reduced basis inside m^[q] reaches degree about nvars * q, and an
+    # S-pair's lcm twice that
+    top = max((sum(m) for d in dicts for m in d), default=0)
+    width = max(8, (8 * nvars * top).bit_length() + 1)
+    while True:
+        try:
+            return run(_Packer(order, nvars, width))
+        except _Overflow:
+            width *= 2
 
 
 class _GEntry:
@@ -50,23 +125,18 @@ def _make_monic(F, terms, lmono):
     return {m: F.mul(ic, v) for m, v in terms.items()}
 
 
-def _ordered(desc, terms):
-    """A working copy of terms and the min-heap of its (desc_key, monomial)s."""
-    p = dict(terms)
-    heap = [(desc(m), m) for m in p]
-    heapify(heap)
-    return p, heap
-
-
-def _submul(F, desc, p, heap, c, sh, terms):
-    """p -= c * x^sh * terms in place; a monomial new to p goes on the heap."""
+def _submul(F, guard, p, heap, c, sh, terms):
+    """p -= c * x^sh * terms in place; a monomial new to p goes on the heap
+    of negated packed monomials."""
     zero, sub, mul = F.zero, F.sub, F.mul
     for m, v in terms.items():
-        mm = mono_mul(m, sh)
+        mm = m + sh
         old = p.get(mm)
         if old is None:
+            if mm & guard:
+                raise _Overflow
             p[mm] = sub(zero, mul(c, v))
-            heappush(heap, (desc(mm), mm))
+            heappush(heap, -mm)
         else:
             nv = sub(old, mul(c, v))
             if nv == zero:
@@ -75,25 +145,29 @@ def _submul(F, desc, p, heap, c, sh, terms):
                 p[mm] = nv
 
 
-def _reduce(F, desc, terms, basis, full, sugar=0):
+def _reduce(F, pk, terms, basis, full, sugar=0):
     """Divide terms by the monic basis entries (sorted by ascending lead).
 
-    Terms are taken from the top down off the heap; a popped monomial no
-    longer in the working dict cancelled after it was pushed, and is skipped.
-    full=False stops at the first irreducible leading term (top-reduction,
-    used inside the main loop); full=True computes the normal form.  Returns
-    (terms, leading monomial or None for zero, sugar) with the sugar updated
-    through every cancellation.
+    Terms are taken from the top down off a heap of negated monomials; a
+    popped monomial no longer in the working dict cancelled after it was
+    pushed, and is skipped.  full=False stops at the first irreducible
+    leading term (top-reduction, used inside the main loop); full=True
+    computes the normal form.  Returns (terms, leading monomial or None for
+    zero, sugar) with the sugar updated through every cancellation.
     """
-    p, heap = _ordered(desc, terms)
+    guard, mask = pk.guard, pk.mask
+    p = dict(terms)
+    heap = [-m for m in p]
+    heapify(heap)
     tail = {}
     while heap:
-        t = heappop(heap)[1]
+        t = -heappop(heap)
         c = p.get(t)
         if c is None:
             continue
         for b in basis:
-            if mono_divides(b.lmono, t):
+            sh = t - b.lmono
+            if not sh & guard:
                 break
         else:
             if not full:
@@ -101,36 +175,50 @@ def _reduce(F, desc, terms, basis, full, sugar=0):
             del p[t]
             tail[t] = c
             continue
-        sh = mono_quot(t, b.lmono)
-        sugar = max(sugar, b.sugar + sum(sh))
-        _submul(F, desc, p, heap, c, sh, b.terms)
+        sugar = max(sugar, b.sugar + (sh & mask))
+        _submul(F, guard, p, heap, c, sh, b.terms)
     return tail, next(iter(tail), None), sugar
 
 
-def _spoly(F, f, g):
-    lcm = mono_lcm(f.lmono, g.lmono)
-    shf = mono_quot(lcm, f.lmono)
-    shg = mono_quot(lcm, g.lmono)
-    d = {mono_mul(m, shf): v for m, v in f.terms.items()}
+def _spoly(F, pk, lcm, f, g):
+    shf = lcm - f.lmono
+    shg = lcm - g.lmono
+    d = {m + shf: v for m, v in f.terms.items()}
     for m, v in g.terms.items():
-        mm = mono_mul(m, shg)
+        mm = m + shg
         nv = F.sub(d.get(mm, F.zero), v)
         if nv == F.zero:
             d.pop(mm, None)
         else:
             d[mm] = nv
-    sugar = max(f.sugar + sum(shf), g.sugar + sum(shg))
+    if any(m & pk.guard for m in d):
+        raise _Overflow
+    mask = pk.mask
+    sugar = max(f.sugar + (shf & mask), g.sugar + (shg & mask))
     return d, sugar
 
 
 def _buchberger(F, order, gen_dicts):
-    """Reduced monic basis (list of term dicts, ascending leading key)."""
-    key, desc = order.key, order.desc_key
+    """Reduced monic basis (list of term dicts, ascending leading monomial)."""
+    gens = [d for d in gen_dicts if d]
+    if not gens:
+        return []
+    nvars = len(next(iter(gens[0])))
+
+    def run(pk):
+        return [pk.unpack_terms(d) for d in _basis(F, pk, map(pk.pack_terms, gens))]
+    return _packed(order, nvars, gens, run)
+
+
+def _basis(F, pk, gen_dicts):
+    """The reduced monic basis of _buchberger on packed term dicts."""
+    guard, mask, pack = pk.guard, pk.mask, pk.pack
     f = []          # all entries ever created
+    E = []          # the exponent tuple of each entry's lead
     G = set()       # indices of current basis entries
-    basis = []      # the entries of G, ascending by leading key
+    basis = []      # the entries of G, ascending by leading monomial
     P = {}          # pending pairs (i, j), i < j -> lcm of their leads
-    heap = []       # (sugar, key(lcm), i, j) of every pair formed
+    heap = []       # (sugar, lcm, i, j) of every pair formed
 
     def add(terms, mh, sugar):
         # Gebauer-Moeller: prune new pairs against each other (chain
@@ -140,55 +228,56 @@ def _buchberger(F, order, gen_dicts):
         nonlocal G, basis
         ih = len(f)
         f.append(_GEntry(_make_monic(F, terms, mh), mh, sugar))
-        Lh = {ig: mono_lcm(mh, f[ig].lmono) for ig in G}
-        coprime = {ig for ig in G if mono_mul(mh, f[ig].lmono) == Lh[ig]}
+        eh = pk.unpack(mh)
+        E.append(eh)
+        Lh = {ig: pack(mono_lcm(eh, E[ig])) for ig in G}
+        coprime = {ig for ig in G if mh + f[ig].lmono == Lh[ig]}
         cand = set(G)
         kept = set()
         while cand:
             ig = cand.pop()
             L = Lh[ig]
             if ig in coprime or (
-                    not any(mono_divides(Lh[ic], L) for ic in cand)
-                    and not any(mono_divides(Lh[ik], L) for ik in kept)):
+                    all((L - Lh[ic]) & guard for ic in cand)
+                    and all((L - Lh[ik]) & guard for ik in kept)):
                 kept.add(ig)
 
         def lcm_h(i):
             L = Lh.get(i)
             if L is None:
-                L = Lh[i] = mono_lcm(mh, f[i].lmono)
+                L = Lh[i] = pack(mono_lcm(eh, E[i]))
             return L
 
         for ij, L in list(P.items()):
-            if mono_divides(mh, L) and lcm_h(ij[0]) != L and lcm_h(ij[1]) != L:
+            if not (L - mh) & guard and lcm_h(ij[0]) != L and lcm_h(ij[1]) != L:
                 del P[ij]
         for ig in kept - coprime:
             L = Lh[ig]
-            g, sl = f[ig], sum(L)
-            sug = max(g.sugar + sl - sum(g.lmono), sugar + sl - sum(mh))
+            g, sl = f[ig], L & mask
+            sug = max(g.sugar + sl - (g.lmono & mask), sugar + sl - (mh & mask))
             P[ig, ih] = L
-            heappush(heap, (sug, key(L), ig, ih))
-        G = {ig for ig in G if not mono_divides(mh, f[ig].lmono)}
+            heappush(heap, (sug, L, ig, ih))
+        G = {ig for ig in G if (f[ig].lmono - mh) & guard}
         G.add(ih)
-        basis = sorted((f[k] for k in G), key=lambda e: key(e.lmono))
+        basis = sorted((f[k] for k in G), key=lambda e: e.lmono)
 
     for d in gen_dicts:
-        if d:
-            red, lead, sug = _reduce(F, desc, d, basis, False, max(sum(m) for m in d))
-            if lead is not None:
-                add(red, lead, sug)
+        red, lead, sug = _reduce(F, pk, d, basis, False, max(m & mask for m in d))
+        if lead is not None:
+            add(red, lead, sug)
 
     while heap:
-        _, _, i, j = heappop(heap)
+        _, L, i, j = heappop(heap)
         if P.pop((i, j), None) is None:
             continue  # pruned after it was formed
-        s, sug = _spoly(F, f[i], f[j])
-        red, lead, sug = _reduce(F, desc, s, basis, False, sug)
+        s, sug = _spoly(F, pk, L, f[i], f[j])
+        red, lead, sug = _reduce(F, pk, s, basis, False, sug)
         if lead is not None:
             add(red, lead, sug)
 
     # inter-reduce to the unique reduced basis; the leads divide no other
     # lead, so each entry keeps its monic lead and the ascending order
-    return [_reduce(F, desc, e.terms, [b for b in basis if b is not e], True)[0]
+    return [_reduce(F, pk, e.terms, [b for b in basis if b is not e], True)[0]
             for e in basis]
 
 
@@ -213,12 +302,14 @@ def groebner_basis(ideal, order=GREVLEX):
 
 
 def normal_form(f, ideal, order=GREVLEX):
-    entries = []
-    for g in groebner_basis(ideal, order):
-        lead = g.leading_monomial(order)
-        entries.append(_GEntry(g.terms, lead, g.degree()))
-    red, _, _ = _reduce(ideal.ring.field, order.desc_key, f.terms, entries, True)
-    return Polynomial(ideal.ring, red)
+    ring = ideal.ring
+    basis = [g.terms for g in groebner_basis(ideal, order)]
+
+    def run(pk):
+        entries = [_GEntry(g, max(g), 0) for g in map(pk.pack_terms, basis)]
+        red, _, _ = _reduce(ring.field, pk, pk.pack_terms(f.terms), entries, True)
+        return pk.unpack_terms(red)
+    return Polynomial(ring, _packed(order, ring.nvars, basis + [f.terms], run))
 
 
 def is_member(f, ideal, order=GREVLEX):
@@ -370,22 +461,27 @@ def ideal_intersection(I, J):
 
 def _exact_div(num_terms, den_terms, F, order):
     """Quotient of a known multiple; raises if the division leaves a remainder."""
-    desc = order.desc_key
-    p, heap = _ordered(desc, num_terms)
-    dl = min(den_terms, key=desc)
-    idc = F.inv(den_terms[dl])
-    quo = {}
-    while heap:
-        t = heappop(heap)[1]
-        c = p.get(t)
-        if c is None:
-            continue
-        if not mono_divides(dl, t):
-            raise RingError("exact division left a remainder")
-        sh = mono_quot(t, dl)
-        c = quo[sh] = F.mul(c, idc)
-        _submul(F, desc, p, heap, c, sh, den_terms)
-    return quo
+    def run(pk):
+        guard = pk.guard
+        p = pk.pack_terms(num_terms)
+        den = pk.pack_terms(den_terms)
+        heap = [-m for m in p]
+        heapify(heap)
+        dl = max(den)
+        idc = F.inv(den[dl])
+        quo = {}
+        while heap:
+            t = -heappop(heap)
+            c = p.get(t)
+            if c is None:
+                continue
+            sh = t - dl
+            if sh & guard:
+                raise RingError("exact division left a remainder")
+            c = quo[sh] = F.mul(c, idc)
+            _submul(F, guard, p, heap, c, sh, den)
+        return pk.unpack_terms(quo)
+    return _packed(order, len(next(iter(den_terms))), [num_terms, den_terms], run)
 
 
 def ideal_colon(I, f):

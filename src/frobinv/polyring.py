@@ -7,7 +7,9 @@ downstream are of ideals primary to the origin, for which the affine and
 local counts agree.
 
 Monomials are plain exponent tuples; polynomials map monomials to nonzero raw
-coefficient payloads (see coeff) and carry their ring.
+coefficient payloads (see coeff) and carry their ring.  The tuples are the
+public encoding: the Buchberger kernel in groebner packs them into ints for
+the length of one computation and hands tuples back.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ def mono_divides(a, b):
     return True
 
 
-def mono_quot(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -46,19 +44,12 @@ def grevlex_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def _grevlex_desc(m):
-    return (-sum(m), m[::-1])
-
-
 class MonomialOrder:
     """grevlex, lex, or block(k): eliminate the first k variables.
 
     block(k) compares the first k exponents by grevlex, ties broken by
     grevlex on the rest -- an elimination order for the leading block.
-
-    ``key`` grows with the order; ``desc_key`` is a flat tuple that shrinks
-    as the order grows (the smallest desc_key is the leading monomial), so a
-    min-heap of desc_keys pops terms from the top down.
+    ``key`` grows with the order.
     """
 
     def __init__(self, kind="grevlex", split=0):
@@ -68,18 +59,11 @@ class MonomialOrder:
         self.split = split
         if kind == "grevlex":
             self.key = grevlex_key
-            self.desc_key = _grevlex_desc
         elif kind == "lex":
             self.key = lambda m: m
-            self.desc_key = lambda m: tuple(-e for e in m)
         else:
             k = split
             self.key = lambda m: (grevlex_key(m[:k]), grevlex_key(m[k:]))
-
-            def desc_key(m):
-                a, b = m[:k], m[k:]
-                return (-sum(a), *a[::-1], -sum(b), *b[::-1])
-            self.desc_key = desc_key
 
     def cache_key(self):
         return (self.kind, self.split)

@@ -555,6 +555,22 @@ def test_colon_loads_only_its_layers():
     assert not layers & {"invariants", "equimult"}
 
 
+def test_tc_member_loads_neither_invariants_nor_equimult():
+    code, out, _, layers = fresh_frobinv("tc-member", "corpus:node", "x", "m")
+    assert code == 0
+    assert json.loads(out)["warranty"]
+    assert "frobenius" in layers
+    assert not layers & {"invariants", "equimult"}
+
+
+def test_bad_corpus_name_loads_no_layer():
+    # the error is classified from the layers already loaded, none here
+    code, out, err, layers = fresh_frobinv("hk", "corpus:nosuch")
+    assert (code, out) == (3, "")
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert layers == set()
+
+
 @pytest.mark.parametrize("argv", [
     ["hk", "corpus:nosuch"],
     ["hk", "/nonexistent/path.ring"],

@@ -29,7 +29,8 @@ from frobinv.groebner import (
     saturate,
     staircase,
 )
-from frobinv.polyring import GREVLEX, LEX, Ideal, MonomialOrder, Polynomial, ring_make
+from frobinv.polyring import (GREVLEX, LEX, Ideal, MonomialOrder, Polynomial, mono_divides,
+                              mono_lcm, mono_mul, ring_make)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -421,6 +422,74 @@ def test_colon_and_intersection_match_reference(case):
     cut = ref_eliminate(F, raw_I, [g.terms for g in J.gens] + raw_rels)
     want = ref_basis(F, GREVLEX, cut + raw_rels)
     assert [g.terms for g in ideal_intersection(I, J).gens] == want
+
+
+# -- packed monomials ----------------------------------------------------------
+#
+# The kernel packs each exponent vector into one int; every packed operation
+# must agree with the tuple operation it stands for.
+
+PACK_ORDERS = [GREVLEX, LEX] + [MonomialOrder("block", k) for k in range(7)]
+
+
+def _monomial_triples():
+    return st.integers(1, 6).flatmap(
+        lambda n: st.tuples(*[st.tuples(*[st.integers(0, 3)] * n)] * 3))
+
+
+@pytest.mark.parametrize("order", PACK_ORDERS, ids=repr)
+def test_packed_monomials_match_tuples(order):
+    @settings(max_examples=80, deadline=None)
+    @given(_monomial_triples(), st.sampled_from([8, 12, 64]))
+    def check(abc, width):
+        a, b, c = abc
+        pk = groebner._Packer(order, len(a), width)
+        pa, pb = pk.pack(a), pk.pack(b)
+        assert pk.unpack(pa) == a
+        assert pa & pk.mask == sum(a)
+        assert pa + pb == pk.pack(mono_mul(a, b))
+        for u, v in ((a, b), (b, a), (a, mono_mul(a, c)), (mono_mul(a, c), a)):
+            assert (not (pk.pack(v) - pk.pack(u)) & pk.guard) == mono_divides(u, v)
+        # the kernel's lcm: both leads divide it, and it is their product
+        # exactly when the leads are coprime (the product criterion)
+        L = pk.pack(mono_lcm(a, b))
+        assert not (L - pa) & pk.guard and not (L - pb) & pk.guard
+        assert (pa + pb == L) == (not any(x and y for x, y in zip(a, b)))
+
+    check()
+
+
+def test_overflow_widens_and_reruns(monkeypatch):
+    # the lex basis of (x - y^64, y - z^64) holds x - z^4096, past the
+    # starting width chosen from the input's degree 64
+    widths = []
+
+    class Recorded(groebner._Packer):
+        def __init__(self, order, nvars, width):
+            widths.append(width)
+            super().__init__(order, nvars, width)
+
+    monkeypatch.setattr(groebner, "_Packer", Recorded)
+    R = ring_make(F3, ("x", "y", "z"))
+    gens = [{(1, 0, 0): 1, (0, 64, 0): 2}, {(0, 1, 0): 1, (0, 0, 64): 2}]
+    I = Ideal(R, [Polynomial(R, g) for g in gens])
+    assert [g.terms for g in groebner_basis(I, LEX)] == ref_basis(F3, LEX, gens)
+    assert len(widths) == 2 and widths[1] == 2 * widths[0]
+    assert 4096 >= 1 << (widths[0] - 1)
+
+    # x^64 reduces to z^(64 * 4096), past the width the basis sets
+    widths.clear()
+    assert normal_form(R.parse("x^64"), I, LEX) == R.parse("z^%d" % (64 * 4096))
+    assert len(widths) == 2
+
+    # pack refuses a degree past the width, as an lcm of two wide leads
+    # would have; the kernel then widens too
+    with pytest.raises(groebner._Overflow):
+        groebner._Packer(LEX, 2, 8).pack((100, 28))
+
+    # exponents far past 32 bits need no special case
+    J = ideal(R, "x^%d + y" % 2 ** 40, "y^2")
+    assert [str(g) for g in groebner_basis(J)] == ["y^2", "x^%d+y" % 2 ** 40]
 
 
 # -- saturation against the colon chain --------------------------------------

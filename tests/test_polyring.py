@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobinv.coeff import ExtensionField, PrimeField, RationalFunctionField, field_make
+from frobinv.groebner import _Packer
 from frobinv.polyring import (
     GREVLEX,
     LEX,
@@ -115,17 +116,26 @@ def test_block_order_prefers_first_block():
     assert f.leading_monomial(order) == (1, 0, 0)
 
 
-ORDERS = [GREVLEX, LEX] + [MonomialOrder("block", k) for k in range(5)]
+ORDERS = [GREVLEX, LEX] + [MonomialOrder("block", k) for k in range(7)]
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=repr)
 def test_descending_key_sorts_like_reversed_key(order):
-    # every block split k = 0..n of a four-variable ring
+    # the kernel's reduction heap pops the smallest negated packed monomial
+    # first, and packed monomials compare as the order's key does; every
+    # block split k = 0..n of a one- to six-variable ring
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(*[st.integers(0, 5)] * 4), unique=True, max_size=12))
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(0, 5)] * n), unique=True, max_size=12)))
     def check(monos):
-        assert (sorted(monos, key=order.desc_key)
+        if not monos:
+            return
+        pk = _Packer(order, len(monos[0]), 8)
+        assert (sorted(monos, key=lambda m: -pk.pack(m))
                 == sorted(monos, key=order.key, reverse=True))
+        for a in monos:
+            for b in monos:
+                assert (pk.pack(a) < pk.pack(b)) == (order.key(a) < order.key(b))
 
     check()
 
