@@ -23,10 +23,14 @@ Intersection, colon and saturation each eliminate a fresh variable w under
 block(1).  Saturation needs no chain of colons: I : J^infty is the
 intersection over the generators g of J of the eliminations (I, 1 - w*g) cap R.
 
-Colengths of zero-dimensional quotients are counted from the staircase of
-leading monomials by a coordinate-by-coordinate lattice sweep over the
-minimal generators; it returns an exact big integer, or None when the
-staircase is infinite.
+The pair loop ends with a minimal monic basis, whose leads already are the
+minimal generators of the lead ideal; only the reduced-basis path
+(``groebner_basis`` and the eliminations) inter-reduces its tails.
+Colengths and dimensions read leading monomials alone
+(``_leading_monomials``), so they skip that step.  Colengths of
+zero-dimensional quotients are counted from the staircase by a
+coordinate-by-coordinate lattice sweep over the minimal generators; it
+returns an exact big integer, or None when the staircase is infinite.
 """
 
 from __future__ import annotations
@@ -200,18 +204,32 @@ def _spoly(F, pk, lcm, f, g):
 
 def _buchberger(F, order, gen_dicts):
     """Reduced monic basis (list of term dicts, ascending leading monomial)."""
+    def reduced(pk, basis):
+        # inter-reduce the minimal basis; the leads divide no other lead, so
+        # each entry keeps its monic lead and the ascending order
+        return [pk.unpack_terms(_reduce(F, pk, e.terms, [b for b in basis if b is not e],
+                                        True)[0])
+                for e in basis]
+    return _run_loop(F, order, gen_dicts, reduced)
+
+
+def _run_loop(F, order, gen_dicts, finish):
+    """finish(packer, minimal basis of the packed loop), [] for no generators."""
     gens = [d for d in gen_dicts if d]
     if not gens:
         return []
     nvars = len(next(iter(gens[0])))
-
-    def run(pk):
-        return [pk.unpack_terms(d) for d in _basis(F, pk, map(pk.pack_terms, gens))]
-    return _packed(order, nvars, gens, run)
+    return _packed(order, nvars, gens,
+                   lambda pk: finish(pk, _basis(F, pk, map(pk.pack_terms, gens))))
 
 
 def _basis(F, pk, gen_dicts):
-    """The reduced monic basis of _buchberger on packed term dicts."""
+    """Minimal monic basis (entries ascending by lead) on packed term dicts.
+
+    Its leads are the minimal generators of the lead ideal: a new lead is
+    top-reduced, so no basis lead divides it, and ``add`` evicts every lead
+    it divides.  The tails are only top-reduced.
+    """
     guard, mask, pack = pk.guard, pk.mask, pk.pack
     f = []          # all entries ever created
     E = []          # the exponent tuple of each entry's lead
@@ -275,10 +293,7 @@ def _basis(F, pk, gen_dicts):
         if lead is not None:
             add(red, lead, sug)
 
-    # inter-reduce to the unique reduced basis; the leads divide no other
-    # lead, so each entry keeps its monic lead and the ascending order
-    return [_reduce(F, pk, e.terms, [b for b in basis if b is not e], True)[0]
-            for e in basis]
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +309,28 @@ def groebner_basis(ideal, order=GREVLEX):
     cached = ideal._basis_cache.get(ck)
     if cached is None:
         ring = ideal.ring
-        gens = [g.terms for g in ideal.gens] + [r.terms for r in ring.relations]
-        raw = _buchberger(ring.field, order, gens)
+        raw = _buchberger(ring.field, order, _generator_dicts(ideal))
         cached = tuple(Polynomial(ring, d) for d in raw)
         ideal._basis_cache[ck] = cached
     return list(cached)
+
+
+def _generator_dicts(ideal):
+    return [g.terms for g in ideal.gens] + [r.terms for r in ideal.ring.relations]
+
+
+def _leading_monomials(ideal, order=GREVLEX):
+    """Minimal generators of the lead ideal of (relations + generators).
+
+    They are the leads of a cached reduced basis when there is one, and
+    otherwise those of the kernel's minimal basis, which skips the
+    inter-reduction that only the tails need.  Nothing is cached.
+    """
+    cached = ideal._basis_cache.get(order.cache_key())
+    if cached is not None:
+        return [g.leading_monomial(order) for g in cached]
+    return _run_loop(ideal.ring.field, order, _generator_dicts(ideal),
+                     lambda pk, basis: [pk.unpack(e.lmono) for e in basis])
 
 
 def normal_form(f, ideal, order=GREVLEX):
@@ -386,14 +418,16 @@ def count_standard_monomials(leads, nvars):
 
 
 def staircase(ideal, order=GREVLEX):
-    basis = groebner_basis(ideal, order)
-    leads = minimalize_monomials([g.leading_monomial(order) for g in basis])
+    """The staircase of the lead ideal; reads leading monomials only."""
+    leads = sorted(_leading_monomials(ideal, order), key=lambda m: (sum(m), m))
     return Staircase(ideal.ring, tuple(leads),
                      count_standard_monomials(leads, ideal.ring.nvars))
 
 
 def colength(ideal):
-    """dim_k of the quotient by (relations + generators); None if infinite."""
+    """dim_k of the quotient by (relations + generators); None if infinite.
+
+    Counted from the grevlex leading monomials alone (``staircase``)."""
     return staircase(ideal).count
 
 
@@ -413,9 +447,9 @@ def staircase_dimension(leads, nvars):
 
 
 def ideal_dimension(ideal):
-    basis = groebner_basis(ideal)
-    leads = [g.leading_monomial() for g in basis]
-    return staircase_dimension(leads, ideal.ring.nvars)
+    """Krull dimension of the quotient, -1 for the unit ideal; reads the
+    grevlex leading monomials only."""
+    return staircase_dimension(_leading_monomials(ideal), ideal.ring.nvars)
 
 
 # ---------------------------------------------------------------------------

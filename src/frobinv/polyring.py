@@ -378,12 +378,10 @@ def ring_make(field, varnames, relations=()):
     from . import groebner  # deferred: groebner depends on this module
 
     if rels:
-        gb = groebner.groebner_basis(Ideal(ring.ambient(),
-                                           [Polynomial(ring.ambient(), r.terms) for r in rels]))
-        if gb and gb[0].constant_value() is not None:
+        ring.dim = groebner.ideal_dimension(
+            Ideal(ring.ambient(), [Polynomial(ring.ambient(), r.terms) for r in rels]))
+        if ring.dim < 0:
             raise RingError("relation ideal is the unit ideal")
-        leads = [g.leading_monomial() for g in gb]
-        ring.dim = groebner.staircase_dimension(leads, ring.nvars)
     else:
         ring.dim = ring.nvars
 

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobinv import groebner
-from frobinv.coeff import ExtensionField, PrimeField
-from frobinv.equimult import brenner_monsky_ring
+from frobinv.coeff import ExtensionField, PrimeField, RationalFunctionField
+from frobinv.equimult import brenner_monsky_ring, quartic_ring
 from frobinv.frobenius import frobenius_power
 from frobinv.groebner import (
     colength,
@@ -394,10 +394,65 @@ def test_kernel_matches_reference(name, order):
     def check(gens, f):
         I = Ideal(R, [Polynomial(R, g) for g in gens])
         want = ref_basis(F, order, gens)
+        # the staircase first, from the loop's leads with no basis cached
+        leads = sorted((ref_lead(order, g) for g in want), key=lambda m: (sum(m), m))
+        sc = staircase(I, order)
+        assert list(sc.generators) == leads
+        assert sc.count == count_standard_monomials(leads, 3) == brute_count(leads, (3, 3, 3))
         assert [g.terms for g in groebner_basis(I, order)] == want
         assert normal_form(Polynomial(R, f), I, order).terms == ref_reduce(F, order, f, want)
 
     check()
+
+
+# -- staircases from the loop's leading monomials -----------------------------
+#
+# colength and staircase read the leads of the kernel's minimal basis, which
+# is never inter-reduced; the lead ideal is unique, so they must be the leads
+# of the reduced basis (also checked in test_kernel_matches_reference).
+
+
+@pytest.mark.parametrize("F,e_max", [(F2, 4), (F4, 3)], ids=["F2(t)", "F4(t)"])
+def test_quartic_brackets_over_rational_functions_meet_closed_form(F, e_max):
+    # z^4 + xyz^2 + (x^3 + y^3)z + t x^2 y^2 has l(R/m^[q]) = 3q^2 - 4
+    R = quartic_ring(RationalFunctionField(F, "t").symbols()["t"])
+    for e in range(1, e_max + 1):
+        q = 2 ** e
+        sc = staircase(frobenius_power(R.origin_ideal(), e))
+        assert sc.count == 3 * q * q - 4
+        basis = groebner_basis(frobenius_power(R.origin_ideal(), e))
+        assert list(sc.generators) == sorted((g.leading_monomial() for g in basis),
+                                             key=lambda m: (sum(m), m))
+
+
+def test_colength_reads_leads_without_inter_reduction(monkeypatch):
+    calls = []     # the full flag of every _reduce call
+    kernel = groebner._reduce
+
+    def counted(F, pk, terms, basis, full, sugar=0):
+        calls.append(full)
+        return kernel(F, pk, terms, basis, full, sugar)
+
+    monkeypatch.setattr(groebner, "_reduce", counted)
+    R = ring_make(F3, ("x", "y", "z"))
+    gens = [{(2, 1, 0): 1, (0, 1, 2): 2, (1, 0, 0): 1}, {(0, 2, 1): 1, (1, 1, 1): 1}] + CUBES
+    want = ref_basis(F3, GREVLEX, gens)
+
+    I = Ideal(R, [Polynomial(R, g) for g in gens])
+    assert colength(I) == count_standard_monomials([ref_lead(GREVLEX, g) for g in want], 3)
+    assert calls and True not in calls
+    assert not I._basis_cache  # the leads-only path caches nothing
+
+    # the reduced basis after a colength is still the reference's
+    assert [g.terms for g in groebner_basis(I)] == want
+    assert True in calls
+
+    # with the reduced basis cached, no kernel runs: a loop call would raise
+    calls.clear()
+    monkeypatch.setattr(groebner, "_basis", None)
+    assert staircase(I).count == colength(I)
+    assert ideal_dimension(I) == 0
+    assert calls == []
 
 
 COLON_CASES = [
