@@ -18,12 +18,18 @@ Layering, bottom to top:
     cli        ring-description DSL, command dispatch, deterministic reports
 
 ``import frobinv`` loads no layer: each public name is imported from its
-layer the first time it is looked up.
+layer the first time it is looked up.  ``InputError`` is defined here, so
+that every layer's error can derive from it without loading another layer.
 """
 
 __version__ = "0.1.0"
 
 from importlib import import_module as _import_module
+
+
+class InputError(ValueError):
+    """Bad input: the base of every error a layer raises on it."""
+
 
 # The public names, by the layer that defines them; ``__getattr__`` (PEP 562)
 # imports a layer when one of its names is first looked up, so that a
@@ -57,7 +63,7 @@ _LAYERS = {
                  "specialization_consistency", "wy_inequality_check"),
 }
 _EXPORTS = {name: layer for layer, names in _LAYERS.items() for name in names}
-__all__ = [*_EXPORTS, *_LAYERS]
+__all__ = ["InputError", *_EXPORTS, *_LAYERS]
 
 
 def __getattr__(name):

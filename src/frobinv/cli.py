@@ -30,8 +30,8 @@ rename.
 
 Exit codes: 0 = computed; 2 = computed but the checked property failed
 (a non-member verdict, a violated inequality, a missed target); 3 = bad
-input (usage errors, syntax, unknown names, non-prime characteristic,
-infinite colengths, missing files).
+input: a usage error, or any ``frobinv.InputError`` or ``OSError`` (syntax,
+unknown names, non-prime characteristic, infinite colengths, missing files).
 """
 
 # Only what every invocation runs is imported here.  A computing layer is
@@ -47,12 +47,12 @@ from collections import namedtuple
 from contextlib import contextmanager
 
 from . import __version__ as VERSION
-from . import corpus
+from . import InputError, corpus
 
 CACHE_ENV = "FROBINV_CACHE"
 
 
-class SpecError(ValueError):
+class SpecError(InputError):
     """A positioned error in a ring-description script."""
 
     def __init__(self, message, line=None, col=None):
@@ -61,26 +61,6 @@ class SpecError(ValueError):
         super().__init__(message)
         self.line = line
         self.col = col
-
-
-# the error each computing layer raises on bad input
-_LAYER_ERRORS = (("coeff", "FieldError"), ("polyring", "RingError"),
-                 ("frobenius", "FrobeniusError"), ("invariants", "InvariantError"),
-                 ("equimult", "EquimultError"))
-
-
-def _input_errors():
-    """Every error that main reports as bad input, exit 3.
-
-    A layer can have raised its error only once it was loaded, so the
-    classes are read from the layers already imported and none is loaded.
-    """
-    errors = [SpecError, OSError]
-    for layer, name in _LAYER_ERRORS:
-        mod = sys.modules.get("%s.%s" % (__package__, layer))
-        if mod is not None:
-            errors.append(getattr(mod, name))
-    return tuple(errors)
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +98,11 @@ def _statements(text):
 
 @contextmanager
 def _located(line, col):
-    """Report a field or ring error raised in the block as a SpecError at
-    (line, col); without a position the message is passed on unchanged."""
-    from .coeff import FieldError
-    from .polyring import RingError
+    """Report bad input raised in the block as a SpecError at (line, col);
+    a SpecError raised in it must carry no position of its own."""
     try:
         yield
-    except (FieldError, RingError) as exc:
+    except InputError as exc:
         raise SpecError(str(exc), line, col) from None
 
 
@@ -199,21 +177,18 @@ def _build_extension(p, text, line, col):
     from .polyring import ring_make
     with _located(line, col):
         toks = tokenize(text)
-    names = sorted({val for kind, val in toks if kind == "name"})
-    if len(names) != 1:
-        raise SpecError(
-            "extension modulus must use exactly one symbol, got %s"
-            % (names or "none"), line, col)
-    gen = names[0]
-    helper = ring_make(PrimeField(p), (gen,))
-    with _located(line, col):
+        names = sorted({val for kind, val in toks if kind == "name"})
+        if len(names) != 1:
+            raise SpecError("extension modulus must use exactly one symbol, got %s"
+                            % (names or "none"))
+        gen = names[0]
+        helper = ring_make(PrimeField(p), (gen,))
         f = helper.parse(text)
-    deg = f.degree()
-    if deg < 2:
-        raise SpecError("extension modulus must have degree >= 2", line, col)
-    f = f / f.leading_coefficient()
-    coeffs = tuple(f.coefficient((k,)).payload for k in range(deg + 1))
-    with _located(line, col):
+        deg = f.degree()
+        if deg < 2:
+            raise SpecError("extension modulus must have degree >= 2")
+        f = f / f.leading_coefficient()
+        coeffs = tuple(f.coefficient((k,)).payload for k in range(deg + 1))
         field = ExtensionField(p, coeffs, gen=gen)
     return field, str(f)
 
@@ -344,6 +319,15 @@ def _R(x):
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
+def _rows(rows, kinds):
+    """JSON-typed rows: each column passed through its kind, e.g. _S or _R."""
+    return [[kind(v) for kind, v in zip(kinds, row)] for row in rows]
+
+
+# the kinds of a Hilbert-Kunz row (e, q, length, length / q^d)
+_HK = (int, _S, _S, _R)
+
+
 def _cell(value):
     """One JSON-typed row entry -> its CSV / table cell text."""
     if isinstance(value, bool):
@@ -365,19 +349,15 @@ def _verdict_payload(v):
     }
 
 
-def _hk_json(rows):
-    return [[e, _S(q), _S(l), _R(nrm)] for e, q, l, nrm in rows]
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
 
 # Handlers take the spec document, the parsed arguments and the resolved
-# ideal and element positionals.  They return the payload, the JSON-typed
-# rows that the CSV and table reports render, whether the checked property
-# held (exit 0, else 2) and the warranty notes; the shared code adds the
-# ring to the payload.
+# ideal and element positionals.  They return their results: the payload,
+# the JSON-typed rows that the CSV and table reports render, whether the
+# checked property held (exit 0, else 2) and the warranty notes.  The shared
+# code adds the ring and the echo of each positional to the payload.
 _Result = namedtuple("_Result", "payload rows ok warranty", defaults=(True, ()))
 
 
@@ -390,15 +370,15 @@ def _get_ideal(doc, name):
 def _get_poly(doc, token):
     if token in doc.elements:
         return doc.elements[token]
-    with _located(None, None):
-        return doc.ring.parse(token)
+    return doc.ring.parse(token)
 
 
-def _basis_text(I, order):
-    from . import groebner
-    from .polyring import GREVLEX, LEX
-    order = {"grevlex": GREVLEX, "lex": LEX}[order]
-    return [str(g) for g in groebner.groebner_basis(I, order)]
+def _test_element(doc, args):
+    """The --testel candidate, else the ring's Jacobian candidate."""
+    from .frobenius import jacobian_candidate
+    if args.testel is not None:
+        return _get_poly(doc, args.testel)
+    return jacobian_candidate(doc.ring)
 
 
 def _ring_payload(doc):
@@ -413,15 +393,15 @@ def _ring_payload(doc):
 
 def cmd_hk(doc, args, I):
     from .invariants import hk_rows
-    rows = _hk_json(hk_rows(I, args.emax, args.jobs))
-    return _Result({"ideal": args.ideal, "dim": doc.ring.dim, "rows": rows}, rows)
+    rows = _rows(hk_rows(I, args.emax, args.jobs), _HK)
+    return _Result({"dim": doc.ring.dim, "rows": rows}, rows)
 
 
 def cmd_ehk(doc, args, I):
     from .invariants import ehk_estimate
     rep = ehk_estimate(I, args.emax, jobs=args.jobs)
-    rows = _hk_json(rep.rows)
-    payload = {"ideal": args.ideal, "dim": rep.dim, "rows": rows,
+    rows = _rows(rep.rows, _HK)
+    payload = {"dim": rep.dim, "rows": rows,
                "estimate": _R(rep.estimate), "method": rep.method,
                "error_band": _R(rep.error_band),
                "cauchy": [_R(c) for c in rep.cauchy]}
@@ -431,7 +411,7 @@ def cmd_ehk(doc, args, I):
 def cmd_fsig(doc, args):
     from .invariants import fsig_function
     rep = fsig_function(doc.ring, args.emax)
-    rows = _hk_json(rep.rows)
+    rows = _rows(rep.rows, _HK)
     payload = {"dim": rep.dim, "rows": rows, "estimate": _R(rep.estimate),
                "error_band": _R(rep.error_band)}
     return _Result(payload, rows)
@@ -441,8 +421,8 @@ def cmd_mult(doc, args, x):
     from .invariants import hs_multiplicity
     res = hs_multiplicity(doc.ring, x)
     lengths = [_S(l) for l in res.lengths]
-    payload = {"element": str(x), "multiplicity": res.multiplicity,
-               "cm_defect": res.cm_defect, "lengths": lengths}
+    payload = {"multiplicity": res.multiplicity, "cm_defect": res.cm_defect,
+               "lengths": lengths}
     return _Result(payload, list(enumerate(lengths, 1)))
 
 
@@ -451,36 +431,25 @@ def cmd_frobpow(doc, args, I):
     J = frobenius_power(I, args.emax)
     q = doc.ring.field.p ** args.emax
     gens = [str(g) for g in J.gens]
-    payload = {"ideal": args.ideal, "e": args.emax, "q": _S(q),
-               "generators": gens}
+    payload = {"e": args.emax, "q": _S(q), "generators": gens}
     return _Result(payload, [[g] for g in gens])
 
 
-def cmd_colon(doc, args, I, f):
+def cmd_colon(doc, args, I, by):
+    """colon (I : f) and saturate (I : J^infinity), as a reduced basis."""
     from . import groebner
-    gens = _basis_text(groebner.ideal_colon(I, f), args.order)
-    payload = {"ideal": args.ideal, "element": str(f), "order": args.order,
-               "generators": gens}
-    return _Result(payload, [[g] for g in gens])
-
-
-def cmd_saturate(doc, args, I, J):
-    from . import groebner
-    gens = _basis_text(groebner.saturate(I, J), args.order)
-    payload = {"ideal": args.ideal, "by": args.jideal, "order": args.order,
-               "generators": gens}
-    return _Result(payload, [[g] for g in gens])
+    from .polyring import GREVLEX, LEX
+    op = {"colon": groebner.ideal_colon, "saturate": groebner.saturate}[args.command]
+    order = {"grevlex": GREVLEX, "lex": LEX}[args.order]
+    gens = [str(g) for g in groebner.groebner_basis(op(I, by), order)]
+    return _Result({"order": args.order, "generators": gens}, [[g] for g in gens])
 
 
 def cmd_tc_member(doc, args, z, I):
-    from .frobenius import WARRANTY, jacobian_candidate, tc_membership
-    if args.testel is not None:
-        c = _get_poly(doc, args.testel)
-    else:
-        c = jacobian_candidate(doc.ring)
+    from .frobenius import WARRANTY, tc_membership
+    c = _test_element(doc, args)
     v = tc_membership(z, I, c, args.emax)
-    payload = {"element": str(z), "ideal": args.ideal, "candidate": str(c),
-               "verdict": _verdict_payload(v)}
+    payload = {"candidate": str(c), "verdict": _verdict_payload(v)}
     rows = [["status", v.status], ["e_bound", v.e_bound], ["candidate", str(c)]]
     return _Result(payload, rows, not v.status.startswith("non-member"),
                    [WARRANTY])
@@ -489,21 +458,19 @@ def cmd_tc_member(doc, args, z, I):
 def cmd_fclosure_member(doc, args, z, I):
     from .frobenius import frobenius_closure_membership
     v = frobenius_closure_membership(z, I, args.emax)
-    payload = {"element": str(z), "ideal": args.ideal,
-               "verdict": _verdict_payload(v)}
     rows = [["status", v.status], ["e_bound", v.e_bound]]
-    return _Result(payload, rows, not v.status.startswith("non-member"))
+    return _Result({"verdict": _verdict_payload(v)}, rows,
+                   not v.status.startswith("non-member"))
 
 
 def cmd_descent(doc, args, P, x):
     from .invariants import descent_sequence
     rep = descent_sequence(P, x, args.nmax, args.emax, jobs=args.jobs)
     p = doc.ring.field.p
-    rows = [[n, e, _S(p ** e), _R(v)]
-            for (n, e), v in sorted(rep.table.items())]
-    payload = {"prime": args.ideal, "element": str(x), "dim": rep.dim,
-               "rows": rows,
-               "per_n": [[n, _R(v)] for n, v in sorted(rep.per_n_estimates.items())],
+    rows = _rows(((n, e, p ** e, v) for (n, e), v in sorted(rep.table.items())),
+                 (int, int, _S, _R))
+    payload = {"dim": rep.dim, "rows": rows,
+               "per_n": _rows(sorted(rep.per_n_estimates.items()), (int, _R)),
                "monotone_in_n": rep.monotone_in_n,
                "hs_factor": rep.hs_factor,
                "prediction": None if rep.prediction is None else _R(rep.prediction)}
@@ -512,14 +479,11 @@ def cmd_descent(doc, args, P, x):
 
 def cmd_equimult(doc, args, P):
     from .equimult import equimult_check
-    from .frobenius import FrobeniusError, jacobian_candidate
-    if args.testel is not None:
-        c = _get_poly(doc, args.testel)
-    else:
-        try:
-            c = jacobian_candidate(doc.ring)
-        except FrobeniusError:
-            c = None
+    from .frobenius import FrobeniusError
+    try:
+        c = _test_element(doc, args)
+    except FrobeniusError:
+        c = None
     v = equimult_check(P, c=c, e_max=args.emax, tc_e_max=args.tc_emax)
     records = []
     for e, checked in v.records:
@@ -530,10 +494,9 @@ def cmd_equimult(doc, args, P):
     residuals = None
     if v.residuals is not None:
         residuals = {"hs_factor": v.residuals.hs_factor,
-                     "rows": [[e, _S(q), _S(lhs), _S(rhs), _S(res)]
-                              for e, q, lhs, rhs, res in v.residuals.rows],
+                     "rows": _rows(v.residuals.rows, (int, _S, _S, _S, _S)),
                      "all_zero": v.residuals.all_zero}
-    payload = {"prime": args.ideal, "status": v.status,
+    payload = {"status": v.status,
                "witness": None if v.witness is None else
                {"e": v.witness[0], "element": str(v.witness[1])},
                "records": records, "residuals": residuals}
@@ -547,19 +510,15 @@ def cmd_equimult(doc, args, P):
 def cmd_rigidity(doc, args, P):
     from .equimult import rigidity_check
     rep = rigidity_check(P, args.emax)
-    rows = [[e, _S(q), _S(lhs), _S(rhs), bool(ok)]
-            for e, q, lhs, rhs, ok in rep.rows]
-    payload = {"prime": args.ideal, "rows": rows, "all_pass": rep.all_pass}
-    return _Result(payload, rows, rep.all_pass)
+    rows = _rows(rep.rows, (int, _S, _S, _S, bool))
+    return _Result({"rows": rows, "all_pass": rep.all_pass}, rows, rep.all_pass)
 
 
 def cmd_lech(doc, args, I, J):
     from .invariants import lech_check
     rep = lech_check(I, J, args.emax)
-    rows = [[e, _S(lhs), _S(rhs), bool(ok)] for e, lhs, rhs, ok in rep.rows]
-    payload = {"ideal": args.ideal, "inside": args.jideal, "rows": rows,
-               "ok": rep.ok}
-    return _Result(payload, rows, rep.ok)
+    rows = _rows(rep.rows, (int, _S, _S, bool))
+    return _Result({"rows": rows, "ok": rep.ok}, rows, rep.ok)
 
 
 def cmd_assoc(doc, args):
@@ -575,8 +534,7 @@ def cmd_assoc(doc, args):
             text = str(doc.elements[text])
         factors.append((text, a))
     rep = assoc_check(doc.ring, factors, args.emax, jobs=args.jobs)
-    rows = [[e, _S(q), _R(lhs), _R(rhs), _R(diff)]
-            for e, q, lhs, rhs, diff in rep.rows]
+    rows = _rows(rep.rows, (int, _S, _R, _R, _R))
     payload = {"factors": [[str(f), a] for f, a in rep.factors],
                "rows": rows, "lhs_estimate": _R(rep.lhs_estimate),
                "rhs_estimate": _R(rep.rhs_estimate)}
@@ -586,11 +544,9 @@ def cmd_assoc(doc, args):
 def cmd_wy(doc, args, I):
     from .equimult import wy_inequality_check
     rep = wy_inequality_check(I, args.emax)
-    rows = [[e, _S(q), _S(lhs), _S(rhs), bool(ok)]
-            for e, q, lhs, rhs, ok in rep.rows]
+    rows = _rows(rep.rows, (int, _S, _S, _S, bool))
     pd, mp, dok = rep.derived
-    payload = {"ideal": args.ideal, "rows": rows,
-               "derived": [_S(pd), _S(mp), bool(dok)],
+    payload = {"rows": rows, "derived": [_S(pd), _S(mp), bool(dok)],
                "all_pass": rep.all_pass}
     return _Result(payload, rows, rep.all_pass)
 
@@ -610,7 +566,7 @@ def cmd_repro_monsky(doc, args):
     tol = Fraction(tol)
     rep = monsky_repro(mode, args.emax, jobs=args.jobs)
     ok = rep.within <= tol
-    rows = _hk_json(rep.report.rows)
+    rows = _rows(rep.report.rows, _HK)
     payload = {"alpha": args.alpha, "mode": mode, "rows": rows,
                "estimate": _R(rep.report.estimate), "target": _R(rep.target),
                "distance": _R(rep.within), "tolerance": _R(tol), "ok": ok}
@@ -627,11 +583,10 @@ def cmd_repro_bm(doc, args):
                        field=K, jobs=args.jobs)
     threshold = Fraction(1, 50)
     ok = rep.min_gap >= threshold
-    alpha_rows = {key: [[e, _S(q), _S(l), _R(nrm), _R(gap)]
-                        for e, q, l, nrm, gap in rows]
+    alpha_rows = {key: _rows(rows, (int, _S, _S, _R, _R))
                   for key, rows in rep.alpha_rows.items()}
     payload = {
-        "fiber_rows": _hk_json(rep.fiber_rows), "alphas": alpha_rows,
+        "fiber_rows": _rows(rep.fiber_rows, _HK), "alphas": alpha_rows,
         "min_gap": _R(rep.min_gap), "threshold": _R(threshold), "ok": ok,
     }
     rows = [[key] + row for key in sorted(alpha_rows) for row in alpha_rows[key]]
@@ -643,23 +598,26 @@ def cmd_repro_bm(doc, args):
 # the CSV / table header, and help.  Every command also takes --format
 # and --cache; argparse and the digest parameters are built from this table.
 
-# a positional: its name, how a spec document resolves it for the handler
-# (None: passed on as text), and its argparse keywords
-_SPEC = ("spec", None, {"help": "ring script: a file path, '-' for stdin, "
-                                "or corpus:<name>"})
-_IDEAL = ("ideal", _get_ideal, {"nargs": "?", "default": "m",
-                                "help": "ideal name (default m)"})
-_PRIME = ("ideal", _get_ideal, {"nargs": "?", "default": "p",
-                                "help": "prime ideal name (default p)"})
-_NAMED = ("ideal", _get_ideal, {"help": "ideal name"})
-_ELEM = ("element", _get_poly, {"help": "named element or polynomial text"})
-_SATURATOR = ("jideal", _get_ideal, {"nargs": "?", "default": "m",
-                                     "help": "saturating ideal name (default m)"})
-_SMALLER = ("ideal", _get_ideal, {"help": "smaller (contained) ideal name"})
-_LARGER = ("jideal", _get_ideal, {"help": "larger ideal name"})
-_FACTORS = ("factors", None, {"nargs": "+", "metavar": "FACTOR",
-                              "help": "factor (elem name or polynomial), "
-                                      "optionally with ':mult'"})
+# a positional: its name, the payload key that echoes it (an ideal by its
+# name, an element by the polynomial it resolves to), how a spec document
+# resolves it for the handler (None: passed on as text, and not echoed),
+# and its argparse keywords
+_SPEC = ("spec", None, None, {"help": "ring script: a file path, '-' for stdin, "
+                                      "or corpus:<name>"})
+_IDEAL = ("ideal", "ideal", _get_ideal, {"nargs": "?", "default": "m",
+                                         "help": "ideal name (default m)"})
+_PRIME = ("ideal", "prime", _get_ideal, {"nargs": "?", "default": "p",
+                                         "help": "prime ideal name (default p)"})
+_NAMED = ("ideal", "ideal", _get_ideal, {"help": "ideal name"})
+_ELEM = ("element", "element", _get_poly,
+         {"help": "named element or polynomial text"})
+_SATURATOR = ("jideal", "by", _get_ideal, {"nargs": "?", "default": "m",
+                                           "help": "saturating ideal name (default m)"})
+_SMALLER = ("ideal", "ideal", _get_ideal, {"help": "smaller (contained) ideal name"})
+_LARGER = ("jideal", "inside", _get_ideal, {"help": "larger ideal name"})
+_FACTORS = ("factors", None, None, {"nargs": "+", "metavar": "FACTOR",
+                                    "help": "factor (elem name or polynomial), "
+                                            "optionally with ':mult'"})
 
 def _jobs(text):
     """The --jobs type: a worker count of at least one."""
@@ -711,7 +669,7 @@ _COMMANDS = {
                         "generators of the bracket power I^[p^e]"),
     "colon": _Command(cmd_colon, [_SPEC, _NAMED, _ELEM], {"order": "grevlex"},
                       _GENERATORS, "reduced basis of the colon ideal (I : f)"),
-    "saturate": _Command(cmd_saturate, [_SPEC, _NAMED, _SATURATOR],
+    "saturate": _Command(cmd_colon, [_SPEC, _NAMED, _SATURATOR],
                          {"order": "grevlex"}, _GENERATORS,
                          "reduced basis of the saturation (I : J^infinity)"),
     "tc-member": _Command(cmd_tc_member, [_SPEC, _ELEM, _NAMED],
@@ -805,9 +763,11 @@ def _cache_load(cdir, digest):
     try:
         with open(_cache_path(cdir, digest), "r", encoding="utf-8") as fh:
             blob = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):
         return None
-    if blob.get("version") != VERSION:
+    # an entry of another version, or one that lacks a field, is a miss
+    if not isinstance(blob, dict) or blob.get("version") != VERSION or not (
+            {"payload", "exit", "warranty", "rows"} <= blob.keys()):
         return None
     return blob
 
@@ -862,7 +822,7 @@ def _build_parser():
     sub = top.add_subparsers(dest="command", required=True, metavar="command")
     for name, cmd in _COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
-        for argname, _, kw in cmd.positionals:
+        for argname, _, _, kw in cmd.positionals:
             p.add_argument(argname, **kw)
         for dest, default in cmd.flags.items():
             p.add_argument("--" + dest.replace("_", "-"), dest=dest,
@@ -876,7 +836,7 @@ def _build_parser():
 
 def _params_for_digest(args):
     cmd = _COMMANDS[args.command]
-    names = [n for n, _, _ in cmd.positionals] + list(cmd.flags)
+    names = [n for n, _, _, _ in cmd.positionals] + list(cmd.flags)
     return {n: getattr(args, n) for n in sorted(names) if n not in _UNHASHED}
 
 
@@ -895,9 +855,14 @@ def _run(args, out):
     if blob is None:
         # the spec is parsed only when there is something to compute
         doc = None if source is None else parse_spec(spec_text)
-        values = [get(doc, getattr(args, name))
-                  for name, get, _ in cmd.positionals if get is not None]
+        values, echoes = [], {}
+        for name, key, get, _ in cmd.positionals:
+            if get is not None:
+                text = getattr(args, name)
+                values.append(get(doc, text))
+                echoes[key] = text if get is _get_ideal else str(values[-1])
         res = cmd.handler(doc, args, *values)
+        res.payload.update(echoes)
         if doc is not None:
             res.payload["ring"] = _ring_payload(doc)
         blob = {"version": VERSION, "payload": res.payload,
@@ -924,10 +889,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return _run(args, sys.stdout)
-    except Exception as exc:
-        # the error classes are looked up only now: they live in the layers
-        if not isinstance(exc, _input_errors()):
-            raise
+    except (InputError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
 

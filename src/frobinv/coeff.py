@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import operator
 
+from . import InputError
 
-class FieldError(ValueError):
+
+class FieldError(InputError):
     pass
 
 

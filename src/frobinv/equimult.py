@@ -25,11 +25,11 @@ from fractions import Fraction
 from .coeff import (PrimeField, ExtensionField, RationalFunctionField,
                     FieldElement)
 from .polyring import Polynomial, Ideal, ring_make
-from . import groebner, frobenius, invariants
+from . import InputError, groebner, frobenius, invariants
 from .frobenius import WARRANTY
 
 
-class EquimultError(ValueError):
+class EquimultError(InputError):
     pass
 
 
@@ -327,7 +327,6 @@ def quartic_ring(alpha):
 
 @dataclass
 class MonskyRepro:
-    ring: object
     report: object       # HKReport
     target: Fraction
     within: Fraction     # |estimate - target|
@@ -364,7 +363,7 @@ def monsky_repro(alpha_spec, e_max, lam_modulus=(1, 1, 1), jobs=1):
     else:
         raise EquimultError("alpha_spec must be zero | algebraic | transcendental")
     report = invariants.ehk_estimate(ring.origin_ideal(), e_max, jobs=jobs)
-    return MonskyRepro(ring, report, target, abs(report.estimate - target))
+    return MonskyRepro(report, target, abs(report.estimate - target))
 
 
 def brenner_monsky_ring(field=None):
@@ -385,7 +384,6 @@ def bm_maximal_ideal(ring, alpha):
 
 @dataclass
 class BMGapReport:
-    ring: object
     fiber_rows: list     # (e, q, l_fiber, Fraction l_fiber/q^2)
     alpha_rows: dict     # alpha string -> [(e, q, l, Fraction l/q^3, gap)]
     min_gap: Fraction
@@ -410,12 +408,11 @@ def bm_gap_table(alphas, e_min=2, e_max=4, field=None, jobs=1):
             for (e, q, ell, norm), fib in zip(rows, fiber_rows)]
     min_gap = min((row[4] for rows in alpha_rows.values() for row in rows),
                   default=None)
-    return BMGapReport(ring, fiber_rows, alpha_rows, min_gap)
+    return BMGapReport(fiber_rows, alpha_rows, min_gap)
 
 
 @dataclass
 class SpecializationReport:
-    alpha: object
     relation_match: bool
     rows: list           # (e, q, l_specialized, l_direct, equal)
     all_equal: bool
@@ -437,7 +434,7 @@ def specialization_consistency(alpha, e_max, field=None):
     rows = [(e, q, a, b, a == b) for (e, q, a, _), (_, _, b, _) in zip(
         *invariants.hk_table([specialized.origin_ideal(), direct.origin_ideal()],
                              range(1, e_max + 1)))]
-    return SpecializationReport(alpha, rel_match, rows,
+    return SpecializationReport(rel_match, rows,
                                 rel_match and all(r[4] for r in rows))
 
 

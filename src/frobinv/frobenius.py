@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .polyring import Polynomial, Ideal, GREVLEX
-from . import groebner
+from . import InputError, groebner
 
 
-class FrobeniusError(ValueError):
+class FrobeniusError(InputError):
     pass
 
 
@@ -142,7 +142,6 @@ def splitting_ideal(ring, e):
 @dataclass
 class SplittingIdealSeq:
     """Splitting ideals I_e with their colength proxies a_e = l(R/I_e)."""
-    ring: object
     entries: list     # (e, I_e, a_e)
 
 
@@ -152,7 +151,7 @@ def splitting_sequence(ring, e_max):
     for e in range(1, e_max + 1):
         Ie = splitting_ideal(ring, e)
         entries.append((e, Ie, groebner.colength(Ie)))
-    return SplittingIdealSeq(ring, entries)
+    return SplittingIdealSeq(entries)
 
 
 def jacobian_candidate(ring):

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyring import Ideal, ring_make
-from . import groebner
+from . import InputError, groebner
 from . import frobenius
 
 
-class InvariantError(ValueError):
+class InvariantError(InputError):
     pass
 
 
@@ -29,8 +29,6 @@ class InvariantError(ValueError):
 
 @dataclass
 class HKReport:
-    ring: object
-    ideal: object
     rows: list          # (e, q, length, Fraction(length, q^d))
     dim: int
     estimate: Fraction
@@ -41,7 +39,6 @@ class HKReport:
 
 @dataclass
 class FSigReport:
-    ring: object
     rows: list          # (e, q, a_e, Fraction(a_e, q^d))
     dim: int
     estimate: Fraction
@@ -73,7 +70,6 @@ class LechReport:
 
 @dataclass
 class AssocReport:
-    ring: object
     factors: list
     rows: list          # (e, q, lhs_norm, rhs_norm, |lhs - rhs|)
     components: list    # HKReport per reduced factor
@@ -170,7 +166,7 @@ def _hk_report(I, rows):
     band = abs(est - rows[-1][3])
     if cauchy:
         band = max(band, cauchy[-1])
-    return HKReport(I.ring, I, rows, I.ring.dim, est, "affine-in-1/q", band, cauchy)
+    return HKReport(rows, I.ring.dim, est, "affine-in-1/q", band, cauchy)
 
 
 def ehk_estimate(I, e_max, jobs=1):
@@ -236,7 +232,7 @@ def fsig_function(ring, e_max):
         rows.append((e, q, a, Fraction(a, q ** d)))
     est = rows[-1][3]
     band = abs(rows[-1][3] - rows[-2][3]) if len(rows) >= 2 else Fraction(0)
-    return FSigReport(ring, rows, d, est, band)
+    return FSigReport(rows, d, est, band)
 
 
 # ---------------------------------------------------------------------------
@@ -365,4 +361,4 @@ def assoc_check(ring, factors, e_max, jobs=1):
                   Fraction(0))
         rows.append((e, q, lhs, rhs, abs(lhs - rhs)))
     rhs_est = sum((a * rep.estimate for a, rep in zip(weights, components)), Fraction(0))
-    return AssocReport(ring, parsed, rows, components, total.estimate, rhs_est)
+    return AssocReport(parsed, rows, components, total.estimate, rhs_est)

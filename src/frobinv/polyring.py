@@ -14,10 +14,11 @@ the length of one computation and hands tuples back.
 
 from __future__ import annotations
 
+from . import InputError
 from .coeff import FieldElement, FieldError, tokenize, ExprParser
 
 
-class RingError(ValueError):
+class RingError(InputError):
     pass
 
 
@@ -487,5 +488,5 @@ def parse_polynomial(ring, text):
 
     try:
         return ExprParser(tokenize(text), atom).parse()
-    except FieldError as exc:
+    except (FieldError, ZeroDivisionError) as exc:
         raise RingError("cannot parse %r: %s" % (text, exc)) from None

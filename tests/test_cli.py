@@ -129,6 +129,14 @@ _SPEC_ERRORS = [
     ("rel-unit", "char 2; vars x;\nrel 1;", "line 2, col 1: relation ideal is the unit ideal"),
     ("duplicate-name", "char 2; vars x; ideal m = (x); elem m = x;",
      "line 1, col 32: duplicate name 'm'"),
+    ("ext-divide-by-zero", "char 2; ext a^2 + a/0 + 1; vars x;",
+     "line 1, col 9: cannot parse 'a^2 + a/0 + 1': inverse of zero in F_2"),
+    ("rel-divide-by-zero", "char 2; vars x;\nrel x/0;",
+     "line 2, col 1: cannot parse 'x/0': inverse of zero in F_2"),
+    ("ideal-divide-by-zero", "char 3; vars x; ideal m = (x/(1+2));",
+     "line 1, col 17: cannot parse 'x/(1+2)': inverse of zero in F_3"),
+    ("elem-divide-by-zero", "char 2; vars x; elem f = x/0;",
+     "line 1, col 17: cannot parse 'x/0': inverse of zero in F_2"),
 ]
 
 
@@ -267,6 +275,23 @@ def test_cache_rejects_changed_source(tmp_path, monkeypatch):
     assert second["digest"] != first["digest"]
     assert second["payload"] == first["payload"]  # recomputed, not served
     assert len(os.listdir(cdir)) == 2
+
+
+@pytest.mark.parametrize("entry", [
+    b"[]", b'"x"', json.dumps({"version": cli.VERSION}).encode(), b"\xff\xfe",
+], ids=["list", "string", "version-only", "not-utf8"])
+def test_malformed_cache_entry_is_a_miss(entry, tmp_path):
+    args = ("hk", "corpus:node", "--emax", "2")
+    _, cold = run_json(*args)
+    path = tmp_path / (cold["digest"] + ".json")
+    path.write_bytes(entry)
+    code, env = run_json(*args, "--cache", str(tmp_path))
+    assert (code, env["timing"]["cache"]) == (0, "miss")
+    assert strip_timing(env) == strip_timing(cold)
+    # the recomputed entry replaced the malformed one
+    assert json.loads(path.read_text(encoding="utf-8"))["payload"] == cold["payload"]
+    code, env = run_json(*args, "--cache", str(tmp_path))
+    assert (code, env["timing"]["cache"]) == (0, "hit")
 
 
 def test_digest_separates_parameters():
@@ -564,7 +589,7 @@ def test_tc_member_loads_neither_invariants_nor_equimult():
 
 
 def test_bad_corpus_name_loads_no_layer():
-    # the error is classified from the layers already loaded, none here
+    # InputError lives in the package, so catching it loads no layer
     code, out, err, layers = fresh_frobinv("hk", "corpus:nosuch")
     assert (code, out) == (3, "")
     assert len(err) == 1 and err[0].startswith("error: ")
@@ -576,13 +601,26 @@ def test_bad_corpus_name_loads_no_layer():
     ["hk", "/nonexistent/path.ring"],
     ["hk", "char 4; vars x; ideal m = (x);"],
     ["mult", "corpus:node", "y"],
-], ids=["unknown-corpus", "missing-file", "nonprime-char", "infinite-colength"])
+    ["mult", "corpus:node", "x/0"],
+], ids=["unknown-corpus", "missing-file", "nonprime-char", "infinite-colength",
+        "divide-by-zero"])
 def test_exit_three_in_fresh_process(argv, tmp_path):
-    # the error classes that mean bad input are looked up only after the
-    # error, in a process that may not have loaded their layers yet
     code, out, err, _ = fresh_frobinv(*with_spec_file(argv, tmp_path))
     assert (code, out) == (3, "")
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("error", [KeyError, ValueError, ZeroDivisionError])
+def test_bug_in_a_handler_is_not_bad_input(error, monkeypatch):
+    # only an InputError or an OSError means exit 3; any other error is a
+    # bug and leaves main as it is
+    def handler(doc, args, I):
+        raise error("a bug")
+
+    cmd = cli._COMMANDS["hk"]
+    monkeypatch.setitem(cli._COMMANDS, "hk", cmd._replace(handler=handler))
+    with pytest.raises(error, match="a bug"):
+        main(["hk", "corpus:node"])
 
 
 def test_exit_three_on_infinite_colength(capsys):
@@ -643,3 +681,54 @@ def test_wy_cli_checks_precondition(capsys):
     code = main(["wy", "corpus:regular-p2-d2", "m", "--emax", "2"])
     assert code == 3  # m is not inside m^{[2]}: precondition error
     assert "error:" in capsys.readouterr().err
+
+
+A1_IDEALS_SPEC = (A1_SPEC + " ideal pm = (x^2, x*y, x*z, y^2, y*z);"
+                  " ideal m2 = (x^2, x*y, x*z, y^2, y*z, z^2);"
+                  " ideal mp = (x^2, y^2, z^2); ideal i = ((x+y)^2, x*(y+z));")
+A1_RING = {"char": 2, "relations": ["x^2+y*z"], "vars": ["x", "y", "z"]}
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_saturate_cli(order, tmp_path):
+    argv = with_spec_file(["saturate", A1_IDEALS_SPEC, "pm", "m", "--order", order],
+                          tmp_path)
+    code, env = run_json(*argv)
+    assert code == 0
+    assert env["payload"] == {"by": "m", "generators": ["y", "x"], "ideal": "pm",
+                              "order": order, "ring": A1_RING}
+
+
+def test_lech_cli(tmp_path):
+    code, env = run_json(*with_spec_file(
+        ["lech", A1_IDEALS_SPEC, "m2", "m", "--emax", "2"], tmp_path))
+    assert code == 0
+    assert env["payload"] == {"ideal": "m2", "inside": "m", "ok": True, "ring": A1_RING,
+                              "rows": [[1, "20", "24", True], [2, "80", "96", True]]}
+
+
+def test_wy_cli(tmp_path):
+    code, env = run_json(*with_spec_file(["wy", A1_IDEALS_SPEC, "mp", "--emax", "2"],
+                                         tmp_path))
+    assert code == 0
+    assert env["payload"] == {
+        "all_pass": True, "derived": ["4", "6", True], "ideal": "mp", "ring": A1_RING,
+        "rows": [[1, "2", "16", "24", True], [2, "4", "64", "96", True]]}
+
+
+def test_nested_parentheses_in_ideal_generators(tmp_path):
+    # the commas that split generators are the ones outside parentheses
+    code, env = run_json(*with_spec_file(["frobpow", A1_IDEALS_SPEC, "i"], tmp_path))
+    assert code == 0
+    assert env["payload"]["generators"] == ["x^4+y^4", "x^2*y^2+x^2*z^2"]
+
+
+def test_ring_payload_names_the_parameter(tmp_path):
+    spec = "char 2; param t; vars x y; rel x^2 + t*y^3; ideal m = (x, y);"
+    code, env = run_json(*with_spec_file(["hk", spec, "--emax", "2"], tmp_path))
+    assert code == 0
+    assert env["payload"] == {
+        "dim": 1, "ideal": "m",
+        "ring": {"char": 2, "param": "t", "relations": ["t*y^3+x^2"], "vars": ["x", "y"]},
+        "rows": [[1, "2", "4", {"den": "1", "num": "2"}],
+                 [2, "4", "8", {"den": "1", "num": "2"}]]}

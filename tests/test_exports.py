@@ -2,6 +2,7 @@
 defines it, and ``from frobinv import <name>`` works for every one."""
 
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -40,6 +41,25 @@ def test_unknown_name_raises_attribute_error():
         frobinv.no_such_name
     with pytest.raises(ImportError):
         exec("from frobinv import no_such_name", {})
+
+
+MODULES = ["frobinv"] + sorted(
+    "frobinv." + name[:-3] for name in os.listdir(os.path.dirname(frobinv.__file__))
+    if name.endswith(".py") and name not in ("__init__.py", "__main__.py"))
+
+
+def test_every_public_error_is_an_input_error():
+    # the CLI reports exactly InputError and OSError as bad input (exit 3); a
+    # private exception is a signal that the module raising it also catches
+    errors = {}
+    for module in MODULES:
+        for name, cls in vars(importlib.import_module(module)).items():
+            if (inspect.isclass(cls) and issubclass(cls, BaseException)
+                    and cls.__module__ == module and not name.startswith("_")):
+                errors[name] = cls
+    assert {"InputError", "FieldError", "SpecError"} <= errors.keys()
+    assert [n for n, cls in errors.items() if not issubclass(cls, frobinv.InputError)] == []
+    assert "InputError" in frobinv.__all__
 
 
 def test_dir_lists_the_exports():
