@@ -106,25 +106,6 @@ def _located(line, col):
         raise SpecError(str(exc), line, col) from None
 
 
-def _split_top_commas(s):
-    """Split on commas that are not nested inside parentheses."""
-    parts = []
-    depth = 0
-    cur = []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
 def _parse_binding(rest, line, col, what):
     """Parse 'name = tail' and return (name, tail)."""
     if "=" not in rest:
@@ -245,7 +226,7 @@ def parse_spec(text):
             if not (tail.startswith("(") and tail.endswith(")")):
                 raise SpecError("ideal generators must be parenthesized",
                                 line, col)
-            gens = [g.strip() for g in _split_top_commas(tail[1:-1])]
+            gens = [g.strip() for g in tail[1:-1].split(",")]
             if gens == [""]:
                 gens = []
             if any(not g for g in gens):

@@ -13,11 +13,12 @@ and the whole computation reruns at twice the width.
 Reduction takes terms from the top down off a min-heap of negated packed
 monomials, next to the term dict; a monomial is pushed when it enters the
 dict, and a popped one that has cancelled since is skipped.  Pair pruning
-uses the Gebauer-Moeller update (product + chain criteria); pair selection
-uses the sugar strategy with ties broken by the lcm in the order, so runs
-are deterministic.  Each pair's (sugar, lcm) is computed once, when the
-pair is formed, and pairs are popped off a heap, skipping those pruned
-since.
+uses the Gebauer-Moeller update (product + chain criteria), which takes the
+new pairs in one ascending pass over their lcms; pair selection uses the
+sugar strategy with ties broken by the lcm in the order and then by the
+ranks (creation order) of the two entries, so runs are deterministic.  Each
+pair's (sugar, lcm) is computed once, when the pair is formed, and pairs
+are popped off a heap, skipping those pruned since.
 
 Intersection, colon and saturation each eliminate a fresh variable w under
 block(1).  Saturation needs no chain of colons: I : J^infty is the
@@ -35,10 +36,12 @@ returns an exact big integer, or None when the staircase is infinite.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import combinations, count
+from operator import attrgetter
 
 from .polyring import (Polynomial, Ideal, PresentedRing, MonomialOrder,
                        GREVLEX, RingError, mono_divides, mono_lcm)
@@ -113,12 +116,14 @@ def _packed(order, nvars, dicts, run):
 
 
 class _GEntry:
-    __slots__ = ("terms", "lmono", "sugar")
+    __slots__ = ("terms", "lmono", "sugar", "exps", "rank")
 
-    def __init__(self, terms, lmono, sugar):
+    def __init__(self, terms, lmono, sugar, exps=None, rank=None):
         self.terms = terms
         self.lmono = lmono
         self.sugar = sugar
+        self.exps = exps    # the lead as an exponent tuple
+        self.rank = rank    # creation order within one basis run
 
 
 def _make_monic(F, terms, lmono):
@@ -228,56 +233,41 @@ def _basis(F, pk, gen_dicts):
 
     Its leads are the minimal generators of the lead ideal: a new lead is
     top-reduced, so no basis lead divides it, and ``add`` evicts every lead
-    it divides.  The tails are only top-reduced.
+    it divides.  The tails are only top-reduced.  New pairs are chosen in
+    one ascending pass over their lcms; pairs leave the heap by sugar, ties
+    broken by the lcm and then by the ranks (creation order) of the entries.
     """
     guard, mask, pack = pk.guard, pk.mask, pk.pack
-    f = []          # all entries ever created
-    E = []          # the exponent tuple of each entry's lead
-    G = set()       # indices of current basis entries
-    basis = []      # the entries of G, ascending by leading monomial
-    P = {}          # pending pairs (i, j), i < j -> lcm of their leads
-    heap = []       # (sugar, lcm, i, j) of every pair formed
+    basis = []      # the current entries, ascending by lead
+    P = {}          # pending pairs (rank i, rank j), i < j -> (lcm, entry i, entry j)
+    heap = []       # (sugar, lcm, rank i, rank j) of every pair formed
+    ranks = count()
 
     def add(terms, mh, sugar):
-        # Gebauer-Moeller: prune new pairs against each other (chain
-        # criterion), drop coprime-lead pairs (product criterion), prune the
-        # old pair set, and evict basis leads the new lead mh divides.  Each
-        # lcm(mh, lm(g)) is computed once per update.
-        nonlocal G, basis
-        ih = len(f)
-        f.append(_GEntry(_make_monic(F, terms, mh), mh, sugar))
-        eh = pk.unpack(mh)
-        E.append(eh)
-        Lh = {ig: pack(mono_lcm(eh, E[ig])) for ig in G}
-        coprime = {ig for ig in G if mh + f[ig].lmono == Lh[ig]}
-        cand = set(G)
-        kept = set()
-        while cand:
-            ig = cand.pop()
-            L = Lh[ig]
-            if ig in coprime or (
-                    all((L - Lh[ic]) & guard for ic in cand)
-                    and all((L - Lh[ik]) & guard for ik in kept)):
-                kept.add(ig)
-
-        def lcm_h(i):
-            L = Lh.get(i)
-            if L is None:
-                L = Lh[i] = pack(mono_lcm(eh, E[i]))
-            return L
-
-        for ij, L in list(P.items()):
-            if not (L - mh) & guard and lcm_h(ij[0]) != L and lcm_h(ij[1]) != L:
+        # Gebauer-Moeller: prune the old pairs, form the new pairs, and evict
+        # the basis leads the new lead mh divides.
+        nonlocal basis
+        h = _GEntry(_make_monic(F, terms, mh), mh, sugar, pk.unpack(mh), next(ranks))
+        for ij, (L, a, b) in list(P.items()):
+            if (not (L - mh) & guard and pack(mono_lcm(h.exps, a.exps)) != L
+                    and pack(mono_lcm(h.exps, b.exps)) != L):
                 del P[ij]
-        for ig in kept - coprime:
-            L = Lh[ig]
-            g, sl = f[ig], L & mask
-            sug = max(g.sugar + sl - (g.lmono & mask), sugar + sl - (mh & mask))
-            P[ig, ih] = L
-            heappush(heap, (sug, L, ig, ih))
-        G = {ig for ig in G if (f[ig].lmono - mh) & guard}
-        G.add(ih)
-        basis = sorted((f[k] for k in G), key=lambda e: e.lmono)
+        # A divisor precedes its multiples in the order, so each new lcm is
+        # tested against the lcms kept so far only (chain criterion); among
+        # equal lcms a coprime pair comes first, blocks the others and is
+        # dropped itself (product criterion).
+        lcms = [(pack(mono_lcm(h.exps, g.exps)), g) for g in basis]
+        kept = []
+        for L, shared, _, g in sorted((L, mh + g.lmono != L, g.rank, g) for L, g in lcms):
+            if all((L - K) & guard for K in kept):
+                kept.append(L)
+                if shared:
+                    sl = L & mask
+                    sug = max(g.sugar + sl - (g.lmono & mask), sugar + sl - (mh & mask))
+                    P[g.rank, h.rank] = (L, g, h)
+                    heappush(heap, (sug, L, g.rank, h.rank))
+        basis = [g for g in basis if (g.lmono - mh) & guard]
+        insort(basis, h, key=attrgetter("lmono"))
 
     for d in gen_dicts:
         red, lead, sug = _reduce(F, pk, d, basis, False, max(m & mask for m in d))
@@ -285,10 +275,11 @@ def _basis(F, pk, gen_dicts):
             add(red, lead, sug)
 
     while heap:
-        _, L, i, j = heappop(heap)
-        if P.pop((i, j), None) is None:
+        _, _, i, j = heappop(heap)
+        pair = P.pop((i, j), None)
+        if pair is None:
             continue  # pruned after it was formed
-        s, sug = _spoly(F, pk, L, f[i], f[j])
+        s, sug = _spoly(F, pk, *pair)
         red, lead, sug = _reduce(F, pk, s, basis, False, sug)
         if lead is not None:
             add(red, lead, sug)
@@ -330,7 +321,7 @@ def _leading_monomials(ideal, order=GREVLEX):
     if cached is not None:
         return [g.leading_monomial(order) for g in cached]
     return _run_loop(ideal.ring.field, order, _generator_dicts(ideal),
-                     lambda pk, basis: [pk.unpack(e.lmono) for e in basis])
+                     lambda pk, basis: [e.exps for e in basis])
 
 
 def normal_form(f, ideal, order=GREVLEX):
@@ -369,7 +360,6 @@ class Staircase:
     count is None exactly when the quotient is infinite-dimensional, i.e.
     when some variable has no pure power among the generators.
     """
-    ring: PresentedRing
     generators: tuple
     count: object  # big int, or None for infinite
 
@@ -420,8 +410,7 @@ def count_standard_monomials(leads, nvars):
 def staircase(ideal, order=GREVLEX):
     """The staircase of the lead ideal; reads leading monomials only."""
     leads = sorted(_leading_monomials(ideal, order), key=lambda m: (sum(m), m))
-    return Staircase(ideal.ring, tuple(leads),
-                     count_standard_monomials(leads, ideal.ring.nvars))
+    return Staircase(tuple(leads), count_standard_monomials(leads, ideal.ring.nvars))
 
 
 def colength(ideal):

@@ -177,6 +177,17 @@ def ehk_estimate(I, e_max, jobs=1):
 # ---------------------------------------------------------------------------
 # Hilbert-Samuel multiplicity on a one-dimensional presentation
 
+def _parameter(ring, x):
+    """x (text or a Polynomial of ring), which must vanish at the origin: a
+    non-zero constant term makes it a unit of the local ring there, where
+    every colength is taken, and a colength would describe another point."""
+    if isinstance(x, str):
+        x = ring.parse(x)
+    if (0,) * ring.nvars in x.terms:
+        raise InvariantError("%s does not vanish at the origin" % x)
+    return x
+
+
 def hs_multiplicity(ring, x):
     """e(xS) exactly, with the lengths l(S/x^n S) up to a certified stop.
 
@@ -188,8 +199,7 @@ def hs_multiplicity(ring, x):
     """
     if ring.dim != 1:
         raise InvariantError("hs_multiplicity needs a one-dimensional ring")
-    if isinstance(x, str):
-        x = ring.parse(x)
+    x = _parameter(ring, x)
     first = groebner.colength(Ideal(ring, [x]))
     if first is None:
         raise InvariantError("%s is not a parameter: infinite colength" % x)
@@ -209,6 +219,7 @@ def parameter_degree(prime, x):
     (p : x^infty) = p.
     """
     ring = prime.ring
+    x = _parameter(ring, x)
     sat = groebner.saturate(prime, Ideal(ring, [x]))
     c = groebner.colength(Ideal(ring, list(sat.gens) + [x]))
     if c is None:
@@ -251,8 +262,7 @@ def descent_sequence(prime, x, n_max, e_max, fiber_estimate=None, jobs=1):
     ring = prime.ring
     p = ring.field.p
     d = ring.dim
-    if isinstance(x, str):
-        x = ring.parse(x)
+    x = _parameter(ring, x)
     if groebner.is_member(x, prime):
         raise InvariantError("descent parameter lies in the prime")
     if groebner.ideal_dimension(prime) != 1:

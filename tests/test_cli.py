@@ -112,6 +112,8 @@ _SPEC_ERRORS = [
      "line 1, col 17: ideal generators must be parenthesized"),
     ("ideal-empty-generator", "char 2; vars x; ideal m = (x, );",
      "line 1, col 17: empty ideal generator"),
+    ("ideal-comma-in-parentheses", "char 2; vars x y; ideal m = ((x, y));",
+     "line 1, col 19: cannot parse '(x': unbalanced parenthesis"),
     ("unknown-statement", "char 2; vars x; frob x;", "line 1, col 17: unknown statement 'frob'"),
     ("missing-char", "vars x;", "line 1, col 1: missing 'char' statement"),
     ("nonprime-char", "char 4; vars x;", "line 1, col 1: characteristic 4 is not prime"),
@@ -602,8 +604,12 @@ def test_bad_corpus_name_loads_no_layer():
     ["hk", "char 4; vars x; ideal m = (x);"],
     ["mult", "corpus:node", "y"],
     ["mult", "corpus:node", "x/0"],
+    ["mult", "corpus:node", "1+x"],
+    ["mult", "corpus:node", "1"],
+    ["descent", "corpus:brenner-monsky", "p", "1+t", "--emax", "1", "--nmax", "1"],
 ], ids=["unknown-corpus", "missing-file", "nonprime-char", "infinite-colength",
-        "divide-by-zero"])
+        "divide-by-zero", "mult-unit-parameter", "mult-constant-parameter",
+        "descent-unit-parameter"])
 def test_exit_three_in_fresh_process(argv, tmp_path):
     code, out, err, _ = fresh_frobinv(*with_spec_file(argv, tmp_path))
     assert (code, out) == (3, "")
@@ -717,7 +723,8 @@ def test_wy_cli(tmp_path):
 
 
 def test_nested_parentheses_in_ideal_generators(tmp_path):
-    # the commas that split generators are the ones outside parentheses
+    # a generator may hold parentheses; polynomial text has no commas, so
+    # every comma splits generators
     code, env = run_json(*with_spec_file(["frobpow", A1_IDEALS_SPEC, "i"], tmp_path))
     assert code == 0
     assert env["payload"]["generators"] == ["x^4+y^4", "x^2*y^2+x^2*z^2"]

@@ -88,3 +88,12 @@ def test_readme_example_runs():
     proc = fresh_python(blocks[0])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "6 64 6144 3/2"
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
+    # bench/tracing.py rebinds package functions and field ops by name, some
+    # of which nothing in the package calls; a missing one breaks a traced run
+    code = ("import sys; sys.path.insert(0, %r); import tracing; "
+            "tracing.install(tracing.Tracer(%r))" % (os.path.join(ROOT, "bench"), str(tmp_path)))
+    proc = fresh_python(code)
+    assert proc.returncode == 0, proc.stderr

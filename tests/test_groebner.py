@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobinv import groebner
+from frobinv.cli import parse_spec
 from frobinv.coeff import ExtensionField, PrimeField, RationalFunctionField
-from frobinv.equimult import brenner_monsky_ring, quartic_ring
+from frobinv.corpus import corpus_text
+from frobinv.equimult import bm_gap_table, brenner_monsky_ring, quartic_ring
 from frobinv.frobenius import frobenius_power
 from frobinv.groebner import (
     colength,
@@ -29,6 +31,7 @@ from frobinv.groebner import (
     saturate,
     staircase,
 )
+from frobinv.invariants import hk_rows
 from frobinv.polyring import (GREVLEX, LEX, Ideal, MonomialOrder, Polynomial, mono_divides,
                               mono_lcm, mono_mul, ring_make)
 
@@ -453,6 +456,36 @@ def test_colength_reads_leads_without_inter_reduction(monkeypatch):
     assert staircase(I).count == colength(I)
     assert ideal_dimension(I) == 0
     assert calls == []
+
+
+def _corpus_rows(name, e_max):
+    return lambda: hk_rows(parse_spec(corpus_text(name)).ideals["m"], e_max)
+
+
+def _gap_table_e2():
+    a = F4.symbols()["a"]
+    return bm_gap_table([0, 1, a, a + 1], e_min=2, e_max=2, field=F4)
+
+
+# Pinned to the S-pairs reduced at the time of writing; with the chain
+# criterion switched off the same inputs reduce 98, 354, 63 and 370.
+@pytest.mark.parametrize("run, bound", [
+    (_corpus_rows("monsky-1", 5), 54),
+    (_corpus_rows("a1-odd", 3), 84),
+    (_corpus_rows("monsky-t", 3), 34),
+    (_gap_table_e2, 184),
+], ids=["monsky-1-e5", "a1-odd-e3", "monsky-t-e3", "gap-table-e2"])
+def test_pair_criteria_bound_the_s_pairs(run, bound, monkeypatch):
+    calls = []
+    kernel = groebner._spoly
+
+    def counted(F, pk, lcm, f, g):
+        calls.append(lcm)
+        return kernel(F, pk, lcm, f, g)
+
+    monkeypatch.setattr(groebner, "_spoly", counted)
+    run()
+    assert 0 < len(calls) <= bound
 
 
 COLON_CASES = [

@@ -159,6 +159,17 @@ def test_hs_rejects_non_parameter():
         hs_multiplicity(S, "x")  # x = 0 on S
 
 
+def test_parameter_must_vanish_at_the_origin():
+    # 1 + x is a unit at the origin, so its colengths would describe x = 1
+    node = ring_make(F2, ("x", "y"), relations=["x*y"])
+    R = ring_make(F2, ("x", "y"))
+    for call in (lambda: hs_multiplicity(node, "1+x"),
+                 lambda: parameter_degree(ideal(R, "y"), "1+x"),
+                 lambda: descent_sequence(ideal(R, "y"), "1+x", 1, 1)):
+        with pytest.raises(InvariantError, match="does not vanish at the origin"):
+            call()
+
+
 @pytest.mark.parametrize("gens, x, degree", [
     (("y^2 + x^3",), "x", 2),
     (("y^2 + x^3",), "y", 3),
