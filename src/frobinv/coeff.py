@@ -689,7 +689,10 @@ class ExprParser:
         return t
 
     def parse(self):
-        v = self.expr()
+        try:
+            v = self.expr()
+        except RecursionError:
+            raise FieldError("expression nested too deeply") from None
         if self.peek()[0] is not None:
             raise FieldError("trailing input at token %d" % self.pos)
         return v

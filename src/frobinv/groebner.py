@@ -20,8 +20,11 @@ ranks (creation order) of the two entries, so runs are deterministic.  Each
 pair's (sugar, lcm) is computed once, when the pair is formed, and pairs
 are popped off a heap, skipping those pruned since.
 
-Intersection, colon and saturation each eliminate a fresh variable w under
-block(1).  Saturation needs no chain of colons: I : J^infty is the
+Intersection, colon and saturation each eliminate one variable w, first under
+block(1), on term dicts: a generator is a pair (a, b) meaning a + w*b, so w
+needs no name.  The w-free part of the reduced block(1) basis is the reduced
+grevlex basis of the eliminated ideal, which intersections and saturations
+keep as their basis.  Saturation needs no chain of colons: I : J^infty is the
 intersection over the generators g of J of the eliminations (I, 1 - w*g) cap R.
 
 The pair loop ends with a minimal monic basis, whose leads already are the
@@ -43,8 +46,8 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, count
 from operator import attrgetter
 
-from .polyring import (Polynomial, Ideal, PresentedRing, MonomialOrder,
-                       GREVLEX, RingError, mono_divides, mono_lcm)
+from .polyring import (Polynomial, Ideal, MonomialOrder, GREVLEX, RingError,
+                       mono_divides, mono_lcm)
 
 
 class _Overflow(Exception):
@@ -335,8 +338,8 @@ def normal_form(f, ideal, order=GREVLEX):
     return Polynomial(ring, _packed(order, ring.nvars, basis + [f.terms], run))
 
 
-def is_member(f, ideal, order=GREVLEX):
-    return normal_form(f, ideal, order).is_zero()
+def is_member(f, ideal):
+    return normal_form(f, ideal).is_zero()
 
 
 def ideal_equals(I, J):
@@ -444,45 +447,32 @@ def ideal_dimension(ideal):
 # ---------------------------------------------------------------------------
 # intersection, colon, saturation
 
-def _fresh_name(names):
-    cand = "w"
-    n = 0
-    while cand in names:
-        n += 1
-        cand = "w%d" % n
-    return cand
-
-
-def _eliminate(ring, build):
-    """w-free part of the block(1) basis of build(w, lift) in ring[w].
-
-    The fresh variable w comes first; lift carries a polynomial of ring into
-    ring[w].  The surviving elements come back as term dicts over ring.
-    """
-    ext = PresentedRing(ring.field, (_fresh_name(ring.varnames),) + ring.varnames)
-
-    def lift(p):
-        return Polynomial(ext, {(0,) + m: c for m, c in p.terms.items()})
-
-    gens = build(ext.var(0), lift)
-    raw = _buchberger(ext.field, MonomialOrder("block", 1), [g.terms for g in gens])
-    return [{m[1:]: c for m, c in d.items()}
+def _eliminate(ring, parts):
+    """The elimination ideal (a + w*b for (a, b) in parts) cap R, each a and b
+    a term dict over R: the w-free part of its reduced block(1) basis, which
+    is its reduced grevlex basis, as Polynomials of ring."""
+    gens = [{(0,) + m: c for m, c in a.items()} | {(1,) + m: c for m, c in b.items()}
+            for a, b in parts]
+    raw = _buchberger(ring.field, MonomialOrder("block", 1), gens)
+    return [Polynomial(ring, {m[1:]: c for m, c in d.items()})
             for d in raw if all(m[0] == 0 for m in d)]
 
 
+def _neg(F, terms):
+    return {m: F.neg(c) for m, c in terms.items()}
+
+
 def ideal_intersection(I, J):
-    """I cap J via the single-auxiliary-variable elimination trick."""
+    """I cap J = (w*I + (1 - w)*J) cap R, relations on both sides."""
     ring = I.ring
     if J.ring != ring:
         raise RingError("intersection: ambient ring mismatch")
-    rels = list(ring.relations)
-    cut = _eliminate(ring, lambda w, lift:
-                     [w * lift(g) for g in list(I.gens) + rels]
-                     + [(1 - w) * lift(g) for g in list(J.gens) + rels])
-    return _canonicalize(Ideal(ring, [Polynomial(ring, d) for d in cut]))
+    parts = ([({}, g) for g in _generator_dicts(I)]
+             + [(g, _neg(ring.field, g)) for g in _generator_dicts(J)])
+    return _with_basis(ring, _eliminate(ring, parts))
 
 
-def _exact_div(num_terms, den_terms, F, order):
+def _exact_div(num_terms, den_terms, F):
     """Quotient of a known multiple; raises if the division leaves a remainder."""
     def run(pk):
         guard = pk.guard
@@ -504,7 +494,7 @@ def _exact_div(num_terms, den_terms, F, order):
             c = quo[sh] = F.mul(c, idc)
             _submul(F, guard, p, heap, c, sh, den)
         return pk.unpack_terms(quo)
-    return _packed(order, len(next(iter(den_terms))), [num_terms, den_terms], run)
+    return _packed(GREVLEX, len(next(iter(den_terms))), [num_terms, den_terms], run)
 
 
 def ideal_colon(I, f):
@@ -514,10 +504,9 @@ def ideal_colon(I, f):
         f = ring.parse(f)
     if f.is_zero():
         raise RingError("colon by the zero element")
-    cut = _eliminate(ring, lambda w, lift:
-                     [w * lift(g) for g in list(I.gens) + list(ring.relations)]
-                     + [(1 - w) * lift(f)])
-    quots = [Polynomial(ring, _exact_div(d, f.terms, ring.field, GREVLEX)) for d in cut]
+    parts = [({}, g) for g in _generator_dicts(I)] + [(f.terms, _neg(ring.field, f.terms))]
+    quots = [Polynomial(ring, _exact_div(g.terms, f.terms, ring.field))
+             for g in _eliminate(ring, parts)]
     return _canonicalize(Ideal(ring, quots))
 
 
@@ -525,7 +514,7 @@ def _intersect_all(ring, ideals):
     """Canonical intersection of the ideals; R when there are none."""
     if not ideals:
         return _canonicalize(Ideal(ring, [ring.one]))
-    return _canonicalize(reduce(ideal_intersection, ideals))
+    return reduce(ideal_intersection, ideals)
 
 
 def ideal_colon_ideal(I, J):
@@ -539,15 +528,20 @@ def saturate(I, J):
     in R[w] each (Cox-Little-O'Shea, section 4.4), with no chain of colons to
     iterate.  J with no nonzero generator saturates to R."""
     ring = I.ring
-    base = list(I.gens) + list(ring.relations)
-    cuts = [_eliminate(ring, lambda w, lift: [lift(h) for h in base] + [1 - w * lift(g)])
-            for g in J.gens]
-    return _intersect_all(ring, [Ideal(ring, [Polynomial(ring, d) for d in c]) for c in cuts])
+    base = [(h, {}) for h in _generator_dicts(I)]
+    one = {(0,) * ring.nvars: ring.field.one}
+    return _intersect_all(ring, [
+        _with_basis(ring, _eliminate(ring, base + [(one, _neg(ring.field, g.terms))]))
+        for g in J.gens])
+
+
+def _with_basis(ring, basis):
+    """The ideal on a reduced grevlex basis, with that basis cached."""
+    out = Ideal(ring, basis)
+    out._basis_cache[GREVLEX.cache_key()] = tuple(basis)
+    return out
 
 
 def _canonicalize(I):
     """Rewrite an ideal on its reduced basis (deterministic generators)."""
-    basis = groebner_basis(I)
-    out = Ideal(I.ring, basis)
-    out._basis_cache[GREVLEX.cache_key()] = tuple(basis)
-    return out
+    return _with_basis(I.ring, groebner_basis(I))

@@ -97,8 +97,7 @@ def affine_fit(points):
 
 def _tail_fit(rows):
     """Fit the last min(3, len) normalized rows against 1/q."""
-    tail = rows[-3:] if len(rows) >= 3 else rows
-    pts = [(Fraction(1, q), norm) for (_, q, _, norm) in tail]
+    pts = [(Fraction(1, q), norm) for (_, q, _, norm) in rows[-3:]]
     a, _ = affine_fit(pts)
     return a
 
@@ -152,10 +151,10 @@ def hk_rows(I, e_max, jobs=1):
     return hk_table([I], range(1, e_max + 1), jobs)[0]
 
 
-def _fit_levels(e_max):
+def _fit_levels(e_max, caller):
     """The levels 1..e_max of a fitted estimate, which needs two rows."""
     if e_max < 2:
-        raise InvariantError("ehk_estimate needs e_max >= 2")
+        raise InvariantError("%s needs e_max >= 2" % caller)
     return range(1, e_max + 1)
 
 
@@ -171,7 +170,7 @@ def _hk_report(I, rows):
 
 def ehk_estimate(I, e_max, jobs=1):
     """Hilbert-Kunz rows e = 1..e_max and the affine-in-1/q estimate."""
-    return _hk_report(I, hk_table([I], _fit_levels(e_max), jobs)[0])
+    return _hk_report(I, hk_table([I], _fit_levels(e_max, "ehk_estimate"), jobs)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +259,6 @@ def descent_sequence(prime, x, n_max, e_max, fiber_estimate=None, jobs=1):
     if e_max < 1 or n_max < 1:
         raise InvariantError("descent needs e_max >= 1 and n_max >= 1")
     ring = prime.ring
-    p = ring.field.p
     d = ring.dim
     x = _parameter(ring, x)
     if groebner.is_member(x, prime):
@@ -270,30 +268,12 @@ def descent_sequence(prime, x, n_max, e_max, fiber_estimate=None, jobs=1):
     if groebner.colength(Ideal(ring, list(prime.gens) + [x])) is None:
         raise InvariantError("prime + parameter is not origin-primary")
 
-    cells = []
-    for e in range(1, e_max + 1):
-        q = p ** e
-        pq = frobenius.frobenius_power(prime, e)
-        for n in range(1, n_max + 1):
-            cells.append((Ideal(ring, list(pq.gens) + [x ** (n * q)]), 0))
-    lengths = _sweep(cells, jobs)
-
-    table = {}
-    i = 0
-    for e in range(1, e_max + 1):
-        q = p ** e
-        for n in range(1, n_max + 1):
-            ell = lengths[i]
-            i += 1
-            if ell is None:
-                raise InvariantError("descent cell (n=%d, e=%d) is not finite" % (n, e))
-            table[(n, e)] = Fraction(ell, n * q ** d)
-
-    per_n = {}
-    for n in range(1, n_max + 1):
-        pts = [(Fraction(1, p ** e), table[(n, e)]) for e in range(1, e_max + 1)]
-        a, _ = affine_fit(pts[-3:] if len(pts) >= 3 else pts)
-        per_n[n] = a
+    # (p + (x^n))^[q] = p^[q] + (x^{nq}), generator by generator
+    ideals = [Ideal(ring, list(prime.gens) + [x ** n]) for n in range(1, n_max + 1)]
+    table, per_n = {}, {}
+    for n, rows in enumerate(hk_table(ideals, range(1, e_max + 1), jobs), 1):
+        table.update(((n, e), norm / n) for e, _, _, norm in rows)
+        per_n[n] = _tail_fit(rows) / n
 
     monotone = all(table[(n + 1, e)] <= table[(n, e)]
                    for e in range(2, e_max + 1)
@@ -363,7 +343,7 @@ def assoc_check(ring, factors, e_max, jobs=1):
         ring_make(ring.field, ring.varnames, relations=[str(f)]).origin_ideal()
         for f, _ in parsed]
     total, *components = [_hk_report(I, rows) for I, rows in
-                          zip(ideals, hk_table(ideals, _fit_levels(e_max), jobs))]
+                          zip(ideals, hk_table(ideals, _fit_levels(e_max, "assoc_check"), jobs))]
     weights = [Fraction(a) for _, a in parsed]
     rows = []
     for idx, (e, q, _, lhs) in enumerate(total.rows):

@@ -496,6 +496,17 @@ ASSOC_SPEC = ("char 2; vars x y; rel x^2*y; ideal m = (x, y); "
               "elem s = x; elem w = y;")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["ehk", "corpus:node", "--emax", "1"], "error: ehk_estimate needs e_max >= 2\n"),
+    (["assoc", ASSOC_SPEC, "s:2", "w", "--emax", "1"],
+     "error: assoc_check needs e_max >= 2\n"),
+], ids=["ehk", "assoc"])
+def test_fitted_estimate_names_its_function(argv, message, tmp_path, capsys):
+    # a fitted estimate needs two levels; the message names the function
+    assert main(with_spec_file(argv, tmp_path)) == 3
+    assert capsys.readouterr().err == message
+
+
 @pytest.mark.parametrize("argv", [
     ["assoc", ASSOC_SPEC, "s:2", "w"],
     ["repro-bm", "--emax", "2"],
@@ -598,6 +609,9 @@ def test_bad_corpus_name_loads_no_layer():
     assert layers == set()
 
 
+DEEP = "(" * 400 + "x" + ")" * 400   # deeper than the parser's recursion
+
+
 @pytest.mark.parametrize("argv", [
     ["hk", "corpus:nosuch"],
     ["hk", "/nonexistent/path.ring"],
@@ -607,9 +621,11 @@ def test_bad_corpus_name_loads_no_layer():
     ["mult", "corpus:node", "1+x"],
     ["mult", "corpus:node", "1"],
     ["descent", "corpus:brenner-monsky", "p", "1+t", "--emax", "1", "--nmax", "1"],
+    ["mult", "corpus:node", DEEP],
+    ["mult", "char 2; vars x y; rel x*y; ideal m = (x, y); elem f = %s;" % DEEP, "f"],
 ], ids=["unknown-corpus", "missing-file", "nonprime-char", "infinite-colength",
         "divide-by-zero", "mult-unit-parameter", "mult-constant-parameter",
-        "descent-unit-parameter"])
+        "descent-unit-parameter", "deep-nesting-argument", "deep-nesting-elem"])
 def test_exit_three_in_fresh_process(argv, tmp_path):
     code, out, err, _ = fresh_frobinv(*with_spec_file(argv, tmp_path))
     assert (code, out) == (3, "")
@@ -627,6 +643,36 @@ def test_bug_in_a_handler_is_not_bad_input(error, monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "hk", cmd._replace(handler=handler))
     with pytest.raises(error, match="a bug"):
         main(["hk", "corpus:node"])
+
+
+# A field symbol named w, which eliminations once took for their auxiliary
+# variable.  fsig needs a perfect field and mult a curve, so they run over
+# F_4 only; equimult needs a surface, so it runs over F_3(w) only.
+EXT_W_NODE = ("char 2; ext w^2 + w + 1; vars x y; rel x*y; ideal m = (x, y); "
+              "ideal i = (x^2, x*y); ideal p = (x); elem f = x + w*y; elem g = y;")
+PARAM_W_SURFACE = ("char 3; param w; vars x y z; rel x*y*(x + w*y); ideal m = (x, y, z); "
+                   "ideal i = (x^2, x*y*z); ideal p = (x, y); elem f = x + w*z; elem g = z;")
+
+
+@pytest.mark.parametrize("argv", [
+    ["colon", EXT_W_NODE, "i", "f"],
+    ["saturate", EXT_W_NODE, "i", "m"],
+    ["fsig", EXT_W_NODE, "--emax", "2"],
+    ["descent", EXT_W_NODE, "p", "g", "--emax", "2", "--nmax", "2"],
+    ["mult", EXT_W_NODE, "f"],
+    ["colon", PARAM_W_SURFACE, "i", "f"],
+    ["saturate", PARAM_W_SURFACE, "i", "m"],
+    ["equimult", PARAM_W_SURFACE, "p", "--emax", "2"],
+    ["descent", PARAM_W_SURFACE, "p", "g", "--emax", "2", "--nmax", "2"],
+], ids=["ext-colon", "ext-saturate", "ext-fsig", "ext-descent", "ext-mult",
+        "param-colon", "param-saturate", "param-equimult", "param-descent"])
+def test_field_symbol_named_w(argv, tmp_path):
+    # the same rows as the script with the symbol renamed a
+    renamed = [arg.replace("w", "a") if arg.startswith("char ") else arg for arg in argv]
+    code, out = run(*with_spec_file(argv, tmp_path), "--format", "csv")
+    code_a, out_a = run(*with_spec_file(renamed, tmp_path), "--format", "csv")
+    assert (code, code_a) == (0, 0)
+    assert out.replace("w", "a") == out_a
 
 
 def test_exit_three_on_infinite_colength(capsys):

@@ -654,7 +654,8 @@ def test_saturation_matches_colon_chain_random(name):
 
 
 def test_saturation_runs_one_elimination_per_generator(monkeypatch):
-    # eliminations run under block(1); the grevlex runs canonicalize results
+    # eliminations run under block(1), and their w-free part is already the
+    # reduced grevlex basis, so no grevlex run follows
     runs = []
     kernel = groebner._buchberger
 
@@ -668,6 +669,7 @@ def test_saturation_runs_one_elimination_per_generator(monkeypatch):
         runs.clear()
         saturate(I, J)
         assert runs.count("block") <= 2 * len(J.gens) - 1, name
+        assert "grevlex" not in runs, name
 
 
 def test_saturation_edge_cases():
@@ -677,3 +679,29 @@ def test_saturation_edge_cases():
         assert [str(g) for g in groebner_basis(saturate(I, J))] == ["1"]
     for J in (ideal(R, "1"), ideal(R, "y", "1")):
         assert ideal_equals(saturate(I, J), I)
+
+
+# An intersection or a saturation keeps the w-free part of its elimination's
+# reduced block(1) basis as its grevlex basis, with no second Buchberger run;
+# that basis must be the one a fresh Ideal on the same generators computes.
+BASIS_RINGS = {"F3": lambda: ring_make(F3, ("x", "y", "z")), "F3-quotient": _odd_a1,
+               "F4": lambda: ring_make(F4, ("x", "y", "z"))}
+
+
+@pytest.mark.parametrize("name", BASIS_RINGS)
+def test_eliminated_basis_is_the_reduced_basis(name):
+    R = BASIS_RINGS[name]()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_raw_polys(R.field, 2), min_size=1, max_size=3),
+           st.lists(_raw_polys(R.field, 2), min_size=1, max_size=2))
+    def check(I_terms, J_terms):
+        I = Ideal(R, [Polynomial(R, g) for g in I_terms])
+        J = Ideal(R, [Polynomial(R, g) for g in J_terms])
+        for K in (ideal_intersection(I, J), saturate(I, J)):
+            cached = K._basis_cache[GREVLEX.cache_key()]
+            fresh = groebner_basis(Ideal(R, list(K.gens)))
+            assert [list(g.terms.items()) for g in cached] == \
+                [list(g.terms.items()) for g in fresh]
+
+    check()

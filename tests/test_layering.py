@@ -109,6 +109,30 @@ def test_the_private_name_scan_sees_both_forms():
               "from frobinv.groebner import _eliminate\n"
               "from . import invariants, groebner as gb\n"
               "from . import __version__ as VERSION\n"
-              "invariants._sweep(cells, 2)\ngb._fresh_name(names)\n"
+              "invariants._sweep(cells, 2)\ngb._exact_div(num, den, F)\n"
               "invariants.__name__\nideal._basis_cache\nself._key\n")
     assert len(_private_reads(source)) == 4
+
+
+RING_BUILDERS = {"PresentedRing", "ring_make"}
+
+
+def _ring_builds(source):
+    """Calls that build a ring, bare or through a module."""
+    return ["line %d: call of %s(" % (node.lineno, sorted(_names(node.func) & RING_BUILDERS))
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and _names(node.func) & RING_BUILDERS]
+
+
+def test_the_kernel_builds_no_ring():
+    # eliminations build their generators as term dicts, so the auxiliary
+    # variable needs no ring and no name
+    with open(os.path.join(PKG, "groebner.py"), encoding="utf-8") as fh:
+        assert _ring_builds(fh.read()) == []
+
+
+def test_the_ring_scan_sees_each_builder():
+    source = ("PresentedRing(F, names)\npolyring.PresentedRing(F, names)\n"
+              "ring_make(F, names, rels)\npolyring.ring_make(F, names)\n"
+              "ring.ambient()\nIdeal(ring, gens)\nPolynomial(ring, terms)\n")
+    assert len(_ring_builds(source)) == 4
