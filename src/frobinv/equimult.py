@@ -215,10 +215,12 @@ def equimult_check(prime, c=None, e_max=3, tc_e_max=2):
     if tc_e_max < 1:
         raise EquimultError("equimult_check needs tc_e_max >= 1")
     ring = prime.ring
-    if groebner.ideal_dimension(prime) != 1:
-        raise EquimultError("equimultiplicity check needs dim R/p = 1")
     if isinstance(c, str):
         c = ring.parse(c)
+    if c is not None and c.is_zero():
+        raise EquimultError("tight-closure multiplier must be nonzero")
+    if groebner.ideal_dimension(prime) != 1:
+        raise EquimultError("equimultiplicity check needs dim R/p = 1")
     m = ring.origin_ideal()
     records = []
     status = "consistent"
@@ -280,6 +282,8 @@ def filtration_check(I, seq, c=None, tc_e_max=2):
     d = ring.dim
     if isinstance(c, str):
         c = ring.parse(c)
+    if c is not None and c.is_zero():
+        raise EquimultError("tight-closure multiplier must be nonzero")
     failures = []
     for idx, L in enumerate(seq, start=1):
         bracket = frobenius.frobenius_power(I, idx)

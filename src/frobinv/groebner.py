@@ -5,10 +5,10 @@ through a FieldSpec's raw ops, so the same code path serves F_p, F_{p^k},
 and rational-function coefficients.  Inside the kernel a monomial is one
 int (``_Packer``): a product is an add, divisibility is one subtract and
 one mask, and the monomial order is int comparison.  Tuples are converted
-at the boundary only, when a basis computation, normal form or exact
-division starts and ends.  The field width is chosen from the input's
-degrees with headroom; a product that sets a guard bit raises ``_Overflow``
-and the whole computation reruns at twice the width.
+at the boundary only, when a basis computation or normal form starts and
+ends.  The field width is chosen from the input's degrees with headroom; a
+product that sets a guard bit raises ``_Overflow`` and the whole
+computation reruns at twice the width.
 
 Reduction takes terms from the top down off a min-heap of negated packed
 monomials, next to the term dict; a monomial is pushed when it enters the
@@ -22,9 +22,10 @@ are popped off a heap, skipping those pruned since.
 
 Intersection, colon and saturation each eliminate one variable w, first under
 block(1), on term dicts: a generator is a pair (a, b) meaning a + w*b, so w
-needs no name.  The w-free part of the reduced block(1) basis is the reduced
-grevlex basis of the eliminated ideal, which intersections and saturations
-keep as their basis.  Saturation needs no chain of colons: I : J^infty is the
+needs no name.  The w-free entries of the loop's minimal block(1) basis are a
+minimal grevlex basis of the eliminated ideal; a colon divides them by f in
+the same packed run.  Only they are inter-reduced, and every result keeps
+that reduced basis.  Saturation needs no chain of colons: I : J^infty is the
 intersection over the generators g of J of the eliminations (I, 1 - w*g) cap R.
 
 The pair loop ends with a minimal monic basis, whose leads already are the
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations, count
 from operator import attrgetter
@@ -210,15 +211,12 @@ def _spoly(F, pk, lcm, f, g):
     return d, sugar
 
 
-def _buchberger(F, order, gen_dicts):
-    """Reduced monic basis (list of term dicts, ascending leading monomial)."""
-    def reduced(pk, basis):
-        # inter-reduce the minimal basis; the leads divide no other lead, so
-        # each entry keeps its monic lead and the ascending order
-        return [pk.unpack_terms(_reduce(F, pk, e.terms, [b for b in basis if b is not e],
-                                        True)[0])
-                for e in basis]
-    return _run_loop(F, order, gen_dicts, reduced)
+def _interreduce(F, pk, basis):
+    """The reduced basis (tuple term dicts) of a minimal monic one: the leads
+    divide no other lead, so each entry keeps its monic lead and the
+    ascending order."""
+    return [pk.unpack_terms(_reduce(F, pk, e.terms, [b for b in basis if b is not e], True)[0])
+            for e in basis]
 
 
 def _run_loop(F, order, gen_dicts, finish):
@@ -303,7 +301,8 @@ def groebner_basis(ideal, order=GREVLEX):
     cached = ideal._basis_cache.get(ck)
     if cached is None:
         ring = ideal.ring
-        raw = _buchberger(ring.field, order, _generator_dicts(ideal))
+        raw = _run_loop(ring.field, order, _generator_dicts(ideal),
+                        partial(_interreduce, ring.field))
         cached = tuple(Polynomial(ring, d) for d in raw)
         ideal._basis_cache[ck] = cached
     return list(cached)
@@ -365,10 +364,6 @@ class Staircase:
     """
     generators: tuple
     count: object  # big int, or None for infinite
-
-    @property
-    def is_finite(self):
-        return self.count is not None
 
 
 def minimalize_monomials(monos):
@@ -447,15 +442,24 @@ def ideal_dimension(ideal):
 # ---------------------------------------------------------------------------
 # intersection, colon, saturation
 
-def _eliminate(ring, parts):
-    """The elimination ideal (a + w*b for (a, b) in parts) cap R, each a and b
-    a term dict over R: the w-free part of its reduced block(1) basis, which
-    is its reduced grevlex basis, as Polynomials of ring."""
+def _eliminate(ring, parts, den=None):
+    """The reduced grevlex basis of E = (a + w*b for (a, b) in parts) cap R,
+    or of E / den, as Polynomials of ring; each a and b is a term dict over R.
+    The w-free entries of the minimal block(1) basis are a minimal basis of E.
+    For a colon E = f*(I : f), so LT(E) = lm(f)*LT(I : f) and their quotients
+    by f are a minimal basis of I : f.  Only that list is inter-reduced."""
+    F = ring.field
     gens = [{(0,) + m: c for m, c in a.items()} | {(1,) + m: c for m, c in b.items()}
             for a, b in parts]
-    raw = _buchberger(ring.field, MonomialOrder("block", 1), gens)
-    return [Polynomial(ring, {m[1:]: c for m, c in d.items()})
-            for d in raw if all(m[0] == 0 for m in d)]
+
+    def finish(pk, basis):
+        kept = [e for e in basis if not e.exps[0]]
+        if den is not None:
+            d = pk.pack_terms({(0,) + m: c for m, c in den.items()})
+            d = _make_monic(F, d, max(d))   # monic quotients of monic entries
+            kept = [_GEntry(q, max(q), 0) for q in (_exact_div(F, pk, e.terms, d) for e in kept)]
+        return [{m[1:]: c for m, c in t.items()} for t in _interreduce(F, pk, kept)]
+    return [Polynomial(ring, d) for d in _run_loop(F, MonomialOrder("block", 1), gens, finish)]
 
 
 def _neg(F, terms):
@@ -472,29 +476,26 @@ def ideal_intersection(I, J):
     return _with_basis(ring, _eliminate(ring, parts))
 
 
-def _exact_div(num_terms, den_terms, F):
-    """Quotient of a known multiple; raises if the division leaves a remainder."""
-    def run(pk):
-        guard = pk.guard
-        p = pk.pack_terms(num_terms)
-        den = pk.pack_terms(den_terms)
-        heap = [-m for m in p]
-        heapify(heap)
-        dl = max(den)
-        idc = F.inv(den[dl])
-        quo = {}
-        while heap:
-            t = -heappop(heap)
-            c = p.get(t)
-            if c is None:
-                continue
-            sh = t - dl
-            if sh & guard:
-                raise RingError("exact division left a remainder")
-            c = quo[sh] = F.mul(c, idc)
-            _submul(F, guard, p, heap, c, sh, den)
-        return pk.unpack_terms(quo)
-    return _packed(GREVLEX, len(next(iter(den_terms))), [num_terms, den_terms], run)
+def _exact_div(F, pk, num, den):
+    """num / den on packed term dicts, den monic; raises if the division
+    leaves a remainder."""
+    guard = pk.guard
+    p = dict(num)
+    heap = [-m for m in p]
+    heapify(heap)
+    dl = max(den)
+    quo = {}
+    while heap:
+        t = -heappop(heap)
+        c = p.get(t)
+        if c is None:
+            continue
+        sh = t - dl
+        if sh & guard:
+            raise RingError("exact division left a remainder")
+        quo[sh] = c
+        _submul(F, guard, p, heap, c, sh, den)
+    return quo
 
 
 def ideal_colon(I, f):
@@ -505,15 +506,13 @@ def ideal_colon(I, f):
     if f.is_zero():
         raise RingError("colon by the zero element")
     parts = [({}, g) for g in _generator_dicts(I)] + [(f.terms, _neg(ring.field, f.terms))]
-    quots = [Polynomial(ring, _exact_div(g.terms, f.terms, ring.field))
-             for g in _eliminate(ring, parts)]
-    return _canonicalize(Ideal(ring, quots))
+    return _with_basis(ring, _eliminate(ring, parts, f.terms))
 
 
 def _intersect_all(ring, ideals):
-    """Canonical intersection of the ideals; R when there are none."""
+    """Intersection of the ideals; R when there are none."""
     if not ideals:
-        return _canonicalize(Ideal(ring, [ring.one]))
+        return _with_basis(ring, [ring.one])
     return reduce(ideal_intersection, ideals)
 
 
@@ -540,8 +539,3 @@ def _with_basis(ring, basis):
     out = Ideal(ring, basis)
     out._basis_cache[GREVLEX.cache_key()] = tuple(basis)
     return out
-
-
-def _canonicalize(I):
-    """Rewrite an ideal on its reduced basis (deterministic generators)."""
-    return _with_basis(I.ring, groebner_basis(I))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyring import Ideal, ring_make
+from .polyring import Ideal, Polynomial, ring_make
 from . import InputError, groebner
 from . import frobenius
 
@@ -328,7 +328,7 @@ def assoc_check(ring, factors, e_max, jobs=1):
     prod = amb.one
     for f, a in parsed:
         prod = prod * f ** a
-    rel = amb.parse(str(ring.relations[0]))
+    rel = Polynomial(amb, ring.relations[0].terms)
     lead = rel.leading_coefficient()
     if prod * lead != rel * prod.leading_coefficient():
         raise InvariantError("factorization does not match the relation")
@@ -340,7 +340,7 @@ def assoc_check(ring, factors, e_max, jobs=1):
                 raise InvariantError("factors %d and %d share a component" % (i, j))
 
     ideals = [ring.origin_ideal()] + [
-        ring_make(ring.field, ring.varnames, relations=[str(f)]).origin_ideal()
+        ring_make(ring.field, ring.varnames, relations=[f]).origin_ideal()
         for f, _ in parsed]
     total, *components = [_hk_report(I, rows) for I, rows in
                           zip(ideals, hk_table(ideals, _fit_levels(e_max, "assoc_check"), jobs))]

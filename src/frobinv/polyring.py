@@ -469,9 +469,10 @@ def ideal_power(I, n):
 # polynomial parsing
 
 def parse_polynomial(ring, text):
-    """Parse +,-,*,^,() expressions over the ring's field and variables."""
-    field = ring.field
+    """Parse +,-,*,^,() expressions over the ring's variables and the
+    field's named constants (extension generator, parameter)."""
     var_index = {name: i for i, name in enumerate(ring.varnames)}
+    symbols = ring.field.symbols()
 
     def atom(tok):
         kind, val = tok
@@ -479,12 +480,9 @@ def parse_polynomial(ring, text):
             return ring.const(val)
         if val in var_index:
             return ring.var(var_index[val])
-        # fall back to field symbols (extension generator, parameter)
-        try:
-            from .coeff import field_make
-            return ring.const(field_make(field, val))
-        except FieldError:
-            raise RingError("unknown symbol %r in %r" % (val, text)) from None
+        if val in symbols:
+            return ring.const(symbols[val])
+        raise RingError("unknown symbol %r in %r" % (val, text))
 
     try:
         return ExprParser(tokenize(text), atom).parse()

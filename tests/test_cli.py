@@ -459,10 +459,14 @@ def with_spec_file(argv, tmp_path):
     # with and without a saturation candidate to probe
     ["equimult", A1_SPEC, "p", "--tc-emax", "0"],
     ["equimult", LINE_SPEC, "p", "--tc-emax", "0"],
+    # a zero multiplier, with and without a candidate that reaches it
+    ["equimult", A1_SPEC, "p", "--testel", "0"],
+    ["equimult", "corpus:brenner-monsky", "p", "--testel", "0"],
 ], ids=["descent-emax0", "descent-nmax0", "repro-bm-emax1", "hk-emax0", "hk-emax-2",
         "lech-emax0", "wy-emax0", "rigidity-emax0", "equimult-emax-1",
         "tc-member-emax0", "fclosure-member-emax-1", "hk-jobs0", "descent-jobs-3",
-        "equimult-a1-tc-emax0", "equimult-line-tc-emax0"])
+        "equimult-a1-tc-emax0", "equimult-line-tc-emax0", "equimult-a1-testel0",
+        "equimult-bm-testel0"])
 def test_exit_three_on_empty_grid(argv, tmp_path, capsys):
     argv = with_spec_file(argv, tmp_path)
     try:
@@ -477,6 +481,8 @@ def test_exit_three_on_empty_grid(argv, tmp_path, capsys):
         assert err.startswith("error: ")
     if "--tc-emax" in argv:
         assert err == "error: equimult_check needs tc_e_max >= 1\n"
+    if "--testel" in argv:
+        assert err == "error: tight-closure multiplier must be nonzero\n"
 
 
 def test_mult_has_no_depth_flag(capsys):

@@ -156,6 +156,16 @@ def test_equimult_rejects_wrong_dimension():
         equimult_check(ideal(R, "x"))
 
 
+def test_zero_multiplier_is_refused_before_any_work():
+    # the dimension test would refuse the plane x = 0 in 3-space first, and an
+    # empty filtration reaches no tc_membership
+    zero = "^tight-closure multiplier must be nonzero$"
+    with pytest.raises(EquimultError, match=zero):
+        equimult_check(ideal(ring_make(F2, ("x", "y", "z")), "x"), c="0")
+    with pytest.raises(EquimultError, match=zero):
+        filtration_check(ring_make(F2, ("x", "y")).origin_ideal(), [], c="0")
+
+
 # -- filtration hypotheses -----------------------------------------------------------
 
 

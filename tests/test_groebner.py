@@ -140,7 +140,7 @@ def test_staircase_matches_brute_force():
     R = ring2("x", "y", "z")
     I = ideal(R, "x^3", "y^2*z", "z^4", "x*y^5")
     sc = staircase(I)
-    assert sc.is_finite is False  # y-axis escapes
+    assert sc.count is None  # y-axis escapes
     J = ideal(R, "x^3", "y^4", "z^4", "x*y^2*z^2")
     n = colength(J)
     assert n == brute_count([(3, 0, 0), (0, 4, 0), (0, 0, 4), (1, 2, 2)],
@@ -653,23 +653,56 @@ def test_saturation_matches_colon_chain_random(name):
     check()
 
 
+def _count_pair_loops(monkeypatch):
+    """The order kind of every Buchberger pair loop run from now on."""
+    runs = []
+    kernel = groebner._run_loop
+
+    def counted(F, order, gens, finish):
+        runs.append(order.kind)
+        return kernel(F, order, gens, finish)
+
+    monkeypatch.setattr(groebner, "_run_loop", counted)
+    return runs
+
+
 def test_saturation_runs_one_elimination_per_generator(monkeypatch):
     # eliminations run under block(1), and their w-free part is already the
     # reduced grevlex basis, so no grevlex run follows
-    runs = []
-    kernel = groebner._buchberger
-
-    def counted(F, order, gens):
-        runs.append(order.kind)
-        return kernel(F, order, gens)
-
-    monkeypatch.setattr(groebner, "_buchberger", counted)
+    runs = _count_pair_loops(monkeypatch)
     for name in ("cone-m^[8]", "odd-a1-p^[3]", "brenner-monsky-p^[2]"):
         I, J = SATURATION_CASES[name]()
         runs.clear()
         saturate(I, J)
         assert runs.count("block") <= 2 * len(J.gens) - 1, name
         assert "grevlex" not in runs, name
+
+
+# Fedder colons m^[q] : f^(q-1) for f = xy + 2z^2 over F_3, and colons in
+# quotient rings
+def _f3_space():
+    return ring_make(F3, ("x", "y", "z"))
+
+
+COLON_LOOP_CASES = {
+    "fedder-q3": (_bracket(_f3_space, "xyz", 1), "(x*y+2*z^2)^2"),
+    "fedder-q9": (_bracket(_f3_space, "xyz", 2), "(x*y+2*z^2)^8"),
+    "odd-a1-p^[3]-by-z": (_bracket(_odd_a1, "xy", 1), "z"),
+    "brenner-monsky-p^[2]-by-x+y": (_bracket(_bm, "xyz", 1), "x+y"),
+}
+
+
+@pytest.mark.parametrize("name", COLON_LOOP_CASES)
+def test_colon_runs_one_pair_loop(monkeypatch, name):
+    # the quotients by f of the w-free entries are the colon's minimal basis,
+    # inter-reduced inside the elimination's run, so no grevlex run follows
+    build, f = COLON_LOOP_CASES[name]
+    I, _ = build()
+    runs = _count_pair_loops(monkeypatch)
+    K = ideal_colon(I, f)
+    assert runs == ["block"]
+    groebner_basis(K)
+    assert runs == ["block"]
 
 
 def test_saturation_edge_cases():
@@ -681,9 +714,10 @@ def test_saturation_edge_cases():
         assert ideal_equals(saturate(I, J), I)
 
 
-# An intersection or a saturation keeps the w-free part of its elimination's
-# reduced block(1) basis as its grevlex basis, with no second Buchberger run;
-# that basis must be the one a fresh Ideal on the same generators computes.
+# An intersection, a saturation or a colon keeps the reduced basis that its
+# one elimination finishes with as its grevlex basis, with no second
+# Buchberger run; that basis must be the one a fresh Ideal on the same
+# generators computes.
 BASIS_RINGS = {"F3": lambda: ring_make(F3, ("x", "y", "z")), "F3-quotient": _odd_a1,
                "F4": lambda: ring_make(F4, ("x", "y", "z"))}
 
@@ -698,7 +732,8 @@ def test_eliminated_basis_is_the_reduced_basis(name):
     def check(I_terms, J_terms):
         I = Ideal(R, [Polynomial(R, g) for g in I_terms])
         J = Ideal(R, [Polynomial(R, g) for g in J_terms])
-        for K in (ideal_intersection(I, J), saturate(I, J)):
+        f = Polynomial(R, J_terms[0])
+        for K in (ideal_intersection(I, J), saturate(I, J), ideal_colon(I, f)):
             cached = K._basis_cache[GREVLEX.cache_key()]
             fresh = groebner_basis(Ideal(R, list(K.gens)))
             assert [list(g.terms.items()) for g in cached] == \

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from frobinv.cli import parse_spec
 from frobinv.coeff import PrimeField
+from frobinv.corpus import corpus_text
 from frobinv.invariants import (
     InvariantError,
     affine_fit,
@@ -217,6 +219,13 @@ def test_fsig_whitney_umbrella_rate():
     for e, q, a, norm in rep.rows:
         assert Fraction(3, 10) <= Fraction(a, q) <= Fraction(7, 10)
         assert norm == Fraction(a, q * q)
+
+
+def test_fsig_odd_a1_rows_follow_the_closed_form():
+    # each row is a deep Fedder colon l(R/(m^[q] : f^(q-1))); on xy + 2z^2
+    # over F_3 it is a_e = (q^2 + 1)/2 at q = 3, 9, 27, 81
+    rep = fsig_function(parse_spec(corpus_text("a1-odd")).ring, 4)
+    assert [r[2] for r in rep.rows] == [5, 41, 365, 3281]
 
 
 # -- descent along a parameter ----------------------------------------------------
