@@ -34,9 +34,10 @@ input: a usage error, or any ``frobinv.InputError`` or ``OSError`` (syntax,
 unknown names, non-prime characteristic, infinite colengths, missing files).
 """
 
-# Only what every invocation runs is imported here.  A computing layer is
-# imported by the function that uses it, so that ``--version`` and a cache
-# hit load none of them.
+# Only what every invocation runs is imported here, and argparse builds only
+# the named command's subparser.  A computing layer is imported by the function
+# that uses it, so that ``--version`` and a cache hit load none of them; no
+# layer imports ``dataclasses`` (the report records are named tuples).
 import argparse
 import hashlib
 import json
@@ -323,11 +324,8 @@ def _cell(value):
 def _verdict_payload(v):
     if v is None:
         return None
-    return {
-        "status": v.status,
-        "e_bound": v.e_bound,
-        "multiplier": None if v.multiplier is None else str(v.multiplier),
-    }
+    return dict(v._asdict(),
+                multiplier=None if v.multiplier is None else str(v.multiplier))
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +472,8 @@ def cmd_equimult(doc, args, P):
                             for z, fv, tv in checked]])
     residuals = None
     if v.residuals is not None:
-        residuals = {"hs_factor": v.residuals.hs_factor,
-                     "rows": _rows(v.residuals.rows, (int, _S, _S, _S, _S)),
-                     "all_zero": v.residuals.all_zero}
+        residuals = dict(v.residuals._asdict(),
+                         rows=_rows(v.residuals.rows, (int, _S, _S, _S, _S)))
     payload = {"status": v.status,
                "witness": None if v.witness is None else
                {"e": v.witness[0], "element": str(v.witness[1])},
@@ -773,10 +770,13 @@ def _load_spec_text(source):
             return corpus.corpus_text(source[len("corpus:"):])
         except KeyError as exc:
             raise SpecError(str(exc.args[0])) from None
-    if source == "-":
-        return sys.stdin.read()
-    with open(source, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if source == "-":
+            return sys.stdin.read()
+        with open(source, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SpecError("spec %r is not UTF-8 text: %s" % (source, exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +792,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, "%s: error: %s\n" % (self.prog, message))
 
 
-def _build_parser():
+def _build_parser(argv=()):
+    """The parser with the subparser of the command argv[0] names; with every
+    one for help, --version, an unknown command or no arguments."""
     top = _Parser(
         prog="frobinv",
         description="Exact Frobenius invariants of positive-characteristic "
@@ -801,7 +803,8 @@ def _build_parser():
     top.add_argument("--version", action="version",
                      version="frobinv %s" % VERSION)
     sub = top.add_subparsers(dest="command", required=True, metavar="command")
-    for name, cmd in _COMMANDS.items():
+    named = {name: cmd for name, cmd in _COMMANDS.items() if name in argv[:1]}
+    for name, cmd in (named or _COMMANDS).items():
         p = sub.add_parser(name, help=cmd.help)
         for argname, _, _, kw in cmd.positionals:
             p.add_argument(argname, **kw)
@@ -867,7 +870,7 @@ def _run(args, out):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     try:
         return _run(args, sys.stdout)
     except (InputError, OSError) as exc:

@@ -21,8 +21,6 @@ builds, takes apart or classifies a payload: named constants come from
 a field's kind is its ``kind`` string.
 """
 
-from __future__ import annotations
-
 import operator
 
 from . import InputError

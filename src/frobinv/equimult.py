@@ -17,9 +17,7 @@ multiplier used and the warranties (test element, formal unmixedness) it is
 conditional on.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .coeff import (PrimeField, ExtensionField, RationalFunctionField,
@@ -36,14 +34,16 @@ class EquimultError(InputError):
 # ---------------------------------------------------------------------------
 # fiber presentation
 
-@dataclass
-class FiberPresentation:
-    """R localized at a prime p with R/p = k[t], presented over k(t)."""
-    ring: object          # the original presented ring
-    prime: object         # the prime ideal p
-    t_index: int          # index of the distinguished variable in ring
-    t_name: str
-    fiber_ring: object    # same relations over k(t), t moved to coefficients
+class FiberPresentation(namedtuple("FiberPresentation",
+                                   "ring prime t_index t_name fiber_ring")):
+    """R localized at a prime p with R/p = k[t], presented over k(t).
+
+    ring is the original presented ring and prime the prime ideal p; t_index
+    is the index of the distinguished variable t in ring and t_name its name,
+    and fiber_ring has the same relations over k(t), with t moved to the
+    coefficients.
+    """
+    __slots__ = ()
 
     def map_poly(self, f):
         """Push a polynomial of R into the fiber ring."""
@@ -109,8 +109,8 @@ def fiber_presentation(prime, t_name=None):
     K = RationalFunctionField(ring.field, name)
     varnames = ring.varnames[:j] + ring.varnames[j + 1:]
     fp = FiberPresentation(ring, prime, j, name, ring_make(K, varnames))
-    fp.fiber_ring = ring_make(K, varnames, relations=[fp.map_poly(r) for r in ring.relations])
-    return fp
+    return fp._replace(fiber_ring=ring_make(
+        K, varnames, relations=[fp.map_poly(r) for r in ring.relations]))
 
 
 def localized_hk(prime, e, fiber=None):
@@ -131,11 +131,11 @@ def localized_hk_report(prime, e_max, fiber=None, jobs=1):
 # ---------------------------------------------------------------------------
 # colength identity, rigidity
 
-@dataclass
-class ColengthIdentityReport:
-    hs_factor: int      # e(x on R/p)
-    rows: list          # (e, q, l(R/(p^[q]+xR)), hs_factor * l_fiber, residual)
-    all_zero: bool
+class ColengthIdentityReport(namedtuple("ColengthIdentityReport",
+                                        "hs_factor rows all_zero")):
+    """hs_factor: e(x on R/p); rows:
+    (e, q, l(R/(p^[q]+xR)), hs_factor * l_fiber, residual)."""
+    __slots__ = ()
 
 
 def colength_identity_check(prime, x, e_max, fiber=None):
@@ -162,10 +162,9 @@ def colength_identity_check(prime, x, e_max, fiber=None):
     return ColengthIdentityReport(hs, rows, all(r[4] == 0 for r in rows))
 
 
-@dataclass
-class RigidityReport:
-    rows: list          # (e, q, l(R/m^[q]), q^{dim R/p} * l_fiber, ok)
-    all_pass: bool
+class RigidityReport(namedtuple("RigidityReport", "rows all_pass")):
+    """rows: (e, q, l(R/m^[q]), q^{dim R/p} * l_fiber, ok)."""
+    __slots__ = ()
 
 
 def rigidity_check(prime, e_max, fiber=None):
@@ -191,13 +190,13 @@ def rigidity_check(prime, e_max, fiber=None):
 # ---------------------------------------------------------------------------
 # the equimultiplicity necessary condition
 
-@dataclass
-class EquimultVerdict:
-    status: str            # consistent | violates-necessary-condition | inconclusive
-    witness: object        # (e, polynomial) for a violation, else None
-    records: list          # (e, [(z, fclosure verdict, tc verdict), ...])
-    residuals: object      # ColengthIdentityReport or None
-    warranty: str
+class EquimultVerdict(namedtuple("EquimultVerdict",
+                                 "status witness records residuals warranty")):
+    """status: consistent | violates-necessary-condition | inconclusive;
+    witness: (e, polynomial) for a violation, else None; records:
+    (e, [(z, fclosure verdict, tc verdict), ...]); residuals: a
+    ColengthIdentityReport or None."""
+    __slots__ = ()
 
 
 def equimult_check(prime, c=None, e_max=3, tc_e_max=2):
@@ -260,13 +259,12 @@ def equimult_check(prime, c=None, e_max=3, tc_e_max=2):
 # ---------------------------------------------------------------------------
 # filtration hypotheses
 
-@dataclass
-class FiltrationReport:
-    hypotheses_ok: bool
-    failures: list       # strings describing failed containments
-    rows: list           # (e, q, norm l(R/L_e), norm l(R/I^[q]), gap)
-    trends_match: bool
-    spot_checks: list    # (e, generator, ClosureVerdict) when c supplied
+class FiltrationReport(namedtuple("FiltrationReport", "hypotheses_ok failures rows "
+                                  "trends_match spot_checks")):
+    """failures: strings describing failed containments; rows:
+    (e, q, norm l(R/L_e), norm l(R/I^[q]), gap); spot_checks:
+    (e, generator, ClosureVerdict) when c is supplied."""
+    __slots__ = ()
 
 
 def filtration_check(I, seq, c=None, tc_e_max=2):
@@ -329,11 +327,9 @@ def quartic_ring(alpha):
     return ring_make(K, ("x", "y", "z"), relations=[rel])
 
 
-@dataclass
-class MonskyRepro:
-    report: object       # HKReport
-    target: Fraction
-    within: Fraction     # |estimate - target|
+class MonskyRepro(namedtuple("MonskyRepro", "report target within")):
+    """report: the HKReport; within: |estimate - target|."""
+    __slots__ = ()
 
 
 def monsky_repro(alpha_spec, e_max, lam_modulus=(1, 1, 1), jobs=1):
@@ -386,11 +382,10 @@ def bm_maximal_ideal(ring, alpha):
                         t - ring.const(alpha)])
 
 
-@dataclass
-class BMGapReport:
-    fiber_rows: list     # (e, q, l_fiber, Fraction l_fiber/q^2)
-    alpha_rows: dict     # alpha string -> [(e, q, l, Fraction l/q^3, gap)]
-    min_gap: Fraction
+class BMGapReport(namedtuple("BMGapReport", "fiber_rows alpha_rows min_gap")):
+    """fiber_rows: (e, q, l_fiber, Fraction l_fiber/q^2); alpha_rows:
+    alpha string -> [(e, q, l, Fraction l/q^3, gap)]."""
+    __slots__ = ()
 
 
 def bm_gap_table(alphas, e_min=2, e_max=4, field=None, jobs=1):
@@ -415,11 +410,10 @@ def bm_gap_table(alphas, e_min=2, e_max=4, field=None, jobs=1):
     return BMGapReport(fiber_rows, alpha_rows, min_gap)
 
 
-@dataclass
-class SpecializationReport:
-    relation_match: bool
-    rows: list           # (e, q, l_specialized, l_direct, equal)
-    all_equal: bool
+class SpecializationReport(namedtuple("SpecializationReport",
+                                      "relation_match rows all_equal")):
+    """rows: (e, q, l_specialized, l_direct, equal)."""
+    __slots__ = ()
 
 
 def specialization_consistency(alpha, e_max, field=None):
@@ -445,11 +439,9 @@ def specialization_consistency(alpha, e_max, field=None):
 # ---------------------------------------------------------------------------
 # the Watanabe-Yoshida style comparison
 
-@dataclass
-class WYReport:
-    rows: list           # (e, q, lhs, rhs, ok)
-    derived: tuple       # (p^d, l(R/m^[p]), ok)
-    all_pass: bool
+class WYReport(namedtuple("WYReport", "rows derived all_pass")):
+    """rows: (e, q, lhs, rhs, ok); derived: (p^d, l(R/m^[p]), ok)."""
+    __slots__ = ()
 
 
 def wy_inequality_check(I, e_max):

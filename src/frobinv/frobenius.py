@@ -10,9 +10,7 @@ certificate only when the caller warrants that c is a genuine test element.
 Verdicts therefore record the multiplier and the exponent range tested.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .polyring import Polynomial, Ideal, GREVLEX
 from . import InputError, groebner
@@ -27,8 +25,8 @@ WARRANTY = ("conditional on the supplied multiplier being a test element "
             "and the ring being formally unmixed; neither is verified")
 
 
-@dataclass
-class ClosureVerdict:
+class ClosureVerdict(namedtuple("ClosureVerdict", "status e_bound multiplier",
+                                defaults=(None,))):
     """Outcome of a closure-membership semidecision.
 
     status is one of:
@@ -41,10 +39,10 @@ class ClosureVerdict:
                             test element.
       non-member-up-to   -- no stage e <= e_bound certified membership
                             (Frobenius closure); larger e could still work.
+
+    multiplier is the tight-closure multiplier c, or None (Frobenius closure).
     """
-    status: str
-    e_bound: int
-    multiplier: object = None
+    __slots__ = ()
 
     def is_membership_evidence(self):
         return self.status in ("definitive-member", "member-up-to")
@@ -139,10 +137,10 @@ def splitting_ideal(ring, e):
     return Ideal(ring, [Polynomial(ring, g.terms) for g in colon.gens])
 
 
-@dataclass
-class SplittingIdealSeq:
-    """Splitting ideals I_e with their colength proxies a_e = l(R/I_e)."""
-    entries: list     # (e, I_e, a_e)
+class SplittingIdealSeq(namedtuple("SplittingIdealSeq", "entries")):
+    """Splitting ideals I_e with their colength proxies a_e = l(R/I_e):
+    entries are (e, I_e, a_e)."""
+    __slots__ = ()
 
 
 def splitting_sequence(ring, e_max):

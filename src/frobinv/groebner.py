@@ -38,10 +38,8 @@ coordinate-by-coordinate lattice sweep over the minimal generators; it
 returns an exact big integer, or None when the staircase is infinite.
 """
 
-from __future__ import annotations
-
 from bisect import insort
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations, count
@@ -355,15 +353,14 @@ def ideal_contains(I, J):
 # ---------------------------------------------------------------------------
 # staircases, colengths, dimension
 
-@dataclass
-class Staircase:
+class Staircase(namedtuple("Staircase", "generators count")):
     """Minimal leading monomials of an ideal and the standard-monomial count.
 
-    count is None exactly when the quotient is infinite-dimensional, i.e.
-    when some variable has no pure power among the generators.
+    count is a big int, or None exactly when the quotient is
+    infinite-dimensional, i.e. when some variable has no pure power among the
+    generators.  The field shadows ``tuple.count``.
     """
-    generators: tuple
-    count: object  # big int, or None for infinite
+    __slots__ = ()
 
 
 def minimalize_monomials(monos):

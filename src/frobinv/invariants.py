@@ -10,9 +10,7 @@ reporting convenience -- rows always travel with it, and the error band is
 max(|fit - last row|, last Cauchy difference).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .polyring import Ideal, Polynomial, ring_make
@@ -27,54 +25,46 @@ class InvariantError(InputError):
 # ---------------------------------------------------------------------------
 # report types
 
-@dataclass
-class HKReport:
-    rows: list          # (e, q, length, Fraction(length, q^d))
-    dim: int
-    estimate: Fraction
-    method: str
-    error_band: Fraction
-    cauchy: list        # |row_{e+1} - row_e| of normalized values
+class HKReport(namedtuple("HKReport", "rows dim estimate method error_band cauchy")):
+    """Hilbert-Kunz rows with their limit estimate.
+
+    rows: (e, q, length, Fraction(length, q^d)); cauchy: |row_{e+1} - row_e|
+    of the normalized values.
+    """
+    __slots__ = ()
 
 
-@dataclass
-class FSigReport:
-    rows: list          # (e, q, a_e, Fraction(a_e, q^d))
-    dim: int
-    estimate: Fraction
-    error_band: Fraction
+class FSigReport(namedtuple("FSigReport", "rows dim estimate error_band")):
+    """F-signature rows (e, q, a_e, Fraction(a_e, q^d)) with their estimate."""
+    __slots__ = ()
 
 
-@dataclass
-class HSResult:
-    multiplicity: int
-    cm_defect: int
-    lengths: list       # l(S/x^n) for n = 1 up to the certified stop
+class HSResult(namedtuple("HSResult", "multiplicity cm_defect lengths")):
+    """Hilbert-Samuel multiplicity; lengths: l(S/x^n) for n = 1 up to the
+    certified stop."""
+    __slots__ = ()
 
 
-@dataclass
-class DescentReport:
-    dim: int
-    table: dict         # (n, e) -> Fraction(l(R/(p^[q], x^{nq})), n q^d)
-    per_n_estimates: dict
-    monotone_in_n: bool
-    prediction: object  # Fraction or None: e(x on R/p) * fiber estimate
-    hs_factor: int      # e(x on R/p)
+class DescentReport(namedtuple("DescentReport", "dim table per_n_estimates "
+                               "monotone_in_n prediction hs_factor")):
+    """The descent table (n, e) -> Fraction(l(R/(p^[q], x^{nq})), n q^d).
+
+    prediction: e(x on R/p) * fiber estimate, a Fraction, or None;
+    hs_factor: e(x on R/p).
+    """
+    __slots__ = ()
 
 
-@dataclass
-class LechReport:
-    rows: list          # (e, lhs, rhs, ok)
-    ok: bool
+class LechReport(namedtuple("LechReport", "rows ok")):
+    """Lech-type rows (e, lhs, rhs, ok)."""
+    __slots__ = ()
 
 
-@dataclass
-class AssocReport:
-    factors: list
-    rows: list          # (e, q, lhs_norm, rhs_norm, |lhs - rhs|)
-    components: list    # HKReport per reduced factor
-    lhs_estimate: Fraction
-    rhs_estimate: Fraction
+class AssocReport(namedtuple("AssocReport", "factors rows components "
+                             "lhs_estimate rhs_estimate")):
+    """Associativity rows (e, q, lhs_norm, rhs_norm, |lhs - rhs|);
+    components: an HKReport per reduced factor."""
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

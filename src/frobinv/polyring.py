@@ -12,8 +12,6 @@ public encoding: the Buchberger kernel in groebner packs them into ints for
 the length of one computation and hands tuples back.
 """
 
-from __future__ import annotations
-
 from . import InputError
 from .coeff import FieldElement, FieldError, tokenize, ExprParser
 

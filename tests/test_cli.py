@@ -1,6 +1,7 @@
 """Command-line surface: spec parsing with positions, report envelopes,
 formats, exit codes, caching, and determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -327,6 +328,15 @@ def test_spec_from_stdin(monkeypatch):
     assert env["payload"]["rows"][0][2] == "6"
 
 
+def test_non_utf8_stdin_is_bad_input(monkeypatch, capsys):
+    # stdin decoded strictly, as it is outside Python's UTF-8 mode
+    raw = io.BytesIO(A1_PRIME_SPEC.encode("utf-8") + b"\n# \xff\n")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, encoding="utf-8"))
+    assert main(["hk", "-"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: spec '-' is not UTF-8 text: ") and err.count("\n") == 1
+
+
 def test_unknown_corpus_lists_names(capsys):
     code = main(["hk", "corpus:nope"])
     err = capsys.readouterr().err
@@ -393,6 +403,38 @@ def test_exit_three_on_foreign_flag():
     assert err.value.code == 3
 
 
+def _parse(parser, argv, capsys):
+    """(namespace or exit code, stdout, stderr) of one parse."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+def _subcommands(parser):
+    sub, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h", "hk"], ["--version"], [], ["fsig", "--help"], ["nosuch"],
+    ["hk", "corpus:node", "--bogus"], ["hk"],
+    ["colon", "corpus:node", "m", "x", "--order", "lex"],
+], ids=["help", "h-hk", "version", "empty", "fsig-help", "unknown", "bogus-flag",
+        "missing-spec", "colon-lex"])
+def test_one_subparser_parses_and_prints_as_all(argv, capsys):
+    # a named command builds its subparser alone; every text, exit code and
+    # namespace stays that of the parser with every subparser
+    full = _parse(cli._build_parser(), argv, capsys)
+    assert _parse(cli._build_parser(argv), argv, capsys) == full
+    assert full[1] or full[2] or isinstance(full[0], dict)
+    named = argv[0] if argv and argv[0] in cli._COMMANDS else None
+    assert _subcommands(cli._build_parser(argv)) == (
+        [named] if named else list(cli._COMMANDS))
+
+
 def test_exit_three_on_bad_spec(capsys):
     code = main(["hk", "corpus:regular-p2-d2", "nosuchideal"])
     assert code == 3
@@ -434,11 +476,13 @@ LINE_SPEC = "char 2; vars x y; ideal p = (x);"
 
 
 def with_spec_file(argv, tmp_path):
-    """argv with a ring script in the spec position written to a file."""
-    if len(argv) < 2 or not argv[1].startswith("char "):
+    """argv with a ring script (text, or raw bytes) in the spec position
+    written to a file."""
+    spec = argv[1] if len(argv) > 1 else ""
+    if spec[:5] not in ("char ", b"char "):
         return argv
     path = tmp_path / "spec.ring"
-    path.write_text(argv[1], encoding="utf-8")
+    path.write_bytes(spec if isinstance(spec, bytes) else spec.encode("utf-8"))
     return [argv[0], str(path)] + argv[2:]
 
 
@@ -559,9 +603,9 @@ runpy.run_module("frobinv", run_name="__main__", alter_sys=True)
 """
 
 
-def fresh_frobinv(*argv):
+def fresh_modules(*argv):
     """The frobinv command in a fresh interpreter.  Returns the exit code,
-    stdout, the other stderr lines and the computing layers it imported."""
+    stdout, the other stderr lines and the modules it imported."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("FROBINV_CACHE", None)
@@ -570,8 +614,14 @@ def fresh_frobinv(*argv):
     err = proc.stderr.splitlines()
     imported = err.pop().split()
     assert imported[0] == "modules:"
-    layers = {m for m in LAYERS if "frobinv." + m in imported}
-    return proc.returncode, proc.stdout, err, layers
+    return proc.returncode, proc.stdout, err, set(imported[1:])
+
+
+def fresh_frobinv(*argv):
+    """As fresh_modules, with the computing layers imported in place of
+    every module."""
+    code, out, err, imported = fresh_modules(*argv)
+    return code, out, err, {m for m in LAYERS if "frobinv." + m in imported}
 
 
 def test_version_loads_no_layer():
@@ -597,6 +647,20 @@ def test_colon_loads_only_its_layers():
     assert json.loads(out)["timing"]["cache"] == "off"
     assert "groebner" in layers
     assert not layers & {"invariants", "equimult"}
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["equimult", "corpus:brenner-monsky", "p"], LAYERS),
+    (["fsig", "corpus:node"], {"coeff", "polyring", "groebner", "frobenius", "invariants"}),
+], ids=["equimult", "fsig"])
+def test_commands_load_neither_dataclasses_nor_inspect(argv, layers):
+    # the report records are named tuples: dataclasses would pull in inspect,
+    # ast and dis, a tenth of a fresh command's start-up
+    code, out, _, imported = fresh_modules(*argv)
+    assert code == 0
+    assert json.loads(out)["command"] == argv[0]
+    assert {m for m in LAYERS if "frobinv." + m in imported} == layers
+    assert not imported & {"dataclasses", "inspect"}
 
 
 def test_tc_member_loads_neither_invariants_nor_equimult():
@@ -629,9 +693,11 @@ DEEP = "(" * 400 + "x" + ")" * 400   # deeper than the parser's recursion
     ["descent", "corpus:brenner-monsky", "p", "1+t", "--emax", "1", "--nmax", "1"],
     ["mult", "corpus:node", DEEP],
     ["mult", "char 2; vars x y; rel x*y; ideal m = (x, y); elem f = %s;" % DEEP, "f"],
+    ["hk", b"char 2;\nvars x y;\nideal m = (x, y);\n# \xff\n"],
 ], ids=["unknown-corpus", "missing-file", "nonprime-char", "infinite-colength",
         "divide-by-zero", "mult-unit-parameter", "mult-constant-parameter",
-        "descent-unit-parameter", "deep-nesting-argument", "deep-nesting-elem"])
+        "descent-unit-parameter", "deep-nesting-argument", "deep-nesting-elem",
+        "non-utf8-file"])
 def test_exit_three_in_fresh_process(argv, tmp_path):
     code, out, err, _ = fresh_frobinv(*with_spec_file(argv, tmp_path))
     assert (code, out) == (3, "")

@@ -97,3 +97,59 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
             "tracing.install(tracing.Tracer(%r))" % (os.path.join(ROOT, "bench"), str(tmp_path)))
     proc = fresh_python(code)
     assert proc.returncode == 0, proc.stderr
+
+
+# Every report record with its fields in order.  The records are named
+# tuples, so a field's position is part of the public interface.
+RECORDS = {
+    "frobenius.ClosureVerdict": ("status", "e_bound", "multiplier"),
+    "frobenius.SplittingIdealSeq": ("entries",),
+    "groebner.Staircase": ("generators", "count"),
+    "invariants.HKReport": ("rows", "dim", "estimate", "method", "error_band", "cauchy"),
+    "invariants.FSigReport": ("rows", "dim", "estimate", "error_band"),
+    "invariants.HSResult": ("multiplicity", "cm_defect", "lengths"),
+    "invariants.DescentReport": ("dim", "table", "per_n_estimates", "monotone_in_n",
+                                 "prediction", "hs_factor"),
+    "invariants.LechReport": ("rows", "ok"),
+    "invariants.AssocReport": ("factors", "rows", "components", "lhs_estimate",
+                               "rhs_estimate"),
+    "equimult.FiberPresentation": ("ring", "prime", "t_index", "t_name", "fiber_ring"),
+    "equimult.ColengthIdentityReport": ("hs_factor", "rows", "all_zero"),
+    "equimult.RigidityReport": ("rows", "all_pass"),
+    "equimult.EquimultVerdict": ("status", "witness", "records", "residuals", "warranty"),
+    "equimult.FiltrationReport": ("hypotheses_ok", "failures", "rows", "trends_match",
+                                  "spot_checks"),
+    "equimult.MonskyRepro": ("report", "target", "within"),
+    "equimult.BMGapReport": ("fiber_rows", "alpha_rows", "min_gap"),
+    "equimult.SpecializationReport": ("relation_match", "rows", "all_equal"),
+    "equimult.WYReport": ("rows", "derived", "all_pass"),
+}
+
+
+def test_every_exported_report_is_pinned():
+    reports = {name for name in frobinv._EXPORTS
+               if name.endswith(("Report", "Verdict", "Result", "Repro", "Presentation"))}
+    assert reports <= {path.split(".")[1] for path in RECORDS}
+
+
+@pytest.mark.parametrize("path", sorted(RECORDS))
+def test_report_record_fields(path):
+    layer, name = path.split(".")
+    cls = getattr(importlib.import_module("frobinv." + layer), name)
+    fields = RECORDS[path]
+    assert cls._fields == fields
+    rec = cls(**{f: i for i, f in enumerate(fields)})
+    assert [getattr(rec, f) for f in fields] == list(range(len(fields)))
+    assert repr(rec) == "%s(%s)" % (name, ", ".join(
+        "%s=%d" % (f, i) for i, f in enumerate(fields)))
+    assert cls._field_defaults == ({"multiplier": None} if name == "ClosureVerdict" else {})
+    with pytest.raises(AttributeError):
+        setattr(rec, fields[0], None)   # immutable, and no __dict__ to add to
+    with pytest.raises(AttributeError):
+        rec.extra = None
+
+
+def test_closure_verdict_multiplier_defaults_to_none():
+    v = frobinv.ClosureVerdict("non-member-up-to", 2)
+    assert (v.status, v.e_bound, v.multiplier) == ("non-member-up-to", 2, None)
+    assert v.is_membership_evidence() is False

@@ -136,3 +136,33 @@ def test_the_ring_scan_sees_each_builder():
               "ring_make(F, names, rels)\npolyring.ring_make(F, names)\n"
               "ring.ambient()\nIdeal(ring, gens)\nPolynomial(ring, terms)\n")
     assert len(_ring_builds(source)) == 4
+
+
+def _dataclass_imports(source):
+    """Imports of the stdlib ``dataclasses`` module, in either form."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if "dataclasses" in names:
+            out.append("line %d: import of dataclasses" % node.lineno)
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(m + ".py" for m in SIBLINGS))
+def test_no_module_imports_dataclasses(module):
+    # the report records are named tuples: importing dataclasses pulls in
+    # inspect, ast and dis, which every fresh frobinv command would pay for
+    with open(os.path.join(PKG, module), encoding="utf-8") as fh:
+        assert _dataclass_imports(fh.read()) == []
+
+
+def test_the_dataclass_scan_sees_both_forms():
+    source = ("import dataclasses\nfrom dataclasses import dataclass, field\n"
+              "import os, dataclasses as dc\nfrom .dataclasses import x\n"
+              "import dataclasses_json\nfrom collections import namedtuple\n")
+    assert len(_dataclass_imports(source)) == 3
