@@ -47,7 +47,7 @@ _LAYERS = {
                  "staircase_dimension"),
     "frobenius": ("ClosureVerdict", "FrobeniusError",
                   "frobenius_closure_membership", "frobenius_power",
-                  "jacobian_candidate", "power_normal_form", "splitting_ideal",
+                  "jacobian_candidate", "splitting_ideal", "splitting_number",
                   "splitting_sequence", "tc_membership"),
     "invariants": ("AssocReport", "DescentReport", "FSigReport", "HKReport",
                    "HSResult", "InvariantError", "LechReport", "assoc_check",

@@ -772,7 +772,8 @@ def _load_spec_text(source):
             raise SpecError(str(exc.args[0])) from None
     try:
         if source == "-":
-            return sys.stdin.read()
+            # strictly, as a file: UTF-8 mode would let a bad byte through
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(source, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:

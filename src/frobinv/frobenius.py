@@ -2,7 +2,9 @@
 
 Bracket powers I^{[p^e]}, membership semidecisions for tight closure and
 Frobenius closure, Fedder-style splitting ideals for hypersurfaces, and
-Jacobian-derived candidate test elements.
+Jacobian-derived candidate test elements.  Fedder's splitting numbers a_e are
+ranks on S/m^{[q]}: q^n - l(S/(m^{[q]}, f^(q-1))), one colength in the ambient
+ring, with f^(q-1) formed by truncated Frobenius products.
 
 Tight closure is checked as the finite-stage criterion c*z^{p^e} in I^{[p^e]}
 for e = 1..e_max.  A run of passes is evidence, not proof; a failure is a
@@ -55,23 +57,6 @@ def frobenius_power(I, e):
     return Ideal(I.ring, [g.frobenius_power(e) for g in I.gens])
 
 
-def power_normal_form(f, n, modulus):
-    """Normal form of f^n modulo an ideal.
-
-    With n = sum d_i p^i in base p, f^n = prod_i (f^(d_i))^(p^i): each factor
-    is exact by Frobenius twisting, and the running product is reduced after
-    every multiplication.
-    """
-    result = groebner.normal_form(f.ring.one, modulus)
-    i = 0
-    while n:
-        n, d = divmod(n, f.ring.field.p)
-        if d:
-            result = groebner.normal_form(result * (f ** d).frobenius_power(i), modulus)
-        i += 1
-    return result
-
-
 def tc_membership(z, I, c, e_max):
     """Stage-by-stage tight-closure test: c*z^{p^e} in I^{[p^e]}, e <= e_max."""
     if e_max < 1:
@@ -106,11 +91,30 @@ def frobenius_closure_membership(z, I, e_max):
     return ClosureVerdict("non-member-up-to", e_max)
 
 
-def _check_splitting_ring(ring):
+def _check_splitting_ring(ring, e):
     if len(ring.relations) > 1:
         raise FrobeniusError("splitting ideals need a hypersurface or regular ring")
     if ring.field.kind == "rational-function":
         raise FrobeniusError("splitting ideals need a perfect coefficient field")
+    if e < 1:
+        raise FrobeniusError("splitting ideals start at e = 1")
+
+
+def _fedder_power(ring, e):
+    """f^(q-1) modulo m^{[q]} in the ambient ring S, q = p^e; 1 when R = S.
+
+    Every base-p digit of q - 1 is p - 1, so f^(q-1) = prod_{i<e} (f^(p-1))^{[p^i]}.
+    A normal form modulo the monomial ideal m^{[q]} drops each term with an
+    exponent >= q, and dropping commutes with products: each partial product
+    is cut as it is formed, the sparse high Frobenius twists first.
+    """
+    amb, p, q = ring.ambient(), ring.field.p, ring.field.p ** e
+    h = Polynomial(amb, ring.relations[0].terms) ** (p - 1) if ring.relations else amb.one
+    g = amb.one
+    for i in reversed(range(e)):
+        g = g * h.frobenius_power(i)
+        g = Polynomial(amb, {m: c for m, c in g.terms.items() if max(m) < q})
+    return g
 
 
 def splitting_ideal(ring, e):
@@ -119,22 +123,29 @@ def splitting_ideal(ring, e):
     Regular ambient ring: I_e = m^{[p^e]}.  Hypersurface S/(f): the image in
     the quotient of the colon (m_S^{[p^e]} :_S f^{p^e - 1}), computed in the
     ambient polynomial ring S.  Its colength in the quotient counts the free
-    splittings a_e of F_*^e R.
+    splittings a_e of F_*^e R (``splitting_number``).
     """
-    _check_splitting_ring(ring)
-    if e < 1:
-        raise FrobeniusError("splitting ideals start at e = 1")
+    _check_splitting_ring(ring, e)
     if not ring.relations:
         return frobenius_power(ring.origin_ideal(), e)
-    amb = ring.ambient()
-    mq_amb = frobenius_power(amb.origin_ideal(), e)
-    f_amb = Polynomial(amb, ring.relations[0].terms)
-    fq1 = power_normal_form(f_amb, ring.field.p ** e - 1, mq_amb)
-    if fq1.is_zero():
+    g = _fedder_power(ring, e)
+    if g.is_zero():
         # f^{p^e-1} already fell into m^{[p^e]}: nothing splits at this level
         return Ideal(ring, [ring.one])
-    colon = groebner.ideal_colon(mq_amb, fq1)
-    return Ideal(ring, [Polynomial(ring, g.terms) for g in colon.gens])
+    colon = groebner.ideal_colon(frobenius_power(ring.ambient().origin_ideal(), e), g)
+    return Ideal(ring, [Polynomial(ring, b.terms) for b in colon.gens])
+
+
+def splitting_number(ring, e):
+    """Fedder's a_e = l(R/I_e) = l(S/(m^{[q]} : g)), g = f^(q-1): the rank of
+    multiplication by g on S/m^{[q]}, whose cokernel is S/(m^{[q]}, g).  So
+    a_e = q^n - l(S/(m^{[q]}, g)); a regular ring (g = 1) gives q^n.
+    """
+    _check_splitting_ring(ring, e)
+    amb = ring.ambient()
+    mq = frobenius_power(amb.origin_ideal(), e)
+    rest = groebner.colength(Ideal(amb, mq.gens + (_fedder_power(ring, e),)))
+    return (ring.field.p ** e) ** ring.nvars - rest
 
 
 class SplittingIdealSeq(namedtuple("SplittingIdealSeq", "entries")):
@@ -144,12 +155,8 @@ class SplittingIdealSeq(namedtuple("SplittingIdealSeq", "entries")):
 
 
 def splitting_sequence(ring, e_max):
-    _check_splitting_ring(ring)
-    entries = []
-    for e in range(1, e_max + 1):
-        Ie = splitting_ideal(ring, e)
-        entries.append((e, Ie, groebner.colength(Ie)))
-    return SplittingIdealSeq(entries)
+    return SplittingIdealSeq([(e, splitting_ideal(ring, e), splitting_number(ring, e))
+                              for e in range(1, e_max + 1)])
 
 
 def jacobian_candidate(ring):

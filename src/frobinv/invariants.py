@@ -225,10 +225,10 @@ def fsig_function(ring, e_max):
         raise InvariantError("fsig_function needs e_max >= 1")
     d = ring.dim
     p = ring.field.p
-    seq = frobenius.splitting_sequence(ring, e_max)
     rows = []
-    for e, _, a in seq.entries:
+    for e in range(1, e_max + 1):
         q = p ** e
+        a = frobenius.splitting_number(ring, e)
         rows.append((e, q, a, Fraction(a, q ** d)))
     est = rows[-1][3]
     band = abs(rows[-1][3] - rows[-2][3]) if len(rows) >= 2 else Fraction(0)

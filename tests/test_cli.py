@@ -322,7 +322,8 @@ def test_spec_from_file(a1_prime):
 
 
 def test_spec_from_stdin(monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(A1_PRIME_SPEC))
+    raw = io.BytesIO(A1_PRIME_SPEC.encode("utf-8"))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, encoding="utf-8"))
     code, env = run_json("hk", "-", "--emax", "1")
     assert code == 0
     assert env["payload"]["rows"][0][2] == "6"
@@ -334,6 +335,22 @@ def test_non_utf8_stdin_is_bad_input(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, encoding="utf-8"))
     assert main(["hk", "-"]) == 3
     err = capsys.readouterr().err
+    assert err.startswith("error: spec '-' is not UTF-8 text: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", [b"# \xff\n", b"elem h = x\xff;\n"],
+                         ids=["comment", "statement"])
+def test_non_utf8_stdin_is_bad_input_in_utf8_mode(bad):
+    # in UTF-8 mode sys.stdin turns a bad byte into a surrogate; the bytes
+    # are decoded strictly, in a comment and in a statement alike
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUTF8="1")
+    env.pop("FROBINV_CACHE", None)
+    proc = subprocess.run([sys.executable, "-m", "frobinv", "hk", "-"], env=env,
+                          input=A1_PRIME_SPEC.encode("utf-8") + b"\n" + bad,
+                          capture_output=True)
+    assert proc.returncode == 3
+    err = proc.stderr.decode("utf-8", "replace")
     assert err.startswith("error: spec '-' is not UTF-8 text: ") and err.count("\n") == 1
 
 

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from frobinv.coeff import ExtensionField, PrimeField, RationalFunctionField
 from frobinv.frobenius import (
     FrobeniusError,
+    _fedder_power,
     frobenius_closure_membership,
     frobenius_power,
     jacobian_candidate,
-    power_normal_form,
     splitting_ideal,
     splitting_sequence,
     tc_membership,
@@ -48,17 +48,20 @@ def test_bracket_power_composes():
                             frobenius_power(I, a + b))
 
 
-def test_power_normal_form_matches_plain_power():
-    # F_3 and F_4 give base-p digits other than 0 and 1, and a Frobenius twist
-    # that moves coefficients
-    for field, gens, f in [(F2, ("x^3", "y^3"), "x+y"),
-                           (F3, ("x^4", "y^4", "x^2*y^2"), "x+2*y+x*y"),
-                           (ExtensionField(2, (1, 1, 1)), ("x^5", "y^5"), "x+a*y+a^2*x*y")]:
-        R = ring_make(field, ("x", "y"))
-        I = ideal(R, *gens)
-        f = R.parse(f)
-        for n in (0, 1, 7, 10, 26):
-            assert power_normal_form(f, n, I) == normal_form(f ** n, I), (field, n)
+def test_fedder_power_matches_plain_power():
+    # f^(q-1) modulo m^[q] by truncated Frobenius products; F_3 gives base-p
+    # digits other than 0 and 1, and F_4 a Frobenius twist that moves
+    # coefficients
+    for field, f in [(F2, "x+y+x*y"), (F3, "x+2*y+x*y"),
+                     (ExtensionField(2, (1, 1, 1)), "x+a*y+a^2*x*y")]:
+        R = ring_make(field, ("x", "y"), relations=[f])
+        S = R.ambient()
+        for e in range(1, 5):
+            q = field.p ** e
+            if q > 27:
+                break
+            want = normal_form(S.parse(f) ** (q - 1), frobenius_power(S.origin_ideal(), e))
+            assert _fedder_power(R, e) == want, (field, q)
 
 
 # -- tight-closure membership -------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from frobinv import groebner
 from frobinv.cli import parse_spec
 from frobinv.coeff import PrimeField
 from frobinv.corpus import corpus_text
@@ -222,10 +223,28 @@ def test_fsig_whitney_umbrella_rate():
 
 
 def test_fsig_odd_a1_rows_follow_the_closed_form():
-    # each row is a deep Fedder colon l(R/(m^[q] : f^(q-1))); on xy + 2z^2
-    # over F_3 it is a_e = (q^2 + 1)/2 at q = 3, 9, 27, 81
-    rep = fsig_function(parse_spec(corpus_text("a1-odd")).ring, 4)
-    assert [r[2] for r in rep.rows] == [5, 41, 365, 3281]
+    # each row is Fedder's l(R/(m^[q] : f^(q-1))); on xy + 2z^2 over F_3 it
+    # is a_e = (q^2 + 1)/2 at q = 3, 9, 27, 81, 243
+    rep = fsig_function(parse_spec(corpus_text("a1-odd")).ring, 5)
+    assert [r[2] for r in rep.rows] == [(q * q + 1) // 2 for q in (3, 9, 27, 81, 243)]
+
+
+def test_fsig_fermat_cubic_splits_once():
+    # x^3 + y^3 + z^3 over F_7: f^(q-1) is c*(xyz)^(q-1) modulo m^[q], so
+    # a_e = 1 at every level
+    rep = fsig_function(parse_spec(corpus_text("fermat-cubic")).ring, 4)
+    assert [r[2] for r in rep.rows] == [1, 1, 1, 1]
+
+
+def test_fsig_runs_no_normal_form_and_no_colon(monkeypatch):
+    # every row is one colength of (m^[q], f^(q-1)) in the ambient ring
+    def refuse(*args):
+        raise AssertionError("fsig_function called the kernel's colon or normal form")
+    monkeypatch.setattr(groebner, "ideal_colon", refuse)
+    monkeypatch.setattr(groebner, "normal_form", refuse)
+    for name, rows in [("a1-odd", [5, 41]), ("fermat-cubic", [1, 1])]:
+        rep = fsig_function(parse_spec(corpus_text(name)).ring, 2)
+        assert [r[2] for r in rep.rows] == rows
 
 
 # -- descent along a parameter ----------------------------------------------------

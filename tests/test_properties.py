@@ -10,7 +10,12 @@ from hypothesis import given, settings, strategies as st
 from frobinv.cli import parse_spec
 from frobinv.coeff import PrimeField, RationalFunctionField
 from frobinv.corpus import corpus_names, corpus_text
-from frobinv.frobenius import FrobeniusError, frobenius_power, splitting_ideal
+from frobinv.frobenius import (
+    FrobeniusError,
+    frobenius_power,
+    splitting_ideal,
+    splitting_number,
+)
 from frobinv.groebner import (
     colength,
     groebner_basis,
@@ -198,6 +203,8 @@ def test_splitting_chain_on_corpus(name):
     ideals = {e: splitting_ideal(ring, e) for e in (1, 2)}
     for e in (1, 2):
         assert ideal_contains(ideals[e], frobenius_power(m, e))
+        # the colon's colength against the rank formula q^n - l(S/(m^[q], f^(q-1)))
+        assert colength(ideals[e]) == splitting_number(ring, e)
     assert ideal_contains(ideals[2], frobenius_power(ideals[1], 1))
 
 
@@ -222,6 +229,7 @@ def test_splitting_chain_random_hypersurface(monos):
         return  # nothing splits in the inseparable directions
     for e in (1, 2):
         assert ideal_contains(chain[e], frobenius_power(m_ideal, e))
+        assert colength(chain[e]) == splitting_number(R, e)
     assert ideal_contains(chain[2], frobenius_power(chain[1], 1))
 
 
