@@ -12,6 +12,11 @@
   the polynomials packed into ints (``_pack2``); other bases use the tuple
   helpers.
 
+An element of F_p is encoded the same way in F_{p^k} and F_p, and so are
+the fractions over F_p in F_{p^k}(t) and F_p(t); ``descend`` returns the
+smaller spec when every payload lies in it, and the Groebner kernel computes
+over that one.
+
 Every element is a :class:`FieldElement` tagging a payload with its
 :class:`FieldSpec`.  Payloads are plain hashable values (ints, tuples) so the
 Groebner kernel can work on them directly through the spec's raw-op methods
@@ -202,6 +207,13 @@ class FieldSpec:
         """Name -> FieldElement of each named constant; no variable may take one."""
         return {}
 
+    def descend(self, payloads):
+        """The spec to compute with on these payloads: that of the prime field
+        (of F_p(t) over an extension) when every payload lies in it under the
+        same encoding, else this one.  Sums, products and inverses never leave
+        the field the inputs generate, so both specs give the same payloads."""
+        return self
+
     def pow(self, a, n):
         if n < 0:
             a, n = self.inv(a), -n
@@ -377,6 +389,11 @@ class ExtensionField(FieldSpec):
     def key(self):
         return ("ext", self.p, self.modulus, self.gen)
 
+    def descend(self, payloads):
+        # the codes below p are the prime field's elements, encoded as there
+        p = self.p
+        return self.base if all(c < p for c in payloads) else self
+
     def symbols(self):
         return {self.gen: FieldElement(self, self._fix((0, 1)))}
 
@@ -444,6 +461,13 @@ class RationalFunctionField(FieldSpec):
 
     def key(self):
         return ("ratfunc", self.base.key(), self.param)
+
+    def descend(self, payloads):
+        # every coefficient of every numerator and denominator below p
+        base = self.base
+        if base.kind == "extension" and all(c < base.p for a in payloads for f in a for c in f):
+            return RationalFunctionField(base.base, self.param)
+        return self
 
     def _monic(self, num, den):
         """num/den scaled so the denominator is monic."""

@@ -390,21 +390,74 @@ class BMGapReport(namedtuple("BMGapReport", "fiber_rows alpha_rows min_gap")):
 
 def bm_gap_table(alphas, e_min=2, e_max=4, field=None, jobs=1):
     """Normalized HK at each m_alpha against the localized rows at
-    p = (x,y,z): gap_e = l(R/m_alpha^{[q]})/q^3 - l_fiber(p^{[q]})/q^2."""
+    p = (x,y,z): gap_e = l(R/m_alpha^{[q]})/q^3 - l_fiber(p^{[q]})/q^2.
+
+    A residue row is computed in the four variables of R only where Kunz's
+    bracket leaves it open,
+
+        q l_fiber(p^{[q]}) <= l(R/m_alpha^{[q]}) <= q l(Q_alpha/m^{[q]}),
+
+    where Q_alpha = R/(t - alpha) is the 3-variable quartic at alpha
+    (``FiberPresentation.specialize``); where the two sides meet, the row is
+    their common value.  Both bounds hold for any prime p with R/p = k[t]
+    and alpha in k; let s = t - alpha and N = R/p^{[q]}, so that
+    R/m_alpha^{[q]} = N/s^q N.
+    * Lower: M = N localized at m_alpha is one-dimensional with parameter s,
+      and e(x; M) = l(M/xM) - l(0 :_M x) for such M and a parameter x, so
+      l(M/s^q M) >= e(s^q; M) = q e(s; M) = q l(M_p) e(s; R/p) = q l_fiber
+      by the associativity formula: p is the one prime of dimension one in
+      the support of M, and e(s; R/p) = 1 as R/p = k[t] (Bruns-Herzog,
+      Cohen-Macaulay Rings, section 4.7).
+    * Upper: each quotient s^i N / s^{i+1} N, i < q, of the s-adic
+      filtration of N/s^q N is an image of N/sN = R/(p^{[q]}, s) =
+      Q_alpha/m^{[q]}.
+
+    The quartic has coefficients in F_2, so the coefficientwise Frobenius is
+    a ring automorphism that fixes R and maps m_alpha to m_{alpha^2}:
+    conjugate points have equal rows, and each Frobenius orbit among the
+    points is computed at its first point only.  Both lists of cells run in
+    one sweep, so in one process pool.
+    """
     if e_max < e_min:
         raise EquimultError("the gap table needs e_max >= e_min = %d" % e_min)
     ring = brenner_monsky_ring(field)
+    K = ring.field
     prime = Ideal(ring, [ring.var(0), ring.var(1), ring.var(2)])
     fp = fiber_presentation(prime)
-    ideals = [bm_maximal_ideal(ring, alpha) for alpha in alphas]
-    # the fiber ideal first: its cells are the largest, so the pool starts them first
-    fiber_rows, *residue_rows = invariants.hk_table(
-        [fp.map_ideal(prime)] + ideals, range(e_min, e_max + 1), jobs)
+    levels = range(e_min, e_max + 1)
+    points = [FieldElement(K, K.from_int(a)) if isinstance(a, int) else a for a in alphas]
+    firsts, first_of = [], []   # the first point of each orbit; each point's index there
+    for a in points:
+        orbit = [a]
+        while (b := orbit[-1].frobenius()) != a:
+            orbit.append(b)
+        i = next((i for i, b in enumerate(firsts) if b in orbit), len(firsts))
+        if i == len(firsts):
+            firsts.append(a)
+        first_of.append(i)
+
+    def plan():
+        # the 3-variable cells first: they decide where the bracket closes,
+        # which is where l(Q_alpha/m^[q]) = l_fiber
+        fiber_rows, *upper_rows = yield from invariants.hk_plan(
+            [fp.map_ideal(prime)] + [fp.specialize(a).origin_ideal() for a in firsts], levels)
+        lengths = [[q * ell for _, q, ell, _ in fiber_rows] for _ in firsts]
+        # then the open 4-variable cells, the largest, deepest level first
+        open_cells = [(i, k) for k in reversed(range(len(levels)))
+                      for i, rows in enumerate(upper_rows) if rows[k][2] != fiber_rows[k][2]]
+        computed = yield [(bm_maximal_ideal(ring, firsts[i]), levels[k]) for i, k in open_cells]
+        for (i, k), ell in zip(open_cells, computed):
+            lengths[i][k] = ell
+        return fiber_rows, lengths
+
+    fiber_rows, lengths = invariants.sweep(plan(), jobs)
     alpha_rows = {}
-    for m_alpha, rows in zip(ideals, residue_rows):
-        alpha_rows[str(m_alpha.gens[3])] = [
-            (e, q, ell, norm, norm - fib[3])
-            for (e, q, ell, norm), fib in zip(rows, fiber_rows)]
+    for a, i in zip(points, first_of):
+        rows = []
+        for ell, (e, q, _, fib) in zip(lengths[i], fiber_rows):
+            norm = Fraction(ell, q ** ring.dim)
+            rows.append((e, q, ell, norm, norm - fib))
+        alpha_rows[str(ring.var(3) - ring.const(a))] = rows
     min_gap = min((row[4] for rows in alpha_rows.values() for row in rows),
                   default=None)
     return BMGapReport(fiber_rows, alpha_rows, min_gap)

@@ -2,9 +2,14 @@
 
 The kernel works on term dicts (packed monomial -> coefficient payload)
 through a FieldSpec's raw ops, so the same code path serves F_p, F_{p^k},
-and rational-function coefficients.  Inside the kernel a monomial is one
-int (``_Packer``): a product is an add, divisibility is one subtract and
-one mask, and the monomial order is int comparison.  Tuples are converted
+and rational-function coefficients.  A run computes over the spec that
+``FieldSpec.descend`` returns for its input, the prime field (F_p(t)) when
+every coefficient lies there: Buchberger's algorithm never leaves the field
+its input's coefficients generate, and the payloads are the same.
+
+Inside the kernel a monomial is one int (``_Packer``): a product is an add,
+divisibility is one subtract and one mask, and the monomial order is int
+comparison.  Tuples are converted
 at the boundary only, when a basis computation or normal form starts and
 ends.  The field width is chosen from the input's degrees with headroom; a
 product that sets a guard bit raises ``_Overflow`` and the whole
@@ -40,7 +45,7 @@ returns an exact big integer, or None when the staircase is infinite.
 
 from bisect import insort
 from collections import namedtuple
-from functools import partial, reduce
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations, count
 from operator import attrgetter
@@ -138,18 +143,22 @@ def _make_monic(F, terms, lmono):
 
 def _submul(F, guard, p, heap, c, sh, terms):
     """p -= c * x^sh * terms in place; a monomial new to p goes on the heap
-    of negated packed monomials."""
-    zero, sub, mul = F.zero, F.sub, F.mul
+    of negated packed monomials.  No field op runs whose result is known: a
+    new term is a negation, and c = 1 multiplies nothing."""
+    zero, sub, neg = F.zero, F.sub, F.neg
+    mul = None if c == F.one else F.mul
     for m, v in terms.items():
+        if mul is not None:
+            v = mul(c, v)
         mm = m + sh
         old = p.get(mm)
         if old is None:
             if mm & guard:
                 raise _Overflow
-            p[mm] = sub(zero, mul(c, v))
+            p[mm] = neg(v)
             heappush(heap, -mm)
         else:
-            nv = sub(old, mul(c, v))
+            nv = sub(old, v)
             if nv == zero:
                 del p[mm]
             else:
@@ -197,9 +206,13 @@ def _spoly(F, pk, lcm, f, g):
     d = {m + shf: v for m, v in f.terms.items()}
     for m, v in g.terms.items():
         mm = m + shg
-        nv = F.sub(d.get(mm, F.zero), v)
+        old = d.get(mm)
+        if old is None:
+            d[mm] = F.neg(v)
+            continue
+        nv = F.sub(old, v)
         if nv == F.zero:
-            d.pop(mm, None)
+            del d[mm]
         else:
             d[mm] = nv
     if any(m & pk.guard for m in d):
@@ -218,13 +231,16 @@ def _interreduce(F, pk, basis):
 
 
 def _run_loop(F, order, gen_dicts, finish):
-    """finish(packer, minimal basis of the packed loop), [] for no generators."""
+    """finish(spec, packer, minimal basis of the packed loop), [] for no
+    generators.  The loop and finish compute over the smallest spec that holds
+    the generators' coefficients (``FieldSpec.descend``)."""
     gens = [d for d in gen_dicts if d]
     if not gens:
         return []
+    F = F.descend(c for d in gens for c in d.values())
     nvars = len(next(iter(gens[0])))
     return _packed(order, nvars, gens,
-                   lambda pk: finish(pk, _basis(F, pk, map(pk.pack_terms, gens))))
+                   lambda pk: finish(F, pk, _basis(F, pk, map(pk.pack_terms, gens))))
 
 
 def _basis(F, pk, gen_dicts):
@@ -299,8 +315,7 @@ def groebner_basis(ideal, order=GREVLEX):
     cached = ideal._basis_cache.get(ck)
     if cached is None:
         ring = ideal.ring
-        raw = _run_loop(ring.field, order, _generator_dicts(ideal),
-                        partial(_interreduce, ring.field))
+        raw = _run_loop(ring.field, order, _generator_dicts(ideal), _interreduce)
         cached = tuple(Polynomial(ring, d) for d in raw)
         ideal._basis_cache[ck] = cached
     return list(cached)
@@ -321,16 +336,17 @@ def _leading_monomials(ideal, order=GREVLEX):
     if cached is not None:
         return [g.leading_monomial(order) for g in cached]
     return _run_loop(ideal.ring.field, order, _generator_dicts(ideal),
-                     lambda pk, basis: [e.exps for e in basis])
+                     lambda F, pk, basis: [e.exps for e in basis])
 
 
 def normal_form(f, ideal, order=GREVLEX):
     ring = ideal.ring
     basis = [g.terms for g in groebner_basis(ideal, order)]
+    F = ring.field.descend(c for d in basis + [f.terms] for c in d.values())
 
     def run(pk):
         entries = [_GEntry(g, max(g), 0) for g in map(pk.pack_terms, basis)]
-        red, _, _ = _reduce(ring.field, pk, pk.pack_terms(f.terms), entries, True)
+        red, _, _ = _reduce(F, pk, pk.pack_terms(f.terms), entries, True)
         return pk.unpack_terms(red)
     return Polynomial(ring, _packed(order, ring.nvars, basis + [f.terms], run))
 
@@ -444,19 +460,20 @@ def _eliminate(ring, parts, den=None):
     or of E / den, as Polynomials of ring; each a and b is a term dict over R.
     The w-free entries of the minimal block(1) basis are a minimal basis of E.
     For a colon E = f*(I : f), so LT(E) = lm(f)*LT(I : f) and their quotients
-    by f are a minimal basis of I : f.  Only that list is inter-reduced."""
-    F = ring.field
+    by f are a minimal basis of I : f; f is among the generators, so the
+    kernel's spec holds its coefficients.  Only that list is inter-reduced."""
     gens = [{(0,) + m: c for m, c in a.items()} | {(1,) + m: c for m, c in b.items()}
             for a, b in parts]
 
-    def finish(pk, basis):
+    def finish(F, pk, basis):
         kept = [e for e in basis if not e.exps[0]]
         if den is not None:
             d = pk.pack_terms({(0,) + m: c for m, c in den.items()})
             d = _make_monic(F, d, max(d))   # monic quotients of monic entries
             kept = [_GEntry(q, max(q), 0) for q in (_exact_div(F, pk, e.terms, d) for e in kept)]
         return [{m[1:]: c for m, c in t.items()} for t in _interreduce(F, pk, kept)]
-    return [Polynomial(ring, d) for d in _run_loop(F, MonomialOrder("block", 1), gens, finish)]
+    return [Polynomial(ring, d)
+            for d in _run_loop(ring.field, MonomialOrder("block", 1), gens, finish)]
 
 
 def _neg(F, terms):

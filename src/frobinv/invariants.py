@@ -105,21 +105,44 @@ def _hk_cell(args):
     return groebner.colength(frobenius.frobenius_power(I, e))
 
 
-def _sweep(cells, jobs):
-    if jobs and jobs > 1:
-        # imported here: the pool's modules cost every process start otherwise
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_hk_cell, cells))
-    return [_hk_cell(c) for c in cells]
+def sweep(plan, jobs):
+    """Run the cells a plan asks for and return the plan's value.
+
+    A plan is a generator that yields lists of cells (I, e) and is sent
+    back the colengths l(R/I^{[p^e]}) of each list, in order (None where
+    infinite); plans compose with ``yield from`` (see ``hk_plan``).  Every
+    list of the plan runs in one process pool of at most jobs workers,
+    started for the first list of two cells or more and with no more workers
+    than it has cells; before that, and with jobs <= 1, cells run here.
+    """
+    pool = None
+    lengths = None
+    try:
+        while True:
+            try:
+                cells = plan.send(lengths)
+            except StopIteration as done:
+                return done.value
+            if pool is None and jobs > 1 and len(cells) > 1:
+                # imported here: the pool's modules cost every process start otherwise
+                from concurrent.futures import ProcessPoolExecutor
+                pool = ProcessPoolExecutor(max_workers=min(jobs, len(cells)))
+            if pool is None:
+                lengths = [_hk_cell(c) for c in cells]
+            else:
+                lengths = list(pool.map(_hk_cell, cells))
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
-def hk_table(ideals, levels, jobs=1):
-    """Hilbert-Kunz rows (e, q, l(R/I^{[q]}), l/q^d) of each ideal at each
-    level e, all from one sweep; one list of rows per ideal, in order.  The
-    ideals may live in different rings: each row is normalized by its own."""
+_sweep = sweep  # the sweep's former name, which bench/tracing.py wraps
+
+
+def hk_plan(ideals, levels):
+    """The plan (see ``sweep``) of ``hk_table``: one list of cells."""
     levels = list(levels)
-    lengths = iter(_sweep([(I, e) for I in ideals for e in levels], jobs))
+    lengths = iter((yield [(I, e) for I in ideals for e in levels]))
     table = []
     for I in ideals:
         p, d = I.ring.field.p, I.ring.dim
@@ -132,6 +155,13 @@ def hk_table(ideals, levels, jobs=1):
             rows.append((e, q, ell, Fraction(ell, q ** d)))
         table.append(rows)
     return table
+
+
+def hk_table(ideals, levels, jobs=1):
+    """Hilbert-Kunz rows (e, q, l(R/I^{[q]}), l/q^d) of each ideal at each
+    level e, all from one sweep; one list of rows per ideal, in order.  The
+    ideals may live in different rings: each row is normalized by its own."""
+    return sweep(hk_plan(ideals, levels), jobs)
 
 
 def hk_rows(I, e_max, jobs=1):

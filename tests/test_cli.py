@@ -574,13 +574,8 @@ def test_fitted_estimate_names_its_function(argv, message, tmp_path, capsys):
     assert capsys.readouterr().err == message
 
 
-@pytest.mark.parametrize("argv", [
-    ["assoc", ASSOC_SPEC, "s:2", "w"],
-    ["repro-bm", "--emax", "2"],
-    ["descent", "corpus:brenner-monsky", "p", "h"],
-    ["hk", "corpus:a1-char2"],
-], ids=["assoc", "repro-bm", "descent", "hk"])
-def test_one_process_pool_per_command(argv, tmp_path, monkeypatch):
+def _count_pools(monkeypatch):
+    """The max_workers of every process pool started from now on."""
     import concurrent.futures
 
     started = []
@@ -591,12 +586,36 @@ def test_one_process_pool_per_command(argv, tmp_path, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    return started
+
+
+@pytest.mark.parametrize("argv", [
+    ["assoc", ASSOC_SPEC, "s:2", "w"],
+    ["repro-bm", "--emax", "2"],
+    ["repro-bm", "--emax", "3"],
+    ["descent", "corpus:brenner-monsky", "p", "h"],
+    ["hk", "corpus:a1-char2"],
+], ids=["assoc", "repro-bm", "repro-bm-e3", "descent", "hk"])
+def test_one_process_pool_per_command(argv, tmp_path, monkeypatch):
+    # repro-bm at e <= 3 sweeps two lists of cells, the second only where
+    # Kunz's bracket stays open, both in the one pool
+    started = _count_pools(monkeypatch)
     argv = with_spec_file(argv, tmp_path)
     code, serial = run_json(*argv, "--jobs", "1")
     assert started == []
     code2, pooled = run_json(*argv, "--jobs", "2")
     assert started == [2]
     assert (code2, strip_timing(pooled)) == (code, strip_timing(serial))
+
+
+@pytest.mark.parametrize("emax, pools", [("1", []), ("2", [2])])
+def test_one_cell_starts_no_pool(emax, pools, monkeypatch):
+    # a pool never has more workers than cells, and one cell runs here
+    started = _count_pools(monkeypatch)
+    code, pooled = run_json("hk", "corpus:node", "--emax", emax, "--jobs", "4")
+    assert started == pools
+    code1, serial = run_json("hk", "corpus:node", "--emax", emax)
+    assert (code, strip_timing(pooled)) == (code1, strip_timing(serial))
 
 
 def test_import_leaves_process_pool_out():

@@ -26,6 +26,7 @@ from frobinv.equimult import (
     wy_inequality_check,
 )
 from frobinv.frobenius import frobenius_power
+from frobinv.invariants import hk_table
 from frobinv.polyring import Ideal, ring_make
 
 F2 = PrimeField(2)
@@ -249,6 +250,107 @@ def test_bm_gap_table_alpha_zero():
     assert [(e, ell, gap) for e, _, ell, _, gap in rows] == \
         [(2, 176, 0), (3, 1528, Fraction(3, 64))]
     assert rep.min_gap == 0  # the e = 2 row never separates
+
+
+# -- Kunz's bracket and Frobenius orbits on the gap table ----------------------
+#
+# For m_alpha = (x, y, z, t - alpha), l(R/m_alpha^[q]) lies between
+# q l_fiber(p^[q]) and q l(Q_alpha/m^[q]).  The gap table computes a residue
+# row in four variables only where those differ, and each Frobenius orbit at
+# its first point only; here every row is computed directly.
+
+def _gap_points():
+    a = F4.symbols()["a"]
+    return [0, 1, a, a + 1]
+
+
+def _bracket_violation(row, lower, upper):
+    """Why a residue row breaks Kunz's bracket, or None."""
+    if row < lower:
+        return "%d is below q l_fiber = %d" % (row, lower)
+    if row > upper:
+        return "%d is above q l(Q_alpha/m^[q]) = %d" % (row, upper)
+    return None
+
+
+def _brackets_and_direct_rows(levels):
+    """The fiber rows, and per gap point (lower, upper, direct row) at each level."""
+    R = brenner_monsky_ring(F4)
+    prime = ideal(R, "x", "y", "z")
+    fp = fiber_presentation(prime)
+    points = _gap_points()
+    fiber, *rest = hk_table([fp.map_ideal(prime)]
+                            + [fp.specialize(a).origin_ideal() for a in points]
+                            + [bm_maximal_ideal(R, a) for a in points], levels)
+    uppers, direct = rest[:len(points)], rest[len(points):]
+    return {str(bm_maximal_ideal(R, a).gens[3]):
+            [(q * fib, q * up, ell)
+             for (_, q, fib, _), (_, _, up, _), (_, _, ell, _) in zip(fiber, up_rows, rows)]
+            for a, up_rows, rows in zip(points, uppers, direct)}
+
+
+def test_residue_rows_lie_in_kunz_bracket():
+    levels = range(1, 4)
+    cases = _brackets_and_direct_rows(levels)
+    rep = bm_gap_table(_gap_points(), e_min=1, e_max=3, field=F4)
+    closed = []
+    for key, rows in cases.items():
+        for e, (lower, upper, ell) in zip(levels, rows):
+            assert _bracket_violation(ell, lower, upper) is None, (key, e)
+            if lower == upper:
+                closed.append((key, e))
+        assert [row[2] for row in rep.alpha_rows[key]] == [ell for _, _, ell in rows], key
+    # the bracket closes at every point for e <= 2, and at a and a+1 for e = 3
+    assert sorted(closed) == sorted([(k, e) for k in cases for e in (1, 2)]
+                                    + [("t+a", 3), ("t+a+1", 3)])
+
+
+def test_bracket_check_rejects_a_row_off_by_one():
+    for key, rows in _brackets_and_direct_rows(range(2, 4)).items():
+        for lower, upper, ell in rows:
+            assert _bracket_violation(lower - 1, lower, upper) is not None
+            assert _bracket_violation(upper + 1, lower, upper) is not None
+            if lower == upper:
+                assert _bracket_violation(ell - 1, lower, upper) is not None
+                assert _bracket_violation(ell + 1, lower, upper) is not None
+
+
+def _recorded_cells(monkeypatch):
+    """(variable count, relation, last generator, e) of every cell swept from now on."""
+    from frobinv import invariants
+    cells = []
+    run = invariants._hk_cell
+
+    def spy(cell):
+        I, e = cell
+        cells.append((I.ring.nvars, str(I.ring.relations[0]), str(I.gens[-1]), e))
+        return run(cell)
+    monkeypatch.setattr(invariants, "_hk_cell", spy)
+    return cells
+
+
+def test_conjugate_point_is_an_orbit_copy(monkeypatch):
+    a = F4.symbols()["a"]
+    R = brenner_monsky_ring(F4)
+    want = [ell for _, _, ell, _ in hk_table([bm_maximal_ideal(R, a + 1)], range(2, 4))[0]]
+    cells = _recorded_cells(monkeypatch)
+    rep = bm_gap_table([a, a + 1], e_min=2, e_max=3, field=F4)
+    assert [row[2] for row in rep.alpha_rows["t+a+1"]] == want
+    assert rep.alpha_rows["t+a+1"] == rep.alpha_rows["t+a"]
+    # the fiber and Q_a at each level; nothing at a + 1, and the bracket
+    # closes at a, so nothing in four variables
+    assert len(cells) == 4
+    assert all(nvars == 3 and "a+1" not in rel for nvars, rel, _, _ in cells)
+
+
+def test_repro_bm_runs_two_four_variable_cells(monkeypatch, capsys):
+    from frobinv.cli import main
+    monkeypatch.delenv("FROBINV_CACHE", raising=False)
+    cells = _recorded_cells(monkeypatch)
+    main(["repro-bm", "--emax", "3"])
+    capsys.readouterr()
+    assert sorted((gen, e) for nvars, _, gen, e in cells if nvars == 4) == \
+        [("t", 3), ("t+1", 3)]
 
 
 def test_specialization_consistency_all_points():

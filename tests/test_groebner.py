@@ -740,3 +740,121 @@ def test_eliminated_basis_is_the_reduced_basis(name):
                 [list(g.terms.items()) for g in fresh]
 
     check()
+
+
+# -- the kernel over the prime field ------------------------------------------
+#
+# Buchberger's algorithm only adds, subtracts, multiplies and inverts the
+# coefficients of its input, so when they all lie in the prime field (in
+# F_p(t) over an extension) the kernel runs over that field's spec.  Every
+# payload must be the same as over the field the ring was built on.
+
+F9 = ExtensionField(3, (1, 0, 1))   # F_3[a]/(a^2 + 1)
+F4T = RationalFunctionField(F4, "t")
+
+# F_4(t) inputs whose coefficients lie in F_2(t): fractions, a t-power,
+# and the Brenner-Monsky fiber's relation
+F4T_CASES = [
+    ((), ["(t+1)*x^2+y*z", "x*y/(t^2+t+1)+z^2", "t^3*y^2+x*z"]),
+    (("z^4+x*y*z^2+(x^3+y^3)*z+t*x^2*y^2",), ["x^4", "y^4", "z^4"]),
+]
+
+
+def _kernel_trace(monkeypatch, R, gen_texts, f_text):
+    """Everything one ring's kernel runs produce: the staircase, the reduced
+    basis, a normal form and a colon, and each S-pair's lcm, leads, sugar and
+    terms; with the specs the kernel reduced over."""
+    pairs, specs = [], set()
+    spoly, reduce_ = groebner._spoly, groebner._reduce
+
+    def spy(F, pk, lcm, f, g):
+        d, sugar = spoly(F, pk, lcm, f, g)
+        pairs.append((lcm, f.lmono, g.lmono, sugar, sorted(d.items())))
+        return d, sugar
+
+    def reduce_spy(F, *args):
+        specs.add(F)
+        return reduce_(F, *args)
+    monkeypatch.setattr(groebner, "_spoly", spy)
+    monkeypatch.setattr(groebner, "_reduce", reduce_spy)
+    I = ideal(R, *gen_texts)
+    f = R.parse(f_text)
+    trace = (staircase(I).generators, [g.terms for g in groebner_basis(I)],
+             normal_form(f, I).terms, [g.terms for g in ideal_colon(I, f).gens], pairs)
+    monkeypatch.undo()
+    return trace, specs
+
+
+def _without_descent(monkeypatch):
+    for cls in (ExtensionField, RationalFunctionField):
+        monkeypatch.setattr(cls, "descend", lambda self, payloads: self)
+
+
+def _assert_same_run_with_and_without_descent(monkeypatch, R, gen_texts, f_text, prime):
+    got, specs = _kernel_trace(monkeypatch, R, gen_texts, f_text)
+    assert specs == {prime}
+    _without_descent(monkeypatch)
+    want, specs = _kernel_trace(monkeypatch, R, gen_texts, f_text)
+    assert specs == {R.field}
+    assert got == want
+
+
+@pytest.mark.parametrize("F", [F4, F9], ids=["F4", "F9"])
+def test_descent_keeps_every_payload_over_extensions(F, monkeypatch):
+    R = ring_make(F, ("x", "y", "z"))
+    polys = st.lists(_raw_polys(PrimeField(F.p)), min_size=1, max_size=3)
+
+    @settings(max_examples=25, deadline=None)
+    @given(polys.map(lambda g: g + CUBES), _raw_polys(PrimeField(F.p)))
+    def check(gens, f):
+        texts = [str(Polynomial(R, g)) for g in gens]
+        _assert_same_run_with_and_without_descent(
+            monkeypatch, R, texts, str(Polynomial(R, f)), PrimeField(F.p))
+
+    check()
+
+
+@pytest.mark.parametrize("rels, gens", F4T_CASES, ids=["fractions", "fiber-e2"])
+def test_descent_keeps_every_payload_over_f4t(rels, gens, monkeypatch):
+    R = ring_make(F4T, ("x", "y", "z"), relations=list(rels))
+    _assert_same_run_with_and_without_descent(
+        monkeypatch, R, gens, "t*x^3*y+x*z/(t+1)+y", RationalFunctionField(F2, "t"))
+
+
+def test_a_coefficient_outside_the_prime_field_blocks_the_descent(monkeypatch):
+    a, t = F4.symbols()["a"], F4T.symbols()["t"]
+    assert F4.descend([0, 1, 1]) == F2
+    assert F4.descend([1, a.payload]) is F4
+    assert F9.descend([2, F9.symbols()["a"].payload]) is F9
+    a_t = F4T.symbols()["a"]
+    assert F4T.descend([t.payload, (t + 1).inverse().payload]) == RationalFunctionField(F2, "t")
+    assert F4T.descend([t.payload, (t + a_t).payload]) is F4T
+    assert F4T.descend([(t * t + a_t).inverse().payload]) is F4T
+    for spec in (F2, F3, RationalFunctionField(F3, "t")):
+        assert spec.descend([spec.one]) is spec
+    # one coefficient a keeps the whole run over F_4
+    R = ring_make(F4, ("x", "y", "z"))
+    _, specs = _kernel_trace(monkeypatch, R, ["x^2+a*y*z", "y^2+z^2", "x^3", "z^3"], "x*y+z")
+    assert specs == {F4}
+
+
+def test_the_gap_table_fiber_cell_runs_no_tuple_division(monkeypatch):
+    from frobinv import coeff
+    from frobinv.equimult import fiber_presentation
+    from frobinv.invariants import hk_function
+    R = brenner_monsky_ring(F4)
+    prime = ideal(R, "x", "y", "z")
+    image = fiber_presentation(prime).map_ideal(prime)
+    calls = []
+    udivmod = coeff._udivmod
+
+    def counted(*args):
+        calls.append(args)
+        return udivmod(*args)
+    monkeypatch.setattr(coeff, "_udivmod", counted)
+    assert hk_function(image, 3) == 188
+    assert calls == []
+    # over F_4(t) itself the same cell divides on tuples
+    _without_descent(monkeypatch)
+    assert hk_function(image, 3) == 188
+    assert calls

@@ -114,28 +114,45 @@ def test_the_private_name_scan_sees_both_forms():
     assert len(_private_reads(source)) == 4
 
 
-RING_BUILDERS = {"PresentedRing", "ring_make"}
+RING_CONSTRUCTORS = {"PresentedRing", "ring_make"}
 
 
-def _ring_builds(source):
-    """Calls that build a ring, bare or through a module."""
-    return ["line %d: call of %s(" % (node.lineno, sorted(_names(node.func) & RING_BUILDERS))
+def _calls_of(source, names):
+    """Calls of the named constructors, bare or through a module."""
+    return ["line %d: call of %s(" % (node.lineno, sorted(_names(node.func) & names))
             for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call) and _names(node.func) & RING_BUILDERS]
+            if isinstance(node, ast.Call) and _names(node.func) & names]
+
+
+def _kernel_source():
+    with open(os.path.join(PKG, "groebner.py"), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def test_the_kernel_builds_no_ring():
     # eliminations build their generators as term dicts, so the auxiliary
     # variable needs no ring and no name
-    with open(os.path.join(PKG, "groebner.py"), encoding="utf-8") as fh:
-        assert _ring_builds(fh.read()) == []
+    assert _calls_of(_kernel_source(), RING_CONSTRUCTORS) == []
+
+
+def test_the_kernel_builds_no_field():
+    # the kernel computes over the spec that FieldSpec.descend returns, so
+    # the choice of field stays in coeff
+    assert _calls_of(_kernel_source(), FIELD_CLASSES) == []
 
 
 def test_the_ring_scan_sees_each_builder():
     source = ("PresentedRing(F, names)\npolyring.PresentedRing(F, names)\n"
               "ring_make(F, names, rels)\npolyring.ring_make(F, names)\n"
               "ring.ambient()\nIdeal(ring, gens)\nPolynomial(ring, terms)\n")
-    assert len(_ring_builds(source)) == 4
+    assert len(_calls_of(source, RING_CONSTRUCTORS)) == 4
+
+
+def test_the_field_scan_sees_each_constructor():
+    source = ("PrimeField(2)\ncoeff.ExtensionField(2, (1, 1, 1))\n"
+              "RationalFunctionField(F.base, F.param)\nFieldSpec()\n"
+              "F.descend(payloads)\nisinstance(F, PrimeField)\nF.base\n")
+    assert len(_calls_of(source, FIELD_CLASSES)) == 4
 
 
 def _dataclass_imports(source):
