@@ -8,9 +8,10 @@
   XOR for p = 2 and a Zech-logarithm lookup for odd p.
 * ``RationalFunctionField(base, param)`` -- base(t).  Payloads are
   ``(num, den)``: reduced fractions of univariate polynomials, little-endian
-  tuples of base payloads, with monic denominator.  Over F_2 the ops run on
-  the polynomials packed into ints (``_pack2``); other bases use the tuple
-  helpers.
+  sequences of base payloads, with monic denominator.  Over F_2 they are
+  ``bytes`` (byte i the coefficient of t^i) and the ops run on them read as
+  ints; other bases, and the F_2(t) spec that ``descend`` returns for
+  F_{2^k}(t), keep tuples, and the tuple helpers serve every base but F_2.
 
 An element of F_p is encoded the same way in F_{p^k} and F_p, and so are
 the fractions over F_p in F_{p^k}(t) and F_p(t); ``descend`` returns the
@@ -18,12 +19,12 @@ smaller spec when every payload lies in it, and the Groebner kernel computes
 over that one.
 
 Every element is a :class:`FieldElement` tagging a payload with its
-:class:`FieldSpec`.  Payloads are plain hashable values (ints, tuples) so the
-Groebner kernel can work on them directly through the spec's raw-op methods
-(``add``/``mul``/``inv``/...) without wrapper overhead.  No other module
-builds, takes apart or classifies a payload: named constants come from
-``symbols()``, c t^k from ``monomial`` and t -> alpha from ``evaluate``, and
-a field's kind is its ``kind`` string.
+:class:`FieldSpec`.  Payloads are plain hashable values (ints, tuples,
+bytes) so the Groebner kernel can work on them directly through the spec's
+raw-op methods (``add``/``mul``/``inv``/...) without wrapper overhead.  No
+other module builds, takes apart or classifies a payload: named constants
+come from ``symbols()``, c t^k from ``monomial`` and t -> alpha from
+``evaluate``, and a field's kind is its ``kind`` string.
 """
 
 import operator
@@ -90,6 +91,8 @@ def _udivmod(base, f, g):
 
 def _ucancel(base, f, g):
     """f and g divided by their gcd."""
+    if len(f) == 1 or len(g) == 1:  # a non-zero constant: the gcd is 1
+        return f, g
     h, r = f, g
     while r:
         h, r = r, _udivmod(base, h, r)[1]
@@ -115,48 +118,55 @@ def _ufrob(base, f):
 # while below 256, and its low bit is the F_2 coefficient.
 
 _PIECE2 = (1 << 8 * 255) - 1  # 255 coefficients: byte counts stay <= 255
-
-
-def _pack2(f):
-    return int.from_bytes(bytes(f), "little")
+_ONES2 = int.from_bytes(b"\x01" * 4096, "little")  # byte k's low bit, k < 4096
 
 
 def _unpack2(a):
-    return tuple(a.to_bytes((a.bit_length() + 7) >> 3, "little"))
+    return a.to_bytes((a.bit_length() + 7) >> 3, "little")
 
 
 def _clmul2(a, b):
-    """Product in F_2[t], cutting a into pieces of at most 255 coefficients."""
-    ones = int.from_bytes(b"\x01" * ((a.bit_length() + b.bit_length() + 7) >> 3), "little")
+    """Product in F_2[t]: one multiply while the shorter factor has at most
+    255 coefficients (and the product fits _ONES2), else that factor cut into
+    pieces of 255."""
+    if a.bit_length() > b.bit_length():
+        a, b = b, a
+    n = a.bit_length() + b.bit_length()
+    if a <= _PIECE2 and n <= 8 * 4096:
+        return a * b & _ONES2
+    ones = int.from_bytes(b"\x01" * ((n + 7) >> 3), "little")
     out = 0
     for s in range(0, a.bit_length(), 8 * 255):
         out ^= ((a >> s & _PIECE2) * b & ones) << s
     return out
 
 
-def _divmod2(a, b):
+def _quo2(a, b):
+    """a / b in F_2[t], for b dividing a."""
     quo, nb = 0, b.bit_length()
-    while (s := a.bit_length() - nb) >= 0:
+    while a:
+        s = a.bit_length() - nb
         quo ^= 1 << s
         a ^= b << s
-    return quo, a
+    return quo
 
 
-def _mod2(a, b):
-    nb = b.bit_length()
-    while (s := a.bit_length() - nb) >= 0:
-        a ^= b << s
-    return a
+def _gcd2(a, b):
+    """gcd(a, b) in F_2[t], with no division once a remainder is the unit 1."""
+    while b > 1:
+        nb = b.bit_length()
+        while (s := a.bit_length() - nb) >= 0:
+            a ^= b << s
+        a, b = b, a
+    return b or a
 
 
 def _cancel2(a, b):
     """a and b divided by their gcd."""
-    h, r = a, b
-    while r:
-        h, r = r, _mod2(h, r)
+    h = _gcd2(a, b)
     if h == 1:
         return a, b
-    return _divmod2(a, h)[0], _divmod2(b, h)[0]
+    return _quo2(a, h), _quo2(b, h)
 
 
 def _render_upoly(base, f, var):
@@ -446,18 +456,21 @@ class RationalFunctionField(FieldSpec):
 
     kind = "rational-function"
 
-    def __init__(self, base, param="t"):
+    def __init__(self, base, param="t", box=bytes):
         if base.kind not in ("prime", "extension"):
             raise FieldError("rational-function base must be a finite field")
         self.base = base
         self.p = base.p
         self.param = param
         self._f2 = base.key() == ("prime", 2)  # ops run on packed ints
-        self.zero = ((), (base.one,))
-        self.one = ((base.one,), (base.one,))
+        # bytes polynomials over F_2; box=tuple keeps the tuples of a descended run
+        self._box = box = box if self._f2 else tuple
+        self._out = _unpack2 if box is bytes else lambda a: tuple(_unpack2(a))
+        self.zero = (box(), box((base.one,)))
+        self.one = (box((base.one,)), box((base.one,)))
 
     def __reduce__(self):
-        return RationalFunctionField, (self.base, self.param)
+        return RationalFunctionField, (self.base, self.param, self._box)
 
     def key(self):
         return ("ratfunc", self.base.key(), self.param)
@@ -466,7 +479,7 @@ class RationalFunctionField(FieldSpec):
         # every coefficient of every numerator and denominator below p
         base = self.base
         if base.kind == "extension" and all(c < base.p for a in payloads for f in a for c in f):
-            return RationalFunctionField(base.base, self.param)
+            return RationalFunctionField(base.base, self.param, tuple)
         return self
 
     def _monic(self, num, den):
@@ -477,23 +490,17 @@ class RationalFunctionField(FieldSpec):
         ilc = base.inv(den[-1])
         return (tuple(base.mul(c, ilc) for c in num), tuple(base.mul(c, ilc) for c in den))
 
-    def _reduced2(self, num, den):
-        """The payload of num/den for packed F_2[t] polynomials, den != 0."""
-        if not num:
-            return self.zero
-        num, den = _cancel2(num, den)
-        return (_unpack2(num), _unpack2(den))
-
     def make(self, num, den):
         base = self.base
         num = _utrim_spec(base, num)
         den = _utrim_spec(base, den)
         if not den:
             raise ZeroDivisionError("zero denominator in %s(%s)" % (base, self.param))
-        if self._f2:
-            return self._reduced2(_pack2(num), _pack2(den))
         if not num:
             return self.zero
+        if self._f2:
+            num, den = _cancel2(int.from_bytes(num, "little"), int.from_bytes(den, "little"))
+            return (self._out(num), self._out(den))
         return self._monic(*_ucancel(base, num, den))
 
     def from_int(self, n):
@@ -504,7 +511,7 @@ class RationalFunctionField(FieldSpec):
         base = self.base
         if c == base.zero:
             return self.zero
-        return ((base.zero,) * k + (c,), (base.one,))
+        return (self._box((base.zero,) * k + (c,)), self.one[1])
 
     def symbols(self):
         # the parameter shadows a base symbol of the same name
@@ -528,10 +535,20 @@ class RationalFunctionField(FieldSpec):
     def add(self, a, b):
         (n1, d1), (n2, d2) = a, b
         if self._f2:
-            n1, d1, n2, d2 = _pack2(n1), _pack2(d1), _pack2(n2), _pack2(d2)
-            if d1 == d2:
-                return self._reduced2(n1 ^ n2, d1)
-            return self._reduced2(_clmul2(n1, d2) ^ _clmul2(n2, d1), _clmul2(d1, d2))
+            # Henrici: with g = gcd(d1, d2), a + b = (n1 d2/g + n2 d1/g) / (d1 d2/g),
+            # and a common factor of that numerator and denominator divides g
+            # (Knuth, TAOCP vol. 2, 4.5.1)
+            n1, d1 = int.from_bytes(n1, "little"), int.from_bytes(d1, "little")
+            n2, d2 = int.from_bytes(n2, "little"), int.from_bytes(d2, "little")
+            g = _gcd2(d1, d2)
+            if g != 1:
+                d1, d2 = _quo2(d1, g), _quo2(d2, g)
+            num = _clmul2(n1, d2) ^ _clmul2(n2, d1)
+            if not num:
+                return self.zero
+            if g != 1:
+                num, g = _cancel2(num, g)
+            return (self._out(num), self._out(_clmul2(_clmul2(d1, d2), g)))
         base = self.base
         if d1 == d2:
             return self.make(_uadd(base, n1, n2), d1)
@@ -550,9 +567,9 @@ class RationalFunctionField(FieldSpec):
             return self.zero
         # cross-cancel first: keeps the gcd calls on small operands
         if self._f2:
-            n1, d2 = _cancel2(_pack2(n1), _pack2(d2))
-            n2, d1 = _cancel2(_pack2(n2), _pack2(d1))
-            return (_unpack2(_clmul2(n1, n2)), _unpack2(_clmul2(d1, d2)))
+            n1, d2 = _cancel2(int.from_bytes(n1, "little"), int.from_bytes(d2, "little"))
+            n2, d1 = _cancel2(int.from_bytes(n2, "little"), int.from_bytes(d1, "little"))
+            return (self._out(_clmul2(n1, n2)), self._out(_clmul2(d1, d2)))
         base = self.base
         n1, d2 = _ucancel(base, n1, d2)
         n2, d1 = _ucancel(base, n2, d1)
@@ -565,12 +582,12 @@ class RationalFunctionField(FieldSpec):
         return self._monic(den, num)  # a is reduced, so den/num is too
 
     def frob(self, a):
-        return (_ufrob(self.base, a[0]), _ufrob(self.base, a[1]))
+        return (self._box(_ufrob(self.base, a[0])), self._box(_ufrob(self.base, a[1])))
 
     def render(self, a):
         num, den = a
         ns = _render_upoly(self.base, num, self.param)
-        if den == (self.base.one,):
+        if den == self.one[1]:
             return ns
         return "(%s)/(%s)" % (ns, _render_upoly(self.base, den, self.param))
 

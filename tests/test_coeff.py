@@ -262,19 +262,54 @@ F2_NUMS = st.one_of(st.just(()), F2_DENS)
 LONG = (1,) * 300
 
 
+def ref_f2_payload(num, den):
+    """The F_2(t) payload of num/den: the reference fraction in bytes."""
+    return tuple(bytes(f) for f in ref_f2_fraction(num, den))
+
+
 @settings(max_examples=40, deadline=None)
 @given(F2_NUMS, F2_DENS, F2_NUMS, F2_DENS)
 @example(LONG, (1,), LONG, (0, 1))
 @example(LONG, LONG[:-1] + (0, 1), (1, 1), LONG)
+# factors of 255 coefficients take one multiply, of 256 the cut into pieces
+@example((1,) * 255, (0, 1), (1,) * 255, (1, 1))
+@example((1,) * 256, (1,) * 255, (1,) * 256, (0, 1))
+@example((1,) * 255, (1,), (0,) * 255 + (1,), (1,) * 256)
+# denominators t(t+1) and t(t^2+t+1): the sum keeps a factor t of their gcd
+@example((1,), (0, 1, 1), (1,), (0, 1, 1, 1))
+@example((1, 1), (0, 1, 1), (1,), (0, 1, 1, 1))
+# t/t^2 + 1/t cancels to zero
+@example((0, 1), (0, 0, 1), (1,), (0, 1))
+# unit numerators and denominators
+@example((1,), (1, 1, 0, 1), (1, 0, 1), (1,))
+@example((1, 1), (1,), (1,), (1,))
 def test_f2t_packed_ops_match_tuple_euclid(n1, d1, n2, d2):
     x, y = F2T.make(n1, d1), F2T.make(n2, d2)
-    assert x == ref_f2_fraction(n1, d1)
-    assert F2T.add(x, y) == ref_f2_fraction(
+    assert x == ref_f2_payload(n1, d1)
+    assert F2T.add(x, y) == ref_f2_payload(
         ref_f2_add(ref_f2_mul(n1, d2), ref_f2_mul(n2, d1)), ref_f2_mul(d1, d2))
     assert F2T.add(x, x) == F2T.zero
-    assert F2T.mul(x, y) == ref_f2_fraction(ref_f2_mul(n1, n2), ref_f2_mul(d1, d2))
+    assert F2T.mul(x, y) == ref_f2_payload(ref_f2_mul(n1, n2), ref_f2_mul(d1, d2))
     if n1:
-        assert F2T.inv(x) == ref_f2_fraction(d1, n1)
+        assert F2T.inv(x) == ref_f2_payload(d1, n1)
+
+
+def test_f3t_products_of_polynomials_run_no_division(monkeypatch):
+    # a denominator 1 is a unit: the tuple path cancels nothing against it
+    from frobinv import coeff
+    calls = []
+    udivmod = coeff._udivmod
+
+    def counted(*args):
+        calls.append(args)
+        return udivmod(*args)
+    monkeypatch.setattr(coeff, "_udivmod", counted)
+    x, y = el(F3T, "t^2+2*t+1"), el(F3T, "2*t^3+t")
+    assert x * y == el(F3T, "2*t^5+t^4+2*t^2+t")
+    assert x + y == el(F3T, "2*t^3+t^2+1")
+    assert calls == []
+    assert el(F3T, "t^2+2*t+1") / el(F3T, "t+1") == el(F3T, "t+1")
+    assert calls
 
 
 def _ext_digits(K, a):

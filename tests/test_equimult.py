@@ -315,6 +315,36 @@ def test_bracket_check_rejects_a_row_off_by_one():
                 assert _bracket_violation(ell + 1, lower, upper) is not None
 
 
+def test_e4_residue_rows_lie_in_kunz_bracket_and_match_the_table():
+    # every e = 4 row in four variables, the two the table takes from the
+    # closed bracket (a and a+1) included
+    cases = _brackets_and_direct_rows(range(4, 5))
+    rep = bm_gap_table(_gap_points(), e_min=4, e_max=4, field=F4)
+    assert [(e, ell) for e, _, ell, _ in rep.fiber_rows] == [(4, 764)]
+    want = {"t": 12440, "t+1": 12296, "t+a": 12224, "t+a+1": 12224}
+    assert cases.keys() == want.keys()
+    for key, [(lower, upper, ell)] in cases.items():
+        assert (lower, ell) == (16 * 764, want[key]), key
+        assert _bracket_violation(ell, lower, upper) is None, key
+        assert [row[2] for row in rep.alpha_rows[key]] == [ell], key
+
+
+@pytest.mark.parametrize("ring, gens", [
+    (quadric_cone, ("x", "y")),
+    (lambda: brenner_monsky_ring(F4), ("x", "y", "z")),
+], ids=["quadric-cone", "brenner-monsky"])
+def test_rigidity_rows_lie_in_kunz_bracket(ring, gens):
+    # at the origin (alpha = 0): q^dim l_fiber <= l(R/m^[q]) <= q l(Q_0/m^[q])
+    P = ideal(ring(), *gens)
+    fp = fiber_presentation(P)
+    rep = rigidity_check(P, 3, fiber=fp)
+    (uppers,) = hk_table([fp.specialize(0).origin_ideal()], range(1, 4))
+    for (e, q, lhs, rhs, _), (_, _, up, _) in zip(rep.rows, uppers):
+        assert _bracket_violation(lhs, rhs, q * up) is None, e
+        assert _bracket_violation(rhs - 1, rhs, q * up) is not None
+        assert _bracket_violation(q * up + 1, rhs, q * up) is not None
+
+
 def _recorded_cells(monkeypatch):
     """(variable count, relation, last generator, e) of every cell swept from now on."""
     from frobinv import invariants

@@ -742,6 +742,16 @@ def test_eliminated_basis_is_the_reduced_basis(name):
     check()
 
 
+def test_basis_over_f2t_holds_bytes_payloads():
+    # over F_2 a numerator and a denominator are bytes, byte i the coefficient of t^i
+    F2T = RationalFunctionField(F2, "t")
+    R = ring_make(F2T, ("x", "y", "z"))
+    basis = groebner_basis(ideal(R, "(t+1)*x^2+y*z", "x*y/(t^2+t+1)+z^2", "t^3*y^2+x*z"))
+    coeffs = [c for g in basis for c in g.terms.values()]
+    assert coeffs and all(type(n) is bytes and type(d) is bytes for n, d in coeffs)
+    assert b"\x01\x01" in {n for n, _ in coeffs} | {d for _, d in coeffs}
+
+
 # -- the kernel over the prime field ------------------------------------------
 #
 # Buchberger's algorithm only adds, subtracts, multiplies and inverts the
