@@ -21,13 +21,20 @@ over that one.
 Every element is a :class:`FieldElement` tagging a payload with its
 :class:`FieldSpec`.  Payloads are plain hashable values (ints, tuples,
 bytes) so the Groebner kernel can work on them directly through the spec's
-raw-op methods (``add``/``mul``/``inv``/...) without wrapper overhead.  No
+raw-op methods (``add``/``mul``/``inv``/...) without wrapper overhead.  Two
+more raw ops serve its pair loop: ``primitive`` scales a term dict to the
+kernel's normal form (monic over a finite field, over base(t) a primitive
+polynomial over base[t]) and ``cofactors`` gives u/v = c/d in lowest terms
+(c/d and 1 over a finite field), so a reduction over base(t) runs on
+polynomials in t and forms no fraction.  Sums and products of fractions
+with denominator 1 skip the gcds.  No
 other module builds, takes apart or classifies a payload: named constants
 come from ``symbols()``, c t^k from ``monomial`` and t -> alpha from
 ``evaluate``, and a field's kind is its ``kind`` string.
 """
 
 import operator
+from functools import partial
 
 from . import InputError
 
@@ -89,13 +96,19 @@ def _udivmod(base, f, g):
     return _utrim_spec(base, quo), _utrim_spec(base, f)
 
 
+def _ugcd(base, f, g):
+    """The monic gcd of f and g, not both zero."""
+    while g:
+        f, g = g, _udivmod(base, f, g)[1]
+    ilc = base.inv(f[-1])
+    return tuple(base.mul(c, ilc) for c in f)
+
+
 def _ucancel(base, f, g):
     """f and g divided by their gcd."""
     if len(f) == 1 or len(g) == 1:  # a non-zero constant: the gcd is 1
         return f, g
-    h, r = f, g
-    while r:
-        h, r = r, _udivmod(base, h, r)[1]
+    h = _ugcd(base, f, g)
     if len(h) == 1:
         return f, g
     return _udivmod(base, f, h)[0], _udivmod(base, g, h)[0]
@@ -209,6 +222,9 @@ class FieldSpec:
     #   add/sub/mul/neg/inv -- payload arithmetic
     #   frob(a)             -- a^p
     #   render(a)           -- canonical string, parseable by field_make
+    # and, with defaults for a field here:
+    #   monic/primitive     -- a term dict scaled by a unit
+    #   cofactors(c, d)     -- u/v = c/d in lowest terms
 
     def from_int(self, n):
         raise NotImplementedError
@@ -223,6 +239,24 @@ class FieldSpec:
         same encoding, else this one.  Sums, products and inverses never leave
         the field the inputs generate, so both specs give the same payloads."""
         return self
+
+    def monic(self, terms, lead):
+        """terms (a dict of payloads) divided by its coefficient at key lead."""
+        c = terms[lead]
+        if c == self.one:
+            return terms
+        ic = self.inv(c)
+        return {m: self.mul(ic, v) for m, v in terms.items()}
+
+    # over a field, the primitive part of a polynomial is its monic associate
+    primitive = monic
+
+    def cofactors(self, c, d):
+        """(u, v) with u/v = c/d in lowest terms over the coefficient ring,
+        d non-zero: (c/d, 1) over a field."""
+        if d == self.one:
+            return c, d
+        return self.mul(c, self.inv(d)), self.one
 
     def pow(self, a, n):
         if n < 0:
@@ -468,6 +502,15 @@ class RationalFunctionField(FieldSpec):
         self._out = _unpack2 if box is bytes else lambda a: tuple(_unpack2(a))
         self.zero = (box(), box((base.one,)))
         self.one = (box((base.one,)), box((base.one,)))
+        # base[t] for primitive and cofactors: one, mul, exact quotient, gcd,
+        # cancel, payload -> operand, operand -> payload
+        if self._f2:
+            self._ring = (1, _clmul2, _quo2, _gcd2, _cancel2,
+                          partial(int.from_bytes, byteorder="little"), self._out)
+        else:
+            self._ring = ((base.one,), partial(_umul, base),
+                          lambda f, g: _udivmod(base, f, g)[0], partial(_ugcd, base),
+                          partial(_ucancel, base), tuple, tuple)
 
     def __reduce__(self):
         return RationalFunctionField, (self.base, self.param, self._box)
@@ -506,6 +549,42 @@ class RationalFunctionField(FieldSpec):
     def from_int(self, n):
         return self.make((self.base.from_int(n),), (self.base.one,))
 
+    def primitive(self, terms, lead):
+        """The primitive part of terms (a dict of payloads) over base[t]:
+        denominators cleared and the content divided out, so that every
+        payload is a polynomial (denominator 1).  Its lead need not be monic."""
+        one, mul, quo, gcd, _, pin, out = self._ring
+        vals = [(pin(n), pin(d)) for n, d in terms.values()]
+        den = one
+        for _, d in vals:
+            if d != one:
+                den = mul(den, quo(d, gcd(den, d)))
+        nums = [n if d == den else mul(n, quo(den, d)) for n, d in vals]
+        g = nums[0]
+        for n in nums[1:]:
+            if g == one:
+                break
+            g = gcd(g, n)
+        if g == one and den == one:
+            return terms
+        unit = self.one[1]
+        return {m: (out(quo(n, g)), unit) for m, n in zip(terms, nums)}
+
+    def cofactors(self, c, d):
+        """(u, v) with u/v = c/d, u and v polynomials with no common factor;
+        v is 1 when c/d is a polynomial."""
+        one, mul, _, _, cancel, pin, out = self._ring
+        (n1, d1), (n2, d2) = c, d
+        u, v = cancel(pin(n1), pin(n2))
+        if d1 != d2:
+            d1, d2 = cancel(pin(d1), pin(d2))
+            u, v = mul(u, d2), mul(d1, v)
+        if not self._f2 and len(v) == 1:  # a unit of base
+            iv = self.base.inv(v[0])
+            u, v = tuple(self.base.mul(iv, a) for a in u), one
+        unit = self.one[1]
+        return (out(u), unit), (out(v), unit)
+
     def monomial(self, c, k):
         """The payload of c t^k, c a base payload."""
         base = self.base
@@ -534,6 +613,11 @@ class RationalFunctionField(FieldSpec):
 
     def add(self, a, b):
         (n1, d1), (n2, d2) = a, b
+        if d1 == d2 == self.one[1]:  # polynomials, as in the Groebner kernel
+            if self._f2:
+                num = int.from_bytes(n1, "little") ^ int.from_bytes(n2, "little")
+                return (self._out(num), d1) if num else self.zero
+            return (_uadd(self.base, n1, n2), d1)
         if self._f2:
             # Henrici: with g = gcd(d1, d2), a + b = (n1 d2/g + n2 d1/g) / (d1 d2/g),
             # and a common factor of that numerator and denominator divides g
@@ -565,6 +649,11 @@ class RationalFunctionField(FieldSpec):
         (n1, d1), (n2, d2) = a, b
         if not n1 or not n2:
             return self.zero
+        if d1 == d2 == self.one[1]:
+            if self._f2:
+                return (self._out(_clmul2(int.from_bytes(n1, "little"),
+                                          int.from_bytes(n2, "little"))), d1)
+            return (_umul(self.base, n1, n2), d1)
         # cross-cancel first: keeps the gcd calls on small operands
         if self._f2:
             n1, d2 = _cancel2(int.from_bytes(n1, "little"), int.from_bytes(d2, "little"))

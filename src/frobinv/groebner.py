@@ -15,11 +15,21 @@ ends.  The field width is chosen from the input's degrees with headroom; a
 product that sets a guard bit raises ``_Overflow`` and the whole
 computation reruns at twice the width.
 
+The pair loop keeps each entry as ``FieldSpec.primitive`` scales it: monic
+over a finite field, and over base(t) a primitive polynomial over base[t]
+(no denominators, content 1).  A reduction step by an entry whose lead
+coefficient is not 1 is cross-multiplied, p <- v p - u x^sh b with u/v =
+c/lc(b) in lowest terms (``FieldSpec.cofactors``), so over base(t) it costs
+one gcd of two lead coefficients and forms no fraction.  Entries are made
+monic at the end (``_interreduce``); leads and sugars do not depend on the
+scaling, so neither does any pair choice.
+
 Reduction takes terms from the top down off a min-heap of negated packed
 monomials, next to the term dict; a monomial is pushed when it enters the
 dict, and a popped one that has cancelled since is skipped.  Pair pruning
 uses the Gebauer-Moeller update (product + chain criteria), which takes the
-new pairs in one ascending pass over their lcms; pair selection uses the
+new pairs in one ascending pass over the exponent sections of their lcms
+(a field-wise max on packed ints); pair selection uses the
 sugar strategy with ties broken by the lcm in the order and then by the
 ranks (creation order) of the two entries, so runs are deterministic.  Each
 pair's (sugar, lcm) is computed once, when the pair is formed, and pairs
@@ -33,7 +43,7 @@ the same packed run.  Only they are inter-reduced, and every result keeps
 that reduced basis.  Saturation needs no chain of colons: I : J^infty is the
 intersection over the generators g of J of the eliminations (I, 1 - w*g) cap R.
 
-The pair loop ends with a minimal monic basis, whose leads already are the
+The pair loop ends with a minimal basis, whose leads already are the
 minimal generators of the lead ideal; only the reduced-basis path
 (``groebner_basis`` and the eliminations) inter-reduces its tails.
 Colengths and dimensions read leading monomials alone
@@ -50,8 +60,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, count
 from operator import attrgetter
 
-from .polyring import (Polynomial, Ideal, MonomialOrder, GREVLEX, RingError,
-                       mono_divides, mono_lcm)
+from .polyring import Polynomial, Ideal, MonomialOrder, GREVLEX, RingError, mono_divides
 
 
 class _Overflow(Exception):
@@ -69,7 +78,9 @@ class _Packer:
     guard that stays clear.  Every field is linear, so a product is a + b, a
     quotient b - a, a | b is ``not (b - a) & guard``, the order is int
     comparison and the degree is ``m & mask`` (Bachmann-Schoenemann,
-    ISSAC 1998).
+    ISSAC 1998).  The exponent section ``m & exps`` alone orders divisors
+    before their multiples, and ``lcm`` takes the field-wise max of two
+    sections with the guard bits.
     """
 
     def __init__(self, order, nvars, width):
@@ -91,11 +102,20 @@ class _Packer:
         self.units = [sum(1 << s for s, (lo, hi) in zip(shifts, fields) if lo <= i < hi)
                       for i in range(n)]
         self.shifts = shifts[len(forms):len(forms) + n]   # of e_1..e_n
+        self.exps = sum(self.mask << s for s in self.shifts)
+        self._guards = self.guard & self.exps
+        self._low = width - 1
 
     def pack(self, m):
         if sum(m) >= self.limit:
             raise _Overflow
         return sum(e * u for e, u in zip(m, self.units) if e)
+
+    def lcm(self, a, b):
+        """The lcm of two exponent sections, as a section: a guard stays set
+        in (a | guards) - b where a_i >= b_i, and spreads to that field's mask."""
+        ge = ((a | self._guards) - b) & self._guards
+        return b ^ ((a ^ b) & (ge - (ge >> self._low)))
 
     def unpack(self, v):
         mask = self.mask
@@ -123,22 +143,14 @@ def _packed(order, nvars, dicts, run):
 
 
 class _GEntry:
-    __slots__ = ("terms", "lmono", "sugar", "exps", "rank")
+    __slots__ = ("terms", "lmono", "lc", "sugar", "rank")
 
-    def __init__(self, terms, lmono, sugar, exps=None, rank=None):
+    def __init__(self, terms, lmono, sugar, rank=None):
         self.terms = terms
         self.lmono = lmono
+        self.lc = terms[lmono]
         self.sugar = sugar
-        self.exps = exps    # the lead as an exponent tuple
         self.rank = rank    # creation order within one basis run
-
-
-def _make_monic(F, terms, lmono):
-    c = terms[lmono]
-    if c == F.one:
-        return terms
-    ic = F.inv(c)
-    return {m: F.mul(ic, v) for m, v in terms.items()}
 
 
 def _submul(F, guard, p, heap, c, sh, terms):
@@ -166,16 +178,20 @@ def _submul(F, guard, p, heap, c, sh, terms):
 
 
 def _reduce(F, pk, terms, basis, full, sugar=0):
-    """Divide terms by the monic basis entries (sorted by ascending lead).
+    """Divide terms by the basis entries (sorted by ascending lead).
 
     Terms are taken from the top down off a heap of negated monomials; a
     popped monomial no longer in the working dict cancelled after it was
-    pushed, and is skipped.  full=False stops at the first irreducible
-    leading term (top-reduction, used inside the main loop); full=True
-    computes the normal form.  Returns (terms, leading monomial or None for
-    zero, sugar) with the sugar updated through every cancellation.
+    pushed, and is skipped.  A step by an entry b whose lead coefficient is
+    not 1 is cross-multiplied, p <- v p - u x^sh b with u/v = c/lc(b)
+    (``FieldSpec.cofactors``), so the result is a unit multiple of the
+    remainder; by monic entries it is the remainder itself.  full=False
+    stops at the first irreducible leading term (top-reduction, used inside
+    the main loop); full=True computes the normal form.  Returns (terms,
+    leading monomial or None for zero, sugar) with the sugar updated
+    through every cancellation.
     """
-    guard, mask = pk.guard, pk.mask
+    guard, mask, one, mul = pk.guard, pk.mask, F.one, F.mul
     p = dict(terms)
     heap = [-m for m in p]
     heapify(heap)
@@ -196,36 +212,38 @@ def _reduce(F, pk, terms, basis, full, sugar=0):
             tail[t] = c
             continue
         sugar = max(sugar, b.sugar + (sh & mask))
+        if b.lc != one:
+            c, v = F.cofactors(c, b.lc)
+            if v != one:
+                for d in (p, tail):
+                    for m, a in d.items():
+                        d[m] = mul(v, a)
         _submul(F, guard, p, heap, c, sh, b.terms)
     return tail, next(iter(tail), None), sugar
 
 
 def _spoly(F, pk, lcm, f, g):
+    """v x^shf f - u x^shg g with u/v = lc(f)/lc(g), and its sugar."""
     shf = lcm - f.lmono
     shg = lcm - g.lmono
-    d = {m + shf: v for m, v in f.terms.items()}
-    for m, v in g.terms.items():
-        mm = m + shg
-        old = d.get(mm)
-        if old is None:
-            d[mm] = F.neg(v)
-            continue
-        nv = F.sub(old, v)
-        if nv == F.zero:
-            del d[mm]
-        else:
-            d[mm] = nv
+    u, v = F.cofactors(f.lc, g.lc)
+    if v == F.one:
+        d = {m + shf: c for m, c in f.terms.items()}
+    else:
+        d = {m + shf: F.mul(v, c) for m, c in f.terms.items()}
     if any(m & pk.guard for m in d):
         raise _Overflow
+    _submul(F, pk.guard, d, [], u, shg, g.terms)   # no heap to keep
     mask = pk.mask
     sugar = max(f.sugar + (shf & mask), g.sugar + (shg & mask))
     return d, sugar
 
 
 def _interreduce(F, pk, basis):
-    """The reduced basis (tuple term dicts) of a minimal monic one: the leads
-    divide no other lead, so each entry keeps its monic lead and the
+    """The reduced basis (tuple term dicts) of a minimal one, made monic: the
+    leads divide no other lead, so each entry keeps its lead and the
     ascending order."""
+    basis = [_GEntry(F.monic(e.terms, e.lmono), e.lmono, 0) for e in basis]
     return [pk.unpack_terms(_reduce(F, pk, e.terms, [b for b in basis if b is not e], True)[0])
             for e in basis]
 
@@ -244,15 +262,19 @@ def _run_loop(F, order, gen_dicts, finish):
 
 
 def _basis(F, pk, gen_dicts):
-    """Minimal monic basis (entries ascending by lead) on packed term dicts.
+    """Minimal basis (entries ascending by lead) on packed term dicts.
 
-    Its leads are the minimal generators of the lead ideal: a new lead is
-    top-reduced, so no basis lead divides it, and ``add`` evicts every lead
-    it divides.  The tails are only top-reduced.  New pairs are chosen in
-    one ascending pass over their lcms; pairs leave the heap by sugar, ties
-    broken by the lcm and then by the ranks (creation order) of the entries.
+    Each entry is scaled by ``F.primitive``: monic over a finite field, a
+    primitive polynomial over base[t] (no denominators, content 1), so a
+    reduction over base(t) forms no fraction.  Its leads are the minimal
+    generators of the lead ideal: a new lead is top-reduced, so no basis
+    lead divides it, and ``add`` evicts every lead it divides.  The tails
+    are only top-reduced.  New pairs are chosen in one ascending pass over
+    the exponent sections of their lcms, where divisors come before their
+    multiples; pairs leave the heap by sugar, ties broken by the lcm and
+    then by the ranks (creation order) of the entries.
     """
-    guard, mask, pack = pk.guard, pk.mask, pk.pack
+    guard, mask, exps, lcm = pk.guard, pk.mask, pk.exps, pk.lcm
     basis = []      # the current entries, ascending by lead
     P = {}          # pending pairs (rank i, rank j), i < j -> (lcm, entry i, entry j)
     heap = []       # (sugar, lcm, rank i, rank j) of every pair formed
@@ -262,21 +284,28 @@ def _basis(F, pk, gen_dicts):
         # Gebauer-Moeller: prune the old pairs, form the new pairs, and evict
         # the basis leads the new lead mh divides.
         nonlocal basis
-        h = _GEntry(_make_monic(F, terms, mh), mh, sugar, pk.unpack(mh), next(ranks))
+        h = _GEntry(F.primitive(terms, mh), mh, sugar, next(ranks))
+        hs = mh & exps
         for ij, (L, a, b) in list(P.items()):
-            if (not (L - mh) & guard and pack(mono_lcm(h.exps, a.exps)) != L
-                    and pack(mono_lcm(h.exps, b.exps)) != L):
-                del P[ij]
-        # A divisor precedes its multiples in the order, so each new lcm is
-        # tested against the lcms kept so far only (chain criterion); among
-        # equal lcms a coprime pair comes first, blocks the others and is
-        # dropped itself (product criterion).
-        lcms = [(pack(mono_lcm(h.exps, g.exps)), g) for g in basis]
+            if not (L - mh) & guard:
+                Ls = L & exps
+                if lcm(hs, a.lmono & exps) != Ls and lcm(hs, b.lmono & exps) != Ls:
+                    del P[ij]
+        # A divisor precedes its multiples among the sections, so each new
+        # lcm is tested against the lcms kept so far only (chain criterion);
+        # among equal lcms a coprime pair comes first, blocks the others and
+        # is dropped itself (product criterion).  A kept pair alone is packed.
+        new = []
+        for g in basis:
+            gs = g.lmono & exps
+            L = lcm(hs, gs)
+            new.append((L, hs + gs != L, g.rank, g))
         kept = []
-        for L, shared, _, g in sorted((L, mh + g.lmono != L, g.rank, g) for L, g in lcms):
+        for L, shared, _, g in sorted(new):
             if all((L - K) & guard for K in kept):
                 kept.append(L)
                 if shared:
+                    L = pk.pack(pk.unpack(L))
                     sl = L & mask
                     sug = max(g.sugar + sl - (g.lmono & mask), sugar + sl - (mh & mask))
                     P[g.rank, h.rank] = (L, g, h)
@@ -285,6 +314,7 @@ def _basis(F, pk, gen_dicts):
         insort(basis, h, key=attrgetter("lmono"))
 
     for d in gen_dicts:
+        d = F.primitive(d, max(d))
         red, lead, sug = _reduce(F, pk, d, basis, False, max(m & mask for m in d))
         if lead is not None:
             add(red, lead, sug)
@@ -336,7 +366,7 @@ def _leading_monomials(ideal, order=GREVLEX):
     if cached is not None:
         return [g.leading_monomial(order) for g in cached]
     return _run_loop(ideal.ring.field, order, _generator_dicts(ideal),
-                     lambda F, pk, basis: [e.exps for e in basis])
+                     lambda F, pk, basis: [pk.unpack(e.lmono) for e in basis])
 
 
 def normal_form(f, ideal, order=GREVLEX):
@@ -466,10 +496,10 @@ def _eliminate(ring, parts, den=None):
             for a, b in parts]
 
     def finish(F, pk, basis):
-        kept = [e for e in basis if not e.exps[0]]
+        kept = [e for e in basis if not pk.unpack(e.lmono)[0]]
         if den is not None:
             d = pk.pack_terms({(0,) + m: c for m, c in den.items()})
-            d = _make_monic(F, d, max(d))   # monic quotients of monic entries
+            d = F.monic(d, max(d))
             kept = [_GEntry(q, max(q), 0) for q in (_exact_div(F, pk, e.terms, d) for e in kept)]
         return [{m[1:]: c for m, c in t.items()} for t in _interreduce(F, pk, kept)]
     return [Polynomial(ring, d)

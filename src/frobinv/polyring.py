@@ -35,10 +35,6 @@ def mono_divides(a, b):
     return True
 
 
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def grevlex_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 

@@ -422,3 +422,51 @@ def test_payload_round_trips(name):
             assert K.inv(payload) == K.make(payload[1], payload[0])
 
     check()
+
+
+# -- the Groebner kernel's ops over base(t) -------------------------------------
+
+def _fractions_over(K, deg):
+    q = K.base.p ** getattr(K.base, "degree", 1)
+    upoly = st.tuples(st.lists(st.integers(0, q - 1), max_size=deg),
+                      st.integers(1, q - 1)).map(lambda lt: tuple(lt[0]) + (lt[1],))
+    return st.tuples(upoly, upoly).map(lambda nd: K.make(*nd))
+
+
+@pytest.mark.parametrize("K", [F2T, F3T, F4T, RationalFunctionField(F4, "t", tuple)],
+                         ids=["F2(t)", "F3(t)", "F4(t)", "F2(t)-tuples"])
+def test_primitive_and_cofactors_stay_in_the_polynomial_ring(K):
+    unit = K.one[1]
+
+    def polynomial(c):
+        return c[1] == unit
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_fractions_over(K, 3), min_size=2, max_size=5), st.integers(0, 3))
+    def check(coeffs, k):
+        # a common factor and a common denominator, for primitive to remove
+        common = K.mul(K.make((1,) * k + (1,), (1,)), K.make((1,), (0, 1)))
+        terms = {i: K.mul(common, c) for i, c in enumerate(coeffs)}
+        prim = K.primitive(terms, 0)
+        assert prim.keys() == terms.keys() and all(map(polynomial, prim.values()))
+        ratio = K.mul(prim[0], K.inv(terms[0]))
+        assert all(prim[m] == K.mul(ratio, c) for m, c in terms.items())
+        assert K.primitive(prim, 0) is prim     # content 1: nothing left to divide
+        c, d = terms[0], terms[1]
+        u, v = K.cofactors(c, d)
+        assert polynomial(u) and polynomial(v) and K.mul(u, d) == K.mul(v, c)
+        assert K.cofactors(u, v) == (u, v)      # no common factor
+        assert K.cofactors(c, c) == (K.one, K.one)
+        assert K.cofactors(K.mul(u, d), d) == (u, K.one)  # a polynomial quotient
+
+    check()
+
+
+def test_field_defaults_of_the_kernel_ops():
+    # over a field the primitive part is the monic associate
+    for K in (F3, F9):
+        a = K.from_int(2)
+        assert K.primitive({0: a, 1: K.one}, 0) == {0: K.one, 1: K.inv(a)}
+        assert K.cofactors(K.one, a) == (K.inv(a), K.one)
+        terms = {0: K.one, 1: a}
+        assert K.primitive(terms, 0) is terms and K.monic(terms, 0) is terms

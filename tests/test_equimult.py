@@ -26,7 +26,7 @@ from frobinv.equimult import (
     wy_inequality_check,
 )
 from frobinv.frobenius import frobenius_power
-from frobinv.invariants import hk_table
+from frobinv.invariants import hk_function, hk_table
 from frobinv.polyring import Ideal, ring_make
 
 F2 = PrimeField(2)
@@ -327,6 +327,29 @@ def test_e4_residue_rows_lie_in_kunz_bracket_and_match_the_table():
         assert (lower, ell) == (16 * 764, want[key]), key
         assert _bracket_violation(ell, lower, upper) is None, key
         assert [row[2] for row in rep.alpha_rows[key]] == [ell], key
+
+
+# The e = 5 residue rows, recorded from `repro-bm --emax 5` (four-variable
+# cells at alpha = 0, 1 and a; a + 1 is the conjugate of a).  Too slow to
+# recompute here; their bracket sides are not.
+E5_RESIDUE_ROWS = {"t": 99976, "t+1": 98716, "t+a": 98188}
+
+
+def test_e5_residue_rows_lie_in_kunz_bracket():
+    R = brenner_monsky_ring(F4)
+    prime = ideal(R, "x", "y", "z")
+    fp = fiber_presentation(prime)
+    fiber = hk_function(fp.map_ideal(prime), 5)
+    assert fiber == 3 * 32 ** 2 - 4 == 3068
+    uppers = {str(bm_maximal_ideal(R, a).gens[3]): hk_function(fp.specialize(a).origin_ideal(), 5)
+              for a in _gap_points()[:3]}
+    assert uppers == {"t": 3908, "t+1": 3136, "t+a": 3076}
+    brackets = {key: (32 * fiber, 32 * up) for key, up in uppers.items()}
+    assert brackets == {"t": (98176, 125056), "t+1": (98176, 100352), "t+a": (98176, 98432)}
+    for key, (lower, upper) in brackets.items():
+        assert _bracket_violation(E5_RESIDUE_ROWS[key], lower, upper) is None, key
+        assert _bracket_violation(lower - 1, lower, upper) is not None
+        assert _bracket_violation(upper + 1, lower, upper) is not None
 
 
 @pytest.mark.parametrize("ring, gens", [

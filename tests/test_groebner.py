@@ -5,6 +5,7 @@ The colength tests carry an independent brute-force lattice counter so the
 staircase arithmetic is never trusted on its own word.
 """
 
+import hashlib
 import itertools
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from frobinv import groebner
 from frobinv.cli import parse_spec
-from frobinv.coeff import ExtensionField, PrimeField, RationalFunctionField
+from frobinv.coeff import ExtensionField, FieldElement, PrimeField, RationalFunctionField
 from frobinv.corpus import corpus_text
 from frobinv.equimult import bm_gap_table, brenner_monsky_ring, quartic_ring
 from frobinv.frobenius import frobenius_power
@@ -33,7 +34,7 @@ from frobinv.groebner import (
 )
 from frobinv.invariants import hk_rows
 from frobinv.polyring import (GREVLEX, LEX, Ideal, MonomialOrder, Polynomial, mono_divides,
-                              mono_lcm, mono_mul, ring_make)
+                              mono_mul, ring_make)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -467,25 +468,42 @@ def _gap_table_e2():
     return bm_gap_table([0, 1, a, a + 1], e_min=2, e_max=2, field=F4)
 
 
-# Pinned to the S-pairs reduced at the time of writing; with the chain
-# criterion switched off the same inputs reduce 98, 354, 63 and 370.
-@pytest.mark.parametrize("run, bound", [
-    (_corpus_rows("monsky-1", 5), 54),
-    (_corpus_rows("a1-odd", 3), 84),
-    (_corpus_rows("monsky-t", 3), 34),
-    (_gap_table_e2, 184),
-], ids=["monsky-1-e5", "a1-odd-e3", "monsky-t-e3", "gap-table-e2"])
-def test_pair_criteria_bound_the_s_pairs(run, bound, monkeypatch):
-    calls = []
+def _f4_quartic_rows(e_max):
+    # alpha = 1 over F_4, which the kernel runs over F_2
+    return lambda: hk_rows(quartic_ring(FieldElement(F4, F4.one)).origin_ideal(), e_max)
+
+
+def _spoly_trace(run, monkeypatch):
+    """The S-pairs the kernel reduces during run(): their count, and the
+    sha256 of each one's lcm, two leads (unpacked) and two sugars, in order."""
+    calls, digest = [], hashlib.sha256()
     kernel = groebner._spoly
 
-    def counted(F, pk, lcm, f, g):
+    def traced(F, pk, lcm, f, g):
         calls.append(lcm)
+        digest.update(repr((pk.unpack(lcm), pk.unpack(f.lmono), pk.unpack(g.lmono),
+                            f.sugar, g.sugar)).encode())
         return kernel(F, pk, lcm, f, g)
 
-    monkeypatch.setattr(groebner, "_spoly", counted)
+    monkeypatch.setattr(groebner, "_spoly", traced)
     run()
-    assert 0 < len(calls) <= bound
+    monkeypatch.undo()
+    return len(calls), digest.hexdigest()[:16]
+
+
+# Pinned to the S-pairs reduced at the time of writing, and to their order:
+# a change to the pair criteria or to the selection strategy changes the
+# count or the hash.  With the chain criterion switched off the first three
+# reduce 98, 354 and 63 S-pairs.  The coefficients do not enter, so the
+# trace is the same for monic and primitive basis entries.
+@pytest.mark.parametrize("run, count, digest", [
+    (_f4_quartic_rows(5), 54, "479d1bdf64ea1c67"),
+    (_corpus_rows("a1-odd", 3), 84, "fb52c3b35c709951"),
+    (_corpus_rows("monsky-t", 3), 34, "2ff0a926fbefaba2"),
+    (_gap_table_e2, 32, "4f37261acb6fa8ff"),
+], ids=["monsky-1-e5", "a1-odd-e3", "monsky-t-e3", "gap-table-e2"])
+def test_pair_criteria_bound_the_s_pairs(run, count, digest, monkeypatch):
+    assert _spoly_trace(run, monkeypatch) == (count, digest)
 
 
 COLON_CASES = [
@@ -538,11 +556,43 @@ def test_packed_monomials_match_tuples(order):
         assert pa + pb == pk.pack(mono_mul(a, b))
         for u, v in ((a, b), (b, a), (a, mono_mul(a, c)), (mono_mul(a, c), a)):
             assert (not (pk.pack(v) - pk.pack(u)) & pk.guard) == mono_divides(u, v)
-        # the kernel's lcm: both leads divide it, and it is their product
-        # exactly when the leads are coprime (the product criterion)
-        L = pk.pack(mono_lcm(a, b))
-        assert not (L - pa) & pk.guard and not (L - pb) & pk.guard
-        assert (pa + pb == L) == (not any(x and y for x, y in zip(a, b)))
+
+    check()
+
+
+def mono_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+@pytest.mark.parametrize("order", PACK_ORDERS, ids=repr)
+@pytest.mark.parametrize("width", [8, 12, 64])
+def test_packed_lcm_matches_tuples(order, width):
+    # the kernel takes lcms on exponent sections, up to the field limit - 1
+    top = (1 << (width - 1)) - 1
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, top), st.just(top))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(*[st.tuples(*[exponent] * n)] * 3)))
+    def check(abw):
+        a, b, w = abw
+        pk = groebner._Packer(order, len(a), width)
+
+        def sec(m):
+            return sum(e << s for e, s in zip(m, pk.shifts))
+
+        coprime_to_a = tuple(0 if x else y for x, y in zip(a, b))
+        for u, v in ((a, b), (b, a), (a, coprime_to_a), (a, a), (a, (0,) * len(a))):
+            want = mono_lcm(u, v)
+            L = pk.lcm(sec(u), sec(v))
+            assert L == sec(want) and pk.unpack(L) == want
+            # the product criterion: the sections add up to the lcm exactly
+            # when the monomials are coprime
+            assert (sec(u) + sec(v) == L) == (not any(x and y for x, y in zip(u, v)))
+            # the B test's equality, for a third monomial
+            assert (pk.lcm(sec(w), sec(u)) == L) == (mono_lcm(w, u) == want)
+            if sum(want) < pk.limit:
+                assert pk.pack(pk.unpack(L)) == pk.pack(want)
+                assert pk.pack(u) & pk.exps == sec(u)
 
     check()
 
@@ -868,3 +918,105 @@ def test_the_gap_table_fiber_cell_runs_no_tuple_division(monkeypatch):
     _without_descent(monkeypatch)
     assert hk_function(image, 3) == 188
     assert calls
+
+
+# -- primitive entries over base(t) -------------------------------------------
+#
+# Over base(t) the pair loop keeps each entry as a primitive polynomial over
+# base[t] and reduces by cross-multiplication; the results are made monic at
+# the end.  Reduced bases, normal forms, colons and saturations are unique,
+# so on inputs with fraction coefficients they must match the reference
+# kernel, which works with monic entries and field division throughout.
+
+F3T = RationalFunctionField(F3, "t")
+PRIMITIVE_FIELDS = {"F2(t)": RationalFunctionField(F2, "t"), "F4(t)": F4T, "F3(t)": F3T}
+
+
+def _fractions(F):
+    """Non-zero n/d with deg n, deg d <= 1, reduced by F.make."""
+    q = F.base.p ** getattr(F.base, "degree", 1)
+    upoly = st.tuples(st.lists(st.integers(0, q - 1), max_size=1),
+                      st.integers(1, q - 1)).map(lambda lt: tuple(lt[0]) + (lt[1],))
+    return st.tuples(upoly, upoly).map(lambda nd: F.make(*nd))
+
+
+def _fraction_polys(F, terms):
+    monos = st.tuples(*[st.integers(0, 2)] * 3)
+    return st.dictionaries(monos, _fractions(F), min_size=1, max_size=terms)
+
+
+def _ref_saturation(F, gens, g):
+    """(gens) : g^infty as the w-free part of the block(1) basis of
+    (gens, 1 - w g), reduced under grevlex."""
+    parts = [{(0,) + m: c for m, c in d.items()} for d in gens]
+    parts.append({(0, 0, 0, 0): F.one} | {(1,) + m: F.neg(c) for m, c in g.items()})
+    basis = ref_basis(F, MonomialOrder("block", 1), parts)
+    return ref_basis(F, GREVLEX, [{m[1:]: c for m, c in d.items()}
+                                  for d in basis if all(m[0] == 0 for m in d)])
+
+
+@pytest.mark.parametrize("name", PRIMITIVE_FIELDS)
+def test_primitive_entries_match_reference(name, monkeypatch):
+    F = PRIMITIVE_FIELDS[name]
+    _without_descent(monkeypatch)   # F_4(t) stays F_4(t) on F_2(t) inputs
+    R = ring_make(F, ("x", "y", "z"))
+    cubes = [{m: F.one for m in c} for c in CUBES]
+
+    def ideal_of(gens):
+        return Ideal(R, [Polynomial(R, d) for d in gens])
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(_fraction_polys(F, 3), min_size=1, max_size=2).map(lambda g: g + cubes),
+           _fraction_polys(F, 3))
+    def basis_and_normal_form(gens, f):
+        want = ref_basis(F, GREVLEX, gens)
+        I = ideal_of(gens)
+        assert [d.terms for d in groebner_basis(I)] == want
+        assert normal_form(Polynomial(R, f), I).terms == ref_reduce(F, GREVLEX, f, want)
+
+    # binomials: an elimination of random trinomials with fraction
+    # coefficients can run for minutes in either kernel
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(_fraction_polys(F, 2), min_size=1, max_size=2).map(lambda g: g + cubes),
+           _fraction_polys(F, 2), _fraction_polys(F, 2))
+    def colon_and_saturation(gens, f, g):
+        cut = ref_eliminate(F, gens, [f])
+        assert [d.terms for d in ideal_colon(ideal_of(gens), Polynomial(R, f)).gens] == \
+            ref_basis(F, GREVLEX, [ref_exact_div(F, d, f) for d in cut])
+        assert [d.terms for d in saturate(ideal_of(gens), ideal_of([g])).gens] == \
+            _ref_saturation(F, gens, g)
+
+    basis_and_normal_form()
+    colon_and_saturation()
+
+
+def test_alpha_t_cell_forms_no_fraction_in_the_pair_loop(monkeypatch):
+    # every entry is primitive over F_2[t] and every reduction step is
+    # cross-multiplied, so no field op in the loop leaves F_2[t]
+    K = RationalFunctionField(F2, "t")
+    unit = K.one[1]
+    inside, fractions = [False], []
+
+    def spy(fn):
+        def op(self, *args):
+            out = fn(self, *args)
+            if inside[0] and out[1] != unit:
+                fractions.append(out)
+            return out
+        return op
+
+    for op in ("add", "sub", "mul", "neg", "inv"):
+        monkeypatch.setattr(RationalFunctionField, op, spy(getattr(RationalFunctionField, op)))
+    loop = groebner._basis
+
+    def traced(*args):
+        inside[0] = True
+        try:
+            return loop(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(groebner, "_basis", traced)
+    R = quartic_ring(K.symbols()["t"])
+    assert colength(frobenius_power(R.origin_ideal(), 3)) == 188
+    assert fractions == []
