@@ -10,31 +10,31 @@
   ``(num, den)``: reduced fractions of univariate polynomials, little-endian
   sequences of base payloads, with monic denominator.  Over F_2 they are
   ``bytes`` (byte i the coefficient of t^i) and the ops run on them read as
-  ints; other bases, and the F_2(t) spec that ``descend`` returns for
-  F_{2^k}(t), keep tuples, and the tuple helpers serve every base but F_2.
-
-An element of F_p is encoded the same way in F_{p^k} and F_p, and so are
-the fractions over F_p in F_{p^k}(t) and F_p(t); ``descend`` returns the
-smaller spec when every payload lies in it, and the Groebner kernel computes
-over that one.
+  ints; other bases keep tuples, and the tuple helpers serve every base but
+  F_2.
 
 Every element is a :class:`FieldElement` tagging a payload with its
 :class:`FieldSpec`.  Payloads are plain hashable values (ints, tuples,
-bytes) so the Groebner kernel can work on them directly through the spec's
-raw-op methods (``add``/``mul``/``inv``/...) without wrapper overhead.  Two
-more raw ops serve its pair loop: ``primitive`` scales a term dict to the
-kernel's normal form (monic over a finite field, over base(t) a primitive
-polynomial over base[t]) and ``cofactors`` gives u/v = c/d in lowest terms
-(c/d and 1 over a finite field), so a reduction over base(t) runs on
-polynomials in t and forms no fraction.  Sums and products of fractions
-with denominator 1 skip the gcds.  No
+bytes) with raw ops on the spec (``add``/``mul``/``inv``/...).  The Groebner
+kernel computes on operands instead, through the op table ``kernel``
+returns: ``enter`` turns payload dicts into operands and ``leave`` turns
+operands back into payloads, once per run, and between the two only the
+table's ops run.  Over a finite field an operand is the payload and a
+primitive entry is a monic one.  Over base(t) an operand is a polynomial
+over base[t] -- a packed int over F_2 (byte i the coefficient of t^i, XOR
+adds), a tuple otherwise -- so ``cofactors`` gives u/v = c/d in lowest terms
+as two polynomials and a reduction forms no fraction.  The table is that of
+the smallest field the payloads generate: an element of F_p is encoded the
+same way in F_{p^k} and F_p, and so are the fractions over F_p in F_{p^k}(t)
+and F_p(t), so a run over either gives the same payloads.  No
 other module builds, takes apart or classifies a payload: named constants
 come from ``symbols()``, c t^k from ``monomial`` and t -> alpha from
 ``evaluate``, and a field's kind is its ``kind`` string.
 """
 
 import operator
-from functools import partial
+from collections import namedtuple
+from functools import partial, reduce
 
 from . import InputError
 
@@ -112,6 +112,14 @@ def _ucancel(base, f, g):
     if len(h) == 1:
         return f, g
     return _udivmod(base, f, h)[0], _udivmod(base, g, h)[0]
+
+
+def _umonic(base, num, den):
+    """num/den scaled so the denominator is monic."""
+    if den[-1] == base.one:
+        return (num, den)
+    ilc = base.inv(den[-1])
+    return (tuple(base.mul(c, ilc) for c in num), tuple(base.mul(c, ilc) for c in den))
 
 
 def _ufrob(base, f):
@@ -212,6 +220,18 @@ def _digits(code, p, n):
 # ---------------------------------------------------------------------------
 # field specs
 
+# The Groebner kernel's ops on operands: the spec of the field they compute
+# over; zero, one, add, mul, neg; cofactors(c, d) = (u, v) with u/v = c/d in
+# lowest terms, v = one when d | c; primitive(terms, lead), a dict divided by
+# its content (monic over a field); enter(terms) = (operand dict, scale), a
+# payload dict times scale; leave(terms, s), the payloads of terms / s.
+Kernel = namedtuple("Kernel", "field zero one add mul neg cofactors primitive enter leave")
+
+
+def _same(a):
+    return a  # -a in characteristic 2
+
+
 class FieldSpec:
     """Base class; concrete specs implement raw ops on payloads."""
 
@@ -222,9 +242,6 @@ class FieldSpec:
     #   add/sub/mul/neg/inv -- payload arithmetic
     #   frob(a)             -- a^p
     #   render(a)           -- canonical string, parseable by field_make
-    # and, with defaults for a field here:
-    #   monic/primitive     -- a term dict scaled by a unit
-    #   cofactors(c, d)     -- u/v = c/d in lowest terms
 
     def from_int(self, n):
         raise NotImplementedError
@@ -233,30 +250,23 @@ class FieldSpec:
         """Name -> FieldElement of each named constant; no variable may take one."""
         return {}
 
-    def descend(self, payloads):
-        """The spec to compute with on these payloads: that of the prime field
-        (of F_p(t) over an extension) when every payload lies in it under the
-        same encoding, else this one.  Sums, products and inverses never leave
-        the field the inputs generate, so both specs give the same payloads."""
-        return self
+    def kernel(self, payloads):
+        """The op table (``Kernel``) for a run on these payloads: over a field
+        an operand is its payload and a primitive dict is a monic one."""
+        one, mul, inv = self.one, self.mul, self.inv
 
-    def monic(self, terms, lead):
-        """terms (a dict of payloads) divided by its coefficient at key lead."""
-        c = terms[lead]
-        if c == self.one:
-            return terms
-        ic = self.inv(c)
-        return {m: self.mul(ic, v) for m, v in terms.items()}
+        def cofactors(c, d):
+            return (c, d) if d == one else (mul(c, inv(d)), one)
 
-    # over a field, the primitive part of a polynomial is its monic associate
-    primitive = monic
+        def leave(terms, scale):
+            s = inv(scale)
+            return terms if s == one else {m: mul(s, c) for m, c in terms.items()}
 
-    def cofactors(self, c, d):
-        """(u, v) with u/v = c/d in lowest terms over the coefficient ring,
-        d non-zero: (c/d, 1) over a field."""
-        if d == self.one:
-            return c, d
-        return self.mul(c, self.inv(d)), self.one
+        char2 = self.p == 2
+        return Kernel(self, self.zero, one, operator.xor if char2 else self.add, mul,
+                      _same if char2 else self.neg, cofactors,
+                      lambda terms, lead: leave(terms, terms[lead]),
+                      lambda terms: (terms, one), leave)
 
     def pow(self, a, n):
         if n < 0:
@@ -433,10 +443,12 @@ class ExtensionField(FieldSpec):
     def key(self):
         return ("ext", self.p, self.modulus, self.gen)
 
-    def descend(self, payloads):
+    def kernel(self, payloads):
         # the codes below p are the prime field's elements, encoded as there
         p = self.p
-        return self.base if all(c < p for c in payloads) else self
+        if all(c < p for c in payloads):
+            return self.base.kernel(())
+        return FieldSpec.kernel(self, ())
 
     def symbols(self):
         return {self.gen: FieldElement(self, self._fix((0, 1)))}
@@ -490,48 +502,67 @@ class RationalFunctionField(FieldSpec):
 
     kind = "rational-function"
 
-    def __init__(self, base, param="t", box=bytes):
+    def __init__(self, base, param="t"):
         if base.kind not in ("prime", "extension"):
             raise FieldError("rational-function base must be a finite field")
         self.base = base
         self.p = base.p
         self.param = param
-        self._f2 = base.key() == ("prime", 2)  # ops run on packed ints
-        # bytes polynomials over F_2; box=tuple keeps the tuples of a descended run
-        self._box = box = box if self._f2 else tuple
-        self._out = _unpack2 if box is bytes else lambda a: tuple(_unpack2(a))
+        self._f2 = base.key() == ("prime", 2)  # bytes payloads, ops on packed ints
+        self._box = box = bytes if self._f2 else tuple
         self.zero = (box(), box((base.one,)))
         self.one = (box((base.one,)), box((base.one,)))
-        # base[t] for primitive and cofactors: one, mul, exact quotient, gcd,
-        # cancel, payload -> operand, operand -> payload
-        if self._f2:
-            self._ring = (1, _clmul2, _quo2, _gcd2, _cancel2,
-                          partial(int.from_bytes, byteorder="little"), self._out)
-        else:
-            self._ring = ((base.one,), partial(_umul, base),
-                          lambda f, g: _udivmod(base, f, g)[0], partial(_ugcd, base),
-                          partial(_ucancel, base), tuple, tuple)
 
     def __reduce__(self):
-        return RationalFunctionField, (self.base, self.param, self._box)
+        return RationalFunctionField, (self.base, self.param)
 
     def key(self):
         return ("ratfunc", self.base.key(), self.param)
 
-    def descend(self, payloads):
-        # every coefficient of every numerator and denominator below p
-        base = self.base
-        if base.kind == "extension" and all(c < base.p for a in payloads for f in a for c in f):
-            return RationalFunctionField(base.base, self.param, tuple)
-        return self
+    def kernel(self, payloads):
+        """The op table on primitive polynomials over base[t], base the
+        smallest field that holds every coefficient of the payloads: packed
+        ints over F_2, tuples otherwise.  ``enter`` clears denominators and
+        ``leave`` writes this spec's payloads."""
+        base = self.base.kernel(c for a in payloads for f in a for c in f).field
+        box = self._box
+        if base.key() == ("prime", 2):
+            zero, one, add, mul, quo, gcd = 0, 1, operator.xor, _clmul2, _quo2, _gcd2
+            neg, cofactors, pin = _same, _cancel2, partial(int.from_bytes, byteorder="little")
+            out = _unpack2 if box is bytes else lambda a: tuple(_unpack2(a))
 
-    def _monic(self, num, den):
-        """num/den scaled so the denominator is monic."""
-        base = self.base
-        if den[-1] == base.one:
-            return (num, den)
-        ilc = base.inv(den[-1])
-        return (tuple(base.mul(c, ilc) for c in num), tuple(base.mul(c, ilc) for c in den))
+            def frac(c, s):
+                return tuple(map(out, _cancel2(c, s)))
+        else:
+            zero, one, add, mul = (), (base.one,), partial(_uadd, base), partial(_umul, base)
+            gcd, pin, out = partial(_ugcd, base), tuple, tuple
+            neg = _same if base.p == 2 else lambda f: tuple(map(base.neg, f))
+
+            def quo(f, g):
+                return _udivmod(base, f, g)[0]
+
+            def frac(c, d):  # in lowest terms, d made monic
+                return _umonic(base, *_ucancel(base, c, d))
+            cofactors = frac
+
+        def primitive(terms, lead):
+            g = reduce(gcd, terms.values())
+            return terms if g == one else {m: quo(c, g) for m, c in terms.items()}
+
+        def enter(terms):
+            vals = [(pin(n), pin(d)) for n, d in terms.values()]
+            den = one
+            for _, d in vals:
+                if d != one:
+                    den = mul(den, quo(d, gcd(den, d)))
+            return {m: n if d == den else mul(n, quo(den, d))
+                    for m, (n, d) in zip(terms, vals)}, den
+
+        def leave(terms, scale):
+            return {m: frac(c, scale) for m, c in terms.items()}
+
+        field = self if base is self.base else RationalFunctionField(base, self.param)
+        return Kernel(field, zero, one, add, mul, neg, cofactors, primitive, enter, leave)
 
     def make(self, num, den):
         base = self.base
@@ -543,47 +574,11 @@ class RationalFunctionField(FieldSpec):
             return self.zero
         if self._f2:
             num, den = _cancel2(int.from_bytes(num, "little"), int.from_bytes(den, "little"))
-            return (self._out(num), self._out(den))
-        return self._monic(*_ucancel(base, num, den))
+            return (_unpack2(num), _unpack2(den))
+        return _umonic(base, *_ucancel(base, num, den))
 
     def from_int(self, n):
         return self.make((self.base.from_int(n),), (self.base.one,))
-
-    def primitive(self, terms, lead):
-        """The primitive part of terms (a dict of payloads) over base[t]:
-        denominators cleared and the content divided out, so that every
-        payload is a polynomial (denominator 1).  Its lead need not be monic."""
-        one, mul, quo, gcd, _, pin, out = self._ring
-        vals = [(pin(n), pin(d)) for n, d in terms.values()]
-        den = one
-        for _, d in vals:
-            if d != one:
-                den = mul(den, quo(d, gcd(den, d)))
-        nums = [n if d == den else mul(n, quo(den, d)) for n, d in vals]
-        g = nums[0]
-        for n in nums[1:]:
-            if g == one:
-                break
-            g = gcd(g, n)
-        if g == one and den == one:
-            return terms
-        unit = self.one[1]
-        return {m: (out(quo(n, g)), unit) for m, n in zip(terms, nums)}
-
-    def cofactors(self, c, d):
-        """(u, v) with u/v = c/d, u and v polynomials with no common factor;
-        v is 1 when c/d is a polynomial."""
-        one, mul, _, _, cancel, pin, out = self._ring
-        (n1, d1), (n2, d2) = c, d
-        u, v = cancel(pin(n1), pin(n2))
-        if d1 != d2:
-            d1, d2 = cancel(pin(d1), pin(d2))
-            u, v = mul(u, d2), mul(d1, v)
-        if not self._f2 and len(v) == 1:  # a unit of base
-            iv = self.base.inv(v[0])
-            u, v = tuple(self.base.mul(iv, a) for a in u), one
-        unit = self.one[1]
-        return (out(u), unit), (out(v), unit)
 
     def monomial(self, c, k):
         """The payload of c t^k, c a base payload."""
@@ -613,10 +608,10 @@ class RationalFunctionField(FieldSpec):
 
     def add(self, a, b):
         (n1, d1), (n2, d2) = a, b
-        if d1 == d2 == self.one[1]:  # polynomials, as in the Groebner kernel
+        if d1 == d2 == self.one[1]:  # polynomials: no gcd to take
             if self._f2:
                 num = int.from_bytes(n1, "little") ^ int.from_bytes(n2, "little")
-                return (self._out(num), d1) if num else self.zero
+                return (_unpack2(num), d1) if num else self.zero
             return (_uadd(self.base, n1, n2), d1)
         if self._f2:
             # Henrici: with g = gcd(d1, d2), a + b = (n1 d2/g + n2 d1/g) / (d1 d2/g),
@@ -632,7 +627,7 @@ class RationalFunctionField(FieldSpec):
                 return self.zero
             if g != 1:
                 num, g = _cancel2(num, g)
-            return (self._out(num), self._out(_clmul2(_clmul2(d1, d2), g)))
+            return (_unpack2(num), _unpack2(_clmul2(_clmul2(d1, d2), g)))
         base = self.base
         if d1 == d2:
             return self.make(_uadd(base, n1, n2), d1)
@@ -651,24 +646,24 @@ class RationalFunctionField(FieldSpec):
             return self.zero
         if d1 == d2 == self.one[1]:
             if self._f2:
-                return (self._out(_clmul2(int.from_bytes(n1, "little"),
-                                          int.from_bytes(n2, "little"))), d1)
+                return (_unpack2(_clmul2(int.from_bytes(n1, "little"),
+                                         int.from_bytes(n2, "little"))), d1)
             return (_umul(self.base, n1, n2), d1)
         # cross-cancel first: keeps the gcd calls on small operands
         if self._f2:
             n1, d2 = _cancel2(int.from_bytes(n1, "little"), int.from_bytes(d2, "little"))
             n2, d1 = _cancel2(int.from_bytes(n2, "little"), int.from_bytes(d1, "little"))
-            return (self._out(_clmul2(n1, n2)), self._out(_clmul2(d1, d2)))
+            return (_unpack2(_clmul2(n1, n2)), _unpack2(_clmul2(d1, d2)))
         base = self.base
         n1, d2 = _ucancel(base, n1, d2)
         n2, d1 = _ucancel(base, n2, d1)
-        return self._monic(_umul(base, n1, n2), _umul(base, d1, d2))
+        return _umonic(base, _umul(base, n1, n2), _umul(base, d1, d2))
 
     def inv(self, a):
         num, den = a
         if not num:
             raise ZeroDivisionError("inverse of zero in %s(%s)" % (self.base, self.param))
-        return self._monic(den, num)  # a is reduced, so den/num is too
+        return _umonic(self.base, den, num)  # a is reduced, so den/num is too
 
     def frob(self, a):
         return (self._box(_ufrob(self.base, a[0])), self._box(_ufrob(self.base, a[1])))

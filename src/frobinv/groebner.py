@@ -1,11 +1,12 @@
 """Buchberger kernel and the ideal-theoretic operations built on it.
 
-The kernel works on term dicts (packed monomial -> coefficient payload)
-through a FieldSpec's raw ops, so the same code path serves F_p, F_{p^k},
-and rational-function coefficients.  A run computes over the spec that
-``FieldSpec.descend`` returns for its input, the prime field (F_p(t)) when
-every coefficient lies there: Buchberger's algorithm never leaves the field
-its input's coefficients generate, and the payloads are the same.
+The kernel works on term dicts (packed monomial -> coefficient operand)
+through the op table ``FieldSpec.kernel`` returns, so the same code path
+serves F_p, F_{p^k} and rational-function coefficients.  A run enters its
+generators once and leaves its basis once; in between only the table's ops
+touch a coefficient.  The table is that of the smallest field holding the
+input's coefficients: Buchberger's algorithm never leaves the field its
+input's coefficients generate, and the payloads are the same.
 
 Inside the kernel a monomial is one int (``_Packer``): a product is an add,
 divisibility is one subtract and one mask, and the monomial order is int
@@ -15,14 +16,15 @@ ends.  The field width is chosen from the input's degrees with headroom; a
 product that sets a guard bit raises ``_Overflow`` and the whole
 computation reruns at twice the width.
 
-The pair loop keeps each entry as ``FieldSpec.primitive`` scales it: monic
-over a finite field, and over base(t) a primitive polynomial over base[t]
-(no denominators, content 1).  A reduction step by an entry whose lead
-coefficient is not 1 is cross-multiplied, p <- v p - u x^sh b with u/v =
-c/lc(b) in lowest terms (``FieldSpec.cofactors``), so over base(t) it costs
-one gcd of two lead coefficients and forms no fraction.  Entries are made
-monic at the end (``_interreduce``); leads and sugars do not depend on the
-scaling, so neither does any pair choice.
+The pair loop keeps each entry as the table's ``primitive`` scales it:
+monic over a finite field, over base(t) a primitive polynomial over base[t]
+(a packed int over F_2, where XOR adds).  A reduction step by an entry whose
+lead coefficient is not 1 is cross-multiplied, p <- v p - u x^sh b with u/v
+= c/lc(b) in lowest terms (``cofactors``), so over base(t) it costs one gcd
+of two lead coefficients and forms no fraction.  The result is the
+remainder times the product of the v's: a normal form leaves divided by
+that scale, a reduced basis entry by its lead coefficient.  Leads and sugars
+do not depend on the scaling, so neither does any pair choice.
 
 Reduction takes terms from the top down off a min-heap of negated packed
 monomials, next to the term dict; a monomial is pushed when it enters the
@@ -35,9 +37,9 @@ ranks (creation order) of the two entries, so runs are deterministic.  Each
 pair's (sugar, lcm) is computed once, when the pair is formed, and pairs
 are popped off a heap, skipping those pruned since.
 
-Intersection, colon and saturation each eliminate one variable w, first under
-block(1), on term dicts: a generator is a pair (a, b) meaning a + w*b, so w
-needs no name.  The w-free entries of the loop's minimal block(1) basis are a
+Intersection, colon and saturation each eliminate one variable w under
+block(1), from reduced bases, on term dicts: a generator is a pair (a, b)
+meaning a + w*b, so w needs no name.  The w-free entries of the loop's minimal block(1) basis are a
 minimal grevlex basis of the eliminated ideal; a colon divides them by f in
 the same packed run.  Only they are inter-reduced, and every result keeps
 that reduced basis.  Saturation needs no chain of colons: I : J^infty is the
@@ -153,12 +155,13 @@ class _GEntry:
         self.rank = rank    # creation order within one basis run
 
 
-def _submul(F, guard, p, heap, c, sh, terms):
-    """p -= c * x^sh * terms in place; a monomial new to p goes on the heap
-    of negated packed monomials.  No field op runs whose result is known: a
-    new term is a negation, and c = 1 multiplies nothing."""
-    zero, sub, neg = F.zero, F.sub, F.neg
-    mul = None if c == F.one else F.mul
+def _submul(K, guard, p, heap, c, sh, terms):
+    """p -= c * x^sh * terms in place, as p += (-c) x^sh terms with -c formed
+    once; a monomial new to p goes on the heap of negated packed monomials.
+    No op runs whose result is known: -c = 1 multiplies nothing."""
+    zero, add = K.zero, K.add
+    c = K.neg(c)
+    mul = None if c == K.one else K.mul
     for m, v in terms.items():
         if mul is not None:
             v = mul(c, v)
@@ -167,35 +170,35 @@ def _submul(F, guard, p, heap, c, sh, terms):
         if old is None:
             if mm & guard:
                 raise _Overflow
-            p[mm] = neg(v)
+            p[mm] = v
             heappush(heap, -mm)
         else:
-            nv = sub(old, v)
+            nv = add(old, v)
             if nv == zero:
                 del p[mm]
             else:
                 p[mm] = nv
 
 
-def _reduce(F, pk, terms, basis, full, sugar=0):
+def _reduce(K, pk, terms, basis, full, sugar=0):
     """Divide terms by the basis entries (sorted by ascending lead).
 
     Terms are taken from the top down off a heap of negated monomials; a
     popped monomial no longer in the working dict cancelled after it was
     pushed, and is skipped.  A step by an entry b whose lead coefficient is
     not 1 is cross-multiplied, p <- v p - u x^sh b with u/v = c/lc(b)
-    (``FieldSpec.cofactors``), so the result is a unit multiple of the
-    remainder; by monic entries it is the remainder itself.  full=False
-    stops at the first irreducible leading term (top-reduction, used inside
-    the main loop); full=True computes the normal form.  Returns (terms,
-    leading monomial or None for zero, sugar) with the sugar updated
-    through every cancellation.
+    (``cofactors``), so the result is the remainder times the product of
+    the v's, the scale.  full=False stops at the first irreducible leading
+    term (top-reduction, used inside the main loop); full=True computes the
+    normal form.  Returns (terms, leading monomial or None for zero, sugar,
+    scale) with the sugar updated through every cancellation.
     """
-    guard, mask, one, mul = pk.guard, pk.mask, F.one, F.mul
+    guard, mask, one, mul = pk.guard, pk.mask, K.one, K.mul
     p = dict(terms)
     heap = [-m for m in p]
     heapify(heap)
     tail = {}
+    scale = one
     while heap:
         t = -heappop(heap)
         c = p.get(t)
@@ -207,66 +210,72 @@ def _reduce(F, pk, terms, basis, full, sugar=0):
                 break
         else:
             if not full:
-                return p, t, sugar
+                return p, t, sugar, scale
             del p[t]
             tail[t] = c
             continue
         sugar = max(sugar, b.sugar + (sh & mask))
         if b.lc != one:
-            c, v = F.cofactors(c, b.lc)
+            c, v = K.cofactors(c, b.lc)
             if v != one:
+                scale = mul(scale, v)
                 for d in (p, tail):
                     for m, a in d.items():
                         d[m] = mul(v, a)
-        _submul(F, guard, p, heap, c, sh, b.terms)
-    return tail, next(iter(tail), None), sugar
+        _submul(K, guard, p, heap, c, sh, b.terms)
+    return tail, next(iter(tail), None), sugar, scale
 
 
-def _spoly(F, pk, lcm, f, g):
+def _spoly(K, pk, lcm, f, g):
     """v x^shf f - u x^shg g with u/v = lc(f)/lc(g), and its sugar."""
     shf = lcm - f.lmono
     shg = lcm - g.lmono
-    u, v = F.cofactors(f.lc, g.lc)
-    if v == F.one:
+    u, v = K.cofactors(f.lc, g.lc)
+    if v == K.one:
         d = {m + shf: c for m, c in f.terms.items()}
     else:
-        d = {m + shf: F.mul(v, c) for m, c in f.terms.items()}
+        mul = K.mul
+        d = {m + shf: mul(v, c) for m, c in f.terms.items()}
     if any(m & pk.guard for m in d):
         raise _Overflow
-    _submul(F, pk.guard, d, [], u, shg, g.terms)   # no heap to keep
+    _submul(K, pk.guard, d, [], u, shg, g.terms)   # no heap to keep
     mask = pk.mask
     sugar = max(f.sugar + (shf & mask), g.sugar + (shg & mask))
     return d, sugar
 
 
-def _interreduce(F, pk, basis):
-    """The reduced basis (tuple term dicts) of a minimal one, made monic: the
-    leads divide no other lead, so each entry keeps its lead and the
-    ascending order."""
-    basis = [_GEntry(F.monic(e.terms, e.lmono), e.lmono, 0) for e in basis]
-    return [pk.unpack_terms(_reduce(F, pk, e.terms, [b for b in basis if b is not e], True)[0])
-            for e in basis]
+def _interreduce(K, pk, basis):
+    """The reduced basis (tuple-keyed payload dicts) of a minimal one: each
+    entry reduced by the others, which leaves a multiple of the reduced
+    entry, and left divided by its lead coefficient.  The leads divide no
+    other lead, so each entry keeps its lead and the ascending order."""
+    out = []
+    for e in basis:
+        red = _reduce(K, pk, e.terms, [b for b in basis if b is not e], True)[0]
+        out.append(pk.unpack_terms(K.leave(red, red[e.lmono])))
+    return out
 
 
-def _run_loop(F, order, gen_dicts, finish):
-    """finish(spec, packer, minimal basis of the packed loop), [] for no
-    generators.  The loop and finish compute over the smallest spec that holds
-    the generators' coefficients (``FieldSpec.descend``)."""
+def _run_loop(field, order, gen_dicts, finish):
+    """finish(ops, packer, minimal basis of the packed loop), [] for no
+    generators, which enter the op table of the smallest field holding their
+    coefficients (``FieldSpec.kernel``) once; finish leaves the basis."""
     gens = [d for d in gen_dicts if d]
     if not gens:
         return []
-    F = F.descend(c for d in gens for c in d.values())
+    K = field.kernel(c for d in gens for c in d.values())
+    gens = [K.enter(d)[0] for d in gens]
     nvars = len(next(iter(gens[0])))
     return _packed(order, nvars, gens,
-                   lambda pk: finish(F, pk, _basis(F, pk, map(pk.pack_terms, gens))))
+                   lambda pk: finish(K, pk, _basis(K, pk, map(pk.pack_terms, gens))))
 
 
-def _basis(F, pk, gen_dicts):
-    """Minimal basis (entries ascending by lead) on packed term dicts.
+def _basis(K, pk, gen_dicts):
+    """Minimal basis (entries ascending by lead) on packed operand dicts.
 
-    Each entry is scaled by ``F.primitive``: monic over a finite field, a
-    primitive polynomial over base[t] (no denominators, content 1), so a
-    reduction over base(t) forms no fraction.  Its leads are the minimal
+    Each entry is scaled by ``K.primitive``: monic over a finite field, a
+    primitive polynomial over base[t] (content 1), so a reduction over
+    base(t) forms no fraction.  Its leads are the minimal
     generators of the lead ideal: a new lead is top-reduced, so no basis
     lead divides it, and ``add`` evicts every lead it divides.  The tails
     are only top-reduced.  New pairs are chosen in one ascending pass over
@@ -274,7 +283,7 @@ def _basis(F, pk, gen_dicts):
     multiples; pairs leave the heap by sugar, ties broken by the lcm and
     then by the ranks (creation order) of the entries.
     """
-    guard, mask, exps, lcm = pk.guard, pk.mask, pk.exps, pk.lcm
+    guard, mask, exps, lcm, primitive = pk.guard, pk.mask, pk.exps, pk.lcm, K.primitive
     basis = []      # the current entries, ascending by lead
     P = {}          # pending pairs (rank i, rank j), i < j -> (lcm, entry i, entry j)
     heap = []       # (sugar, lcm, rank i, rank j) of every pair formed
@@ -284,7 +293,7 @@ def _basis(F, pk, gen_dicts):
         # Gebauer-Moeller: prune the old pairs, form the new pairs, and evict
         # the basis leads the new lead mh divides.
         nonlocal basis
-        h = _GEntry(F.primitive(terms, mh), mh, sugar, next(ranks))
+        h = _GEntry(primitive(terms, mh), mh, sugar, next(ranks))
         hs = mh & exps
         for ij, (L, a, b) in list(P.items()):
             if not (L - mh) & guard:
@@ -314,8 +323,8 @@ def _basis(F, pk, gen_dicts):
         insort(basis, h, key=attrgetter("lmono"))
 
     for d in gen_dicts:
-        d = F.primitive(d, max(d))
-        red, lead, sug = _reduce(F, pk, d, basis, False, max(m & mask for m in d))
+        d = primitive(d, max(d))
+        red, lead, sug, _ = _reduce(K, pk, d, basis, False, max(m & mask for m in d))
         if lead is not None:
             add(red, lead, sug)
 
@@ -324,8 +333,8 @@ def _basis(F, pk, gen_dicts):
         pair = P.pop((i, j), None)
         if pair is None:
             continue  # pruned after it was formed
-        s, sug = _spoly(F, pk, *pair)
-        red, lead, sug = _reduce(F, pk, s, basis, False, sug)
+        s, sug = _spoly(K, pk, *pair)
+        red, lead, sug, _ = _reduce(K, pk, s, basis, False, sug)
         if lead is not None:
             add(red, lead, sug)
 
@@ -366,18 +375,22 @@ def _leading_monomials(ideal, order=GREVLEX):
     if cached is not None:
         return [g.leading_monomial(order) for g in cached]
     return _run_loop(ideal.ring.field, order, _generator_dicts(ideal),
-                     lambda F, pk, basis: [pk.unpack(e.lmono) for e in basis])
+                     lambda K, pk, basis: [pk.unpack(e.lmono) for e in basis])
 
 
 def normal_form(f, ideal, order=GREVLEX):
+    """The remainder of f by the reduced basis: f and the basis enter once,
+    and the remainder leaves divided by f's scale and the reduction's."""
     ring = ideal.ring
     basis = [g.terms for g in groebner_basis(ideal, order)]
-    F = ring.field.descend(c for d in basis + [f.terms] for c in d.values())
+    K = ring.field.kernel(c for d in basis + [f.terms] for c in d.values())
+    entered = [K.enter(g)[0] for g in basis]
+    num, den = K.enter(f.terms)
 
     def run(pk):
-        entries = [_GEntry(g, max(g), 0) for g in map(pk.pack_terms, basis)]
-        red, _, _ = _reduce(F, pk, pk.pack_terms(f.terms), entries, True)
-        return pk.unpack_terms(red)
+        entries = [_GEntry(g, max(g), 0) for g in map(pk.pack_terms, entered)]
+        red, _, _, scale = _reduce(K, pk, pk.pack_terms(num), entries, True)
+        return pk.unpack_terms(K.leave(red, K.mul(den, scale)))
     return Polynomial(ring, _packed(order, ring.nvars, basis + [f.terms], run))
 
 
@@ -491,17 +504,17 @@ def _eliminate(ring, parts, den=None):
     The w-free entries of the minimal block(1) basis are a minimal basis of E.
     For a colon E = f*(I : f), so LT(E) = lm(f)*LT(I : f) and their quotients
     by f are a minimal basis of I : f; f is among the generators, so the
-    kernel's spec holds its coefficients.  Only that list is inter-reduced."""
+    kernel's op table holds its coefficients.  Only that list is inter-reduced."""
     gens = [{(0,) + m: c for m, c in a.items()} | {(1,) + m: c for m, c in b.items()}
             for a, b in parts]
 
-    def finish(F, pk, basis):
+    def finish(K, pk, basis):
         kept = [e for e in basis if not pk.unpack(e.lmono)[0]]
         if den is not None:
-            d = pk.pack_terms({(0,) + m: c for m, c in den.items()})
-            d = F.monic(d, max(d))
-            kept = [_GEntry(q, max(q), 0) for q in (_exact_div(F, pk, e.terms, d) for e in kept)]
-        return [{m[1:]: c for m, c in t.items()} for t in _interreduce(F, pk, kept)]
+            d = pk.pack_terms(K.enter({(0,) + m: c for m, c in den.items()})[0])
+            kept = [_GEntry(K.primitive(q, max(q)), max(q), 0)
+                    for q in (_exact_div(K, pk, e.terms, d) for e in kept)]
+        return [{m[1:]: c for m, c in t.items()} for t in _interreduce(K, pk, kept)]
     return [Polynomial(ring, d)
             for d in _run_loop(ring.field, MonomialOrder("block", 1), gens, finish)]
 
@@ -511,19 +524,20 @@ def _neg(F, terms):
 
 
 def ideal_intersection(I, J):
-    """I cap J = (w*I + (1 - w)*J) cap R, relations on both sides."""
+    """I cap J = (w*I + (1 - w)*J) cap R, from the reduced bases of I and J."""
     ring = I.ring
     if J.ring != ring:
         raise RingError("intersection: ambient ring mismatch")
-    parts = ([({}, g) for g in _generator_dicts(I)]
-             + [(g, _neg(ring.field, g)) for g in _generator_dicts(J)])
+    parts = ([({}, g.terms) for g in groebner_basis(I)]
+             + [(g.terms, _neg(ring.field, g.terms)) for g in groebner_basis(J)])
     return _with_basis(ring, _eliminate(ring, parts))
 
 
-def _exact_div(F, pk, num, den):
-    """num / den on packed term dicts, den monic; raises if the division
-    leaves a remainder."""
-    guard = pk.guard
+def _exact_div(K, pk, num, den):
+    """A unit multiple of num / den on packed operand dicts: each step is
+    cross-multiplied, p <- v p - u x^sh den with u/v = c/lc(den), and the
+    quotient is scaled with p.  Raises if the division leaves a remainder."""
+    guard, one, mul = pk.guard, K.one, K.mul
     p = dict(num)
     heap = [-m for m in p]
     heapify(heap)
@@ -537,19 +551,24 @@ def _exact_div(F, pk, num, den):
         sh = t - dl
         if sh & guard:
             raise RingError("exact division left a remainder")
+        c, v = K.cofactors(c, den[dl])
+        if v != one:
+            for d in (p, quo):
+                for m, a in d.items():
+                    d[m] = mul(v, a)
         quo[sh] = c
-        _submul(F, guard, p, heap, c, sh, den)
+        _submul(K, guard, p, heap, c, sh, den)
     return quo
 
 
 def ideal_colon(I, f):
-    """(I : f) = (1/f)(I cap (f)) computed by elimination in the ambient ring."""
+    """(I : f) = (1/f)(I cap (f)), one elimination from the reduced basis of I."""
     ring = I.ring
     if isinstance(f, str):
         f = ring.parse(f)
     if f.is_zero():
         raise RingError("colon by the zero element")
-    parts = [({}, g) for g in _generator_dicts(I)] + [(f.terms, _neg(ring.field, f.terms))]
+    parts = [({}, g.terms) for g in groebner_basis(I)] + [(f.terms, _neg(ring.field, f.terms))]
     return _with_basis(ring, _eliminate(ring, parts, f.terms))
 
 
@@ -568,10 +587,10 @@ def ideal_colon_ideal(I, J):
 def saturate(I, J):
     """(I : J^infty) as the intersection over the generators g of J of
     I : g^infty = (I + relations + (1 - w*g)) cap R, one block(1) elimination
-    in R[w] each (Cox-Little-O'Shea, section 4.4), with no chain of colons to
-    iterate.  J with no nonzero generator saturates to R."""
+    in R[w] each, from the reduced basis of I (Cox-Little-O'Shea, 4.4), with
+    no chain of colons to iterate.  J with no nonzero generator saturates to R."""
     ring = I.ring
-    base = [(h, {}) for h in _generator_dicts(I)]
+    base = [(h.terms, {}) for h in groebner_basis(I)]
     one = {(0,) * ring.nvars: ring.field.one}
     return _intersect_all(ring, [
         _with_basis(ring, _eliminate(ring, base + [(one, _neg(ring.field, g.terms))]))

@@ -13,11 +13,19 @@ the length of one computation and hands tuples back.
 """
 
 from . import InputError
-from .coeff import FieldElement, FieldError, tokenize, ExprParser
+from .coeff import MAX_EXTENSION_ORDER, FieldElement, FieldError, tokenize, ExprParser
 
 
 class RingError(InputError):
     pass
+
+
+def frobenius_order(p, e):
+    """q = p^e, refused past 2^16, the bound on a field's order as well."""
+    if e > 16 or p ** e > MAX_EXTENSION_ORDER:  # p >= 2, so e > 16 is past it
+        raise RingError("Frobenius power q = %d^%d exceeds the limit %d = 2^16"
+                        % (p, e, MAX_EXTENSION_ORDER))
+    return p ** e
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +228,7 @@ class Polynomial:
     def frobenius_power(self, e):
         """self^(p^e) via the additive p-th power map: exact and sparse."""
         F = self.ring.field
-        q = F.p ** e
+        q = frobenius_order(F.p, e)
         out = {}
         for m, c in self.terms.items():
             cc = c

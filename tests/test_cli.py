@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -411,6 +412,16 @@ def test_exit_zero_on_quartic_product_target():
     assert code == 0
     assert env["payload"]["estimate"] == {"den": "2", "num": "7"}
     assert env["payload"]["distance"] == {"den": "1", "num": "0"}
+
+
+@pytest.mark.parametrize("argv", [("hk", "corpus:a1-char2", "m"), ("fsig", "corpus:a1-char2")],
+                         ids=["hk", "fsig"])
+def test_exit_three_on_frobenius_exponent_past_the_limit(argv, capsys):
+    # q = 2^60 is refused before the first row, not after the lower levels
+    start = time.perf_counter()
+    assert main([*argv, "--emax", "60"]) == 3
+    assert time.perf_counter() - start < 5
+    assert "exceeds the limit 65536 = 2^16" in capsys.readouterr().err
 
 
 def test_exit_three_on_foreign_flag():

@@ -424,49 +424,68 @@ def test_payload_round_trips(name):
     check()
 
 
-# -- the Groebner kernel's ops over base(t) -------------------------------------
+# -- the Groebner kernel's op tables ---------------------------------------------
 
-def _fractions_over(K, deg):
-    q = K.base.p ** getattr(K.base, "degree", 1)
+def _fractions_over(K, deg, q=None):
+    q = q or K.base.p ** getattr(K.base, "degree", 1)
     upoly = st.tuples(st.lists(st.integers(0, q - 1), max_size=deg),
                       st.integers(1, q - 1)).map(lambda lt: tuple(lt[0]) + (lt[1],))
     return st.tuples(upoly, upoly).map(lambda nd: K.make(*nd))
 
 
-@pytest.mark.parametrize("K", [F2T, F3T, F4T, RationalFunctionField(F4, "t", tuple)],
-                         ids=["F2(t)", "F3(t)", "F4(t)", "F2(t)-tuples"])
-def test_primitive_and_cofactors_stay_in_the_polynomial_ring(K):
-    unit = K.one[1]
+# (spec, coefficient codes drawn below q, the payload type of a numerator):
+# F_4(t) inputs over F_2 descend to packed F_2[t] ops that read and write
+# tuples
+KERNEL_CASES = {"F2(t)": (F2T, 2, bytes), "F3(t)": (F3T, 3, tuple),
+                "F4(t)": (F4T, 4, tuple), "F2(t)-tuples": (F4T, 2, tuple)}
 
-    def polynomial(c):
-        return c[1] == unit
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_primitive_and_cofactors_stay_in_the_polynomial_ring(name):
+    K, q, box = KERNEL_CASES[name]
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(_fractions_over(K, 3), min_size=2, max_size=5), st.integers(0, 3))
+    @given(st.lists(_fractions_over(K, 3, q), min_size=2, max_size=5), st.integers(0, 3))
     def check(coeffs, k):
-        # a common factor and a common denominator, for primitive to remove
+        # a common factor and a common denominator, for enter and primitive
+        # to remove
         common = K.mul(K.make((1,) * k + (1,), (1,)), K.make((1,), (0, 1)))
         terms = {i: K.mul(common, c) for i, c in enumerate(coeffs)}
-        prim = K.primitive(terms, 0)
-        assert prim.keys() == terms.keys() and all(map(polynomial, prim.values()))
-        ratio = K.mul(prim[0], K.inv(terms[0]))
-        assert all(prim[m] == K.mul(ratio, c) for m, c in terms.items())
-        assert K.primitive(prim, 0) is prim     # content 1: nothing left to divide
-        c, d = terms[0], terms[1]
-        u, v = K.cofactors(c, d)
-        assert polynomial(u) and polynomial(v) and K.mul(u, d) == K.mul(v, c)
-        assert K.cofactors(u, v) == (u, v)      # no common factor
-        assert K.cofactors(c, c) == (K.one, K.one)
-        assert K.cofactors(K.mul(u, d), d) == (u, K.one)  # a polynomial quotient
+        ops = K.kernel(terms.values())
+        descends = K is F4T and all(c < 2 for a in terms.values() for f in a for c in f)
+        assert ops.field == (F2T if descends else K)
+        num, scale = ops.enter(terms)
+        assert num.keys() == terms.keys()
+        back = ops.leave(num, scale)
+        assert back == terms and all(type(n) is box for n, _ in back.values())
+        prim = ops.primitive(num, 0)
+        assert ops.primitive(prim, 0) is prim     # content 1: nothing left to divide
+        assert ops.leave(prim, prim[0]) == ops.leave(num, num[0])  # the same monic associate
+        c, d = prim[0], prim[1]
+        u, v = ops.cofactors(c, d)
+        assert ops.mul(u, d) == ops.mul(v, c)
+        assert ops.cofactors(u, v) == (u, v)      # no common factor
+        assert ops.cofactors(c, c) == (ops.one, ops.one)
+        assert ops.cofactors(ops.mul(u, d), d) == (u, ops.one)  # a polynomial quotient
+        assert ops.add(c, ops.neg(c)) == ops.zero
 
     check()
 
 
 def test_field_defaults_of_the_kernel_ops():
-    # over a field the primitive part is the monic associate
-    for K in (F3, F9):
-        a = K.from_int(2)
-        assert K.primitive({0: a, 1: K.one}, 0) == {0: K.one, 1: K.inv(a)}
-        assert K.cofactors(K.one, a) == (K.inv(a), K.one)
-        terms = {0: K.one, 1: a}
-        assert K.primitive(terms, 0) is terms and K.monic(terms, 0) is terms
+    # over a field an operand is its payload and the primitive part is the
+    # monic associate
+    b = F9.symbols()["b"].payload
+    for F, payloads in ((F3, []), (F9, [b])):
+        K = F.kernel(payloads)
+        assert K.field is F
+        a = F.from_int(2)
+        assert K.primitive({0: a, 1: F.one}, 0) == {0: F.one, 1: F.inv(a)}
+        assert K.cofactors(F.one, a) == (F.inv(a), F.one)
+        terms = {0: F.one, 1: a}
+        assert K.primitive(terms, 0) is terms and K.enter(terms) == (terms, F.one)
+        assert K.leave({0: a}, a) == {0: F.one} and K.leave(terms, F.one) is terms
+    # the smallest field the payloads generate
+    assert F9.kernel([2, 1]).field is F9.base and F4.kernel([0, 1]).field is F4.base
+    assert F4T.kernel([F4T.one]).field == F2T and F4T.kernel([F4T.one]).field is not F4T
+    assert F4T.kernel([F4T.symbols()["a"].payload]).field is F4T

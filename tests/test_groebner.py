@@ -7,13 +7,15 @@ staircase arithmetic is never trusted on its own word.
 
 import hashlib
 import itertools
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobinv import groebner
 from frobinv.cli import parse_spec
-from frobinv.coeff import ExtensionField, FieldElement, PrimeField, RationalFunctionField
+from frobinv.coeff import (ExtensionField, FieldElement, FieldSpec, PrimeField,
+                           RationalFunctionField)
 from frobinv.corpus import corpus_text
 from frobinv.equimult import bm_gap_table, brenner_monsky_ring, quartic_ring
 from frobinv.frobenius import frobenius_power
@@ -530,6 +532,27 @@ def test_colon_and_intersection_match_reference(case):
     assert [g.terms for g in ideal_intersection(I, J).gens] == want
 
 
+def test_colon_over_f4t_starts_from_the_reduced_basis():
+    # from the raw generators this block(1) elimination ran past 10 min: its
+    # working polynomials reached F_4[t] coefficients of degree past 300.
+    # The reduced basis of I is (1), so the colon is (1) at once.
+    R = ring_make(F4T, ("x", "y", "z"))
+    I = ideal(R, "x^2*y^2*z^2/(t+a+1) + ((a+1)*t^2+a*t+a+1)/(t+a+1)*x^2*y*z"
+                 " + (a*t^2+a+1)/(t+a)*z^2",
+              "t*x^2*y + (a*t^2+1)*x*y^2 + ((a+1)*t+1)/(t^2+t)", "x^3", "y^3", "z^3")
+    f = R.parse("(a*t+a+1)/(t^2+t)*x^2*y^2*z + (a+1)/(t^2+t)*x*y")
+    def timeout(signum, frame):
+        raise TimeoutError("the colon ran past 30 s")
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(30)
+    try:
+        colon = ideal_colon(I, f)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert [str(g) for g in colon.gens] == ["1"]
+
+
 # -- packed monomials ----------------------------------------------------------
 #
 # The kernel packs each exponent vector into one int; every packed operation
@@ -717,15 +740,16 @@ def _count_pair_loops(monkeypatch):
 
 
 def test_saturation_runs_one_elimination_per_generator(monkeypatch):
-    # eliminations run under block(1), and their w-free part is already the
-    # reduced grevlex basis, so no grevlex run follows
+    # eliminations start from the reduced basis of I, the one grevlex run,
+    # and run under block(1); their w-free part is already the reduced
+    # grevlex basis, so no grevlex run follows
     runs = _count_pair_loops(monkeypatch)
     for name in ("cone-m^[8]", "odd-a1-p^[3]", "brenner-monsky-p^[2]"):
         I, J = SATURATION_CASES[name]()
         runs.clear()
         saturate(I, J)
+        assert runs[0] == "grevlex" and runs.count("grevlex") == 1, name
         assert runs.count("block") <= 2 * len(J.gens) - 1, name
-        assert "grevlex" not in runs, name
 
 
 # Fedder colons m^[q] : f^(q-1) for f = xy + 2z^2 over F_3, and colons in
@@ -744,15 +768,17 @@ COLON_LOOP_CASES = {
 
 @pytest.mark.parametrize("name", COLON_LOOP_CASES)
 def test_colon_runs_one_pair_loop(monkeypatch, name):
-    # the quotients by f of the w-free entries are the colon's minimal basis,
-    # inter-reduced inside the elimination's run, so no grevlex run follows
+    # the elimination starts from the reduced basis of I, and the quotients
+    # by f of its w-free entries are the colon's minimal basis, inter-reduced
+    # inside the elimination's run, so no grevlex run follows
     build, f = COLON_LOOP_CASES[name]
     I, _ = build()
     runs = _count_pair_loops(monkeypatch)
     K = ideal_colon(I, f)
-    assert runs == ["block"]
+    assert runs == ["grevlex", "block"]
     groebner_basis(K)
-    assert runs == ["block"]
+    ideal_colon(I, f)   # I's basis is cached
+    assert runs == ["grevlex", "block", "block"]
 
 
 def test_saturation_edge_cases():
@@ -823,18 +849,19 @@ F4T_CASES = [
 def _kernel_trace(monkeypatch, R, gen_texts, f_text):
     """Everything one ring's kernel runs produce: the staircase, the reduced
     basis, a normal form and a colon, and each S-pair's lcm, leads, sugar and
-    terms; with the specs the kernel reduced over."""
+    terms (operands written as payloads); with the fields of the op tables
+    the kernel reduced with."""
     pairs, specs = [], set()
     spoly, reduce_ = groebner._spoly, groebner._reduce
 
-    def spy(F, pk, lcm, f, g):
-        d, sugar = spoly(F, pk, lcm, f, g)
-        pairs.append((lcm, f.lmono, g.lmono, sugar, sorted(d.items())))
+    def spy(K, pk, lcm, f, g):
+        d, sugar = spoly(K, pk, lcm, f, g)
+        pairs.append((lcm, f.lmono, g.lmono, sugar, sorted(K.leave(d, K.one).items())))
         return d, sugar
 
-    def reduce_spy(F, *args):
-        specs.add(F)
-        return reduce_(F, *args)
+    def reduce_spy(K, *args):
+        specs.add(K.field)
+        return reduce_(K, *args)
     monkeypatch.setattr(groebner, "_spoly", spy)
     monkeypatch.setattr(groebner, "_reduce", reduce_spy)
     I = ideal(R, *gen_texts)
@@ -846,8 +873,8 @@ def _kernel_trace(monkeypatch, R, gen_texts, f_text):
 
 
 def _without_descent(monkeypatch):
-    for cls in (ExtensionField, RationalFunctionField):
-        monkeypatch.setattr(cls, "descend", lambda self, payloads: self)
+    # an extension's table is its own; base(t) takes the field of its base's
+    monkeypatch.setattr(ExtensionField, "kernel", FieldSpec.kernel)
 
 
 def _assert_same_run_with_and_without_descent(monkeypatch, R, gen_texts, f_text, prime):
@@ -883,15 +910,16 @@ def test_descent_keeps_every_payload_over_f4t(rels, gens, monkeypatch):
 
 def test_a_coefficient_outside_the_prime_field_blocks_the_descent(monkeypatch):
     a, t = F4.symbols()["a"], F4T.symbols()["t"]
-    assert F4.descend([0, 1, 1]) == F2
-    assert F4.descend([1, a.payload]) is F4
-    assert F9.descend([2, F9.symbols()["a"].payload]) is F9
+    assert F4.kernel([0, 1, 1]).field == F2
+    assert F4.kernel([1, a.payload]).field is F4
+    assert F9.kernel([2, F9.symbols()["a"].payload]).field is F9
     a_t = F4T.symbols()["a"]
-    assert F4T.descend([t.payload, (t + 1).inverse().payload]) == RationalFunctionField(F2, "t")
-    assert F4T.descend([t.payload, (t + a_t).payload]) is F4T
-    assert F4T.descend([(t * t + a_t).inverse().payload]) is F4T
+    assert F4T.kernel([t.payload, (t + 1).inverse().payload]).field == \
+        RationalFunctionField(F2, "t")
+    assert F4T.kernel([t.payload, (t + a_t).payload]).field is F4T
+    assert F4T.kernel([(t * t + a_t).inverse().payload]).field is F4T
     for spec in (F2, F3, RationalFunctionField(F3, "t")):
-        assert spec.descend([spec.one]) is spec
+        assert spec.kernel([spec.one]).field is spec
     # one coefficient a keeps the whole run over F_4
     R = ring_make(F4, ("x", "y", "z"))
     _, specs = _kernel_trace(monkeypatch, R, ["x^2+a*y*z", "y^2+z^2", "x^3", "z^3"], "x*y+z")
@@ -912,6 +940,7 @@ def test_the_gap_table_fiber_cell_runs_no_tuple_division(monkeypatch):
         calls.append(args)
         return udivmod(*args)
     monkeypatch.setattr(coeff, "_udivmod", counted)
+    _field_ops_raise_in_the_pair_loop(monkeypatch)
     assert hk_function(image, 3) == 188
     assert calls == []
     # over F_4(t) itself the same cell divides on tuples
@@ -920,16 +949,20 @@ def test_the_gap_table_fiber_cell_runs_no_tuple_division(monkeypatch):
     assert calls
 
 
-# -- primitive entries over base(t) -------------------------------------------
+# -- primitive operands over base(t) ------------------------------------------
 #
-# Over base(t) the pair loop keeps each entry as a primitive polynomial over
-# base[t] and reduces by cross-multiplication; the results are made monic at
-# the end.  Reduced bases, normal forms, colons and saturations are unique,
-# so on inputs with fraction coefficients they must match the reference
-# kernel, which works with monic entries and field division throughout.
+# Over base(t) the generators enter the pair loop as primitive polynomials
+# over base[t] and reduce by cross-multiplication; the results leave divided
+# by their lead coefficient, or a normal form by its scale.  Colengths,
+# reduced bases, normal forms, colons and saturations are unique, so on
+# inputs with fraction coefficients they must match the reference kernel,
+# which works on payloads with monic entries and field division throughout.
 
 F3T = RationalFunctionField(F3, "t")
-PRIMITIVE_FIELDS = {"F2(t)": RationalFunctionField(F2, "t"), "F4(t)": F4T, "F3(t)": F3T}
+# (field, whether F_4(t) stays F_4(t) on inputs over F_2(t)): with descent an
+# F_4(t) input runs over F_4[t] tuples or packed F_2[t] ints by its payloads
+PRIMITIVE_FIELDS = {"F2(t)": (RationalFunctionField(F2, "t"), False), "F4(t)": (F4T, False),
+                    "F4(t)-undescended": (F4T, True), "F3(t)": (F3T, False)}
 
 
 def _fractions(F):
@@ -957,8 +990,9 @@ def _ref_saturation(F, gens, g):
 
 @pytest.mark.parametrize("name", PRIMITIVE_FIELDS)
 def test_primitive_entries_match_reference(name, monkeypatch):
-    F = PRIMITIVE_FIELDS[name]
-    _without_descent(monkeypatch)   # F_4(t) stays F_4(t) on F_2(t) inputs
+    F, undescended = PRIMITIVE_FIELDS[name]
+    if undescended:
+        _without_descent(monkeypatch)
     R = ring_make(F, ("x", "y", "z"))
     cubes = [{m: F.one for m in c} for c in CUBES]
 
@@ -971,6 +1005,9 @@ def test_primitive_entries_match_reference(name, monkeypatch):
     def basis_and_normal_form(gens, f):
         want = ref_basis(F, GREVLEX, gens)
         I = ideal_of(gens)
+        # the colength first, from the loop's leads with no basis cached
+        leads = [ref_lead(GREVLEX, g) for g in want]
+        assert colength(I) == count_standard_monomials(leads, 3) == brute_count(leads, (3, 3, 3))
         assert [d.terms for d in groebner_basis(I)] == want
         assert normal_form(Polynomial(R, f), I).terms == ref_reduce(F, GREVLEX, f, want)
 
@@ -990,23 +1027,20 @@ def test_primitive_entries_match_reference(name, monkeypatch):
     colon_and_saturation()
 
 
-def test_alpha_t_cell_forms_no_fraction_in_the_pair_loop(monkeypatch):
-    # every entry is primitive over F_2[t] and every reduction step is
-    # cross-multiplied, so no field op in the loop leaves F_2[t]
-    K = RationalFunctionField(F2, "t")
-    unit = K.one[1]
-    inside, fractions = [False], []
+def _field_ops_raise_in_the_pair_loop(monkeypatch):
+    """From now on an F_q(t) payload op called while ``_basis`` runs raises:
+    the pair loop computes on operands only."""
+    inside = [False]
 
-    def spy(fn):
+    def guard(fn):
         def op(self, *args):
-            out = fn(self, *args)
-            if inside[0] and out[1] != unit:
-                fractions.append(out)
-            return out
+            if inside[0]:
+                raise AssertionError("RationalFunctionField.%s in the pair loop" % fn.__name__)
+            return fn(self, *args)
         return op
 
     for op in ("add", "sub", "mul", "neg", "inv"):
-        monkeypatch.setattr(RationalFunctionField, op, spy(getattr(RationalFunctionField, op)))
+        monkeypatch.setattr(RationalFunctionField, op, guard(getattr(RationalFunctionField, op)))
     loop = groebner._basis
 
     def traced(*args):
@@ -1017,6 +1051,13 @@ def test_alpha_t_cell_forms_no_fraction_in_the_pair_loop(monkeypatch):
             inside[0] = False
 
     monkeypatch.setattr(groebner, "_basis", traced)
+
+
+def test_alpha_t_cell_forms_no_fraction_in_the_pair_loop(monkeypatch):
+    # every entry enters as a primitive polynomial over F_2[t] (a packed
+    # int) and every reduction step is cross-multiplied, so no F_2(t) op runs
+    # in the loop
+    _field_ops_raise_in_the_pair_loop(monkeypatch)
+    K = RationalFunctionField(F2, "t")
     R = quartic_ring(K.symbols()["t"])
     assert colength(frobenius_power(R.origin_ideal(), 3)) == 188
-    assert fractions == []

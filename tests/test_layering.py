@@ -136,9 +136,46 @@ def test_the_kernel_builds_no_ring():
 
 
 def test_the_kernel_builds_no_field():
-    # the kernel computes over the spec that FieldSpec.descend returns, so
-    # the choice of field stays in coeff
+    # the kernel computes with the op table FieldSpec.kernel returns, so the
+    # choice of field stays in coeff
     assert _calls_of(_kernel_source(), FIELD_CLASSES) == []
+
+
+PAIR_LOOP = {"_basis", "_reduce", "_spoly", "_submul"}
+
+
+def _payload_method_reads(source):
+    """Reads of ``descend`` anywhere, and inside the pair loop's functions of
+    any public FieldSpec attribute that is no op of the kernel's table, or
+    of the table's field."""
+    from frobinv import coeff
+    specs = (coeff.PrimeField, coeff.ExtensionField, coeff.RationalFunctionField)
+    table = set(coeff.Kernel._fields) - {"field"}
+    payload = {n for cls in specs for n in dir(cls) if not n.startswith("_")} | {"field"}
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Attribute, ast.Name)) and _names(node) == {"descend"}:
+            out.append("line %d: descend" % node.lineno)
+        if isinstance(node, ast.FunctionDef) and node.name in PAIR_LOOP:
+            out += ["line %d: .%s in %s" % (sub.lineno, sub.attr, node.name)
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Attribute) and sub.attr in payload - table]
+    return out
+
+
+def test_the_pair_loop_reaches_coefficients_through_the_op_table():
+    # the generators enter once and the basis leaves once: between the two
+    # no payload op of a FieldSpec runs
+    assert _payload_method_reads(_kernel_source()) == []
+
+
+def test_the_payload_method_scan_sees_each_read():
+    source = ("F = F.descend(payloads)\ndescend(F)\n"
+              "def _reduce(K, pk):\n    K.add(a, K.sub(a, b))\n    K.field.inv(c)\n"
+              "    K.mul(K.one, K.cofactors(a, b)[0])\n"
+              "def _spoly(K):\n    return F.frob(K.neg(a))\n"
+              "def _interreduce(K):\n    return F.inv(K.leave(a, b))\n")
+    assert len(_payload_method_reads(source)) == 6
 
 
 def test_the_ring_scan_sees_each_builder():

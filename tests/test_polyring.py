@@ -150,6 +150,19 @@ def test_frobenius_power_of_polynomial():
     assert f.frobenius_power(1) == ring.parse("t^2*x^2 + y^2")
 
 
+def test_frobenius_power_refuses_q_past_two_to_the_sixteen():
+    ring = ring_make(F2, ("x", "y"))
+    f = ring.parse("x + y")
+    assert f.frobenius_power(16) == ring.parse("x^65536 + y^65536")
+    for e in (17, 60, 10 ** 9):
+        with pytest.raises(RingError, match="exceeds the limit 65536"):
+            f.frobenius_power(e)
+    g = ring_make(PrimeField(257), ("x",)).parse("x")
+    assert g.frobenius_power(1).terms == {(257,): 1}
+    with pytest.raises(RingError, match="257\\^2"):   # 66049 > 65536
+        g.frobenius_power(2)
+
+
 def test_derivative_and_evaluation():
     ring = ring_make(F7, ("x", "y"))
     f = ring.parse("x^3 + y^3")
