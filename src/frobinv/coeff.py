@@ -8,10 +8,9 @@
   XOR for p = 2 and a Zech-logarithm lookup for odd p.
 * ``RationalFunctionField(base, param)`` -- base(t).  Payloads are
   ``(num, den)``: reduced fractions of univariate polynomials, little-endian
-  sequences of base payloads, with monic denominator.  Over F_2 they are
-  ``bytes`` (byte i the coefficient of t^i) and the ops run on them read as
-  ints; other bases keep tuples, and the tuple helpers serve every base but
-  F_2.
+  sequences of base payloads (``bytes`` over F_2, tuples otherwise), with
+  monic denominator.  Every op runs on the base's one table of base[t] ops,
+  ``PolyOps``: packed ints over F_2, the tuple helpers over any other base.
 
 Every element is a :class:`FieldElement` tagging a payload with its
 :class:`FieldSpec`.  Payloads are plain hashable values (ints, tuples,
@@ -20,13 +19,12 @@ kernel computes on operands instead, through the op table ``kernel``
 returns: ``enter`` turns payload dicts into operands and ``leave`` turns
 operands back into payloads, once per run, and between the two only the
 table's ops run.  Over a finite field an operand is the payload and a
-primitive entry is a monic one.  Over base(t) an operand is a polynomial
-over base[t] -- a packed int over F_2 (byte i the coefficient of t^i, XOR
-adds), a tuple otherwise -- so ``cofactors`` gives u/v = c/d in lowest terms
-as two polynomials and a reduction forms no fraction.  The table is that of
-the smallest field the payloads generate: an element of F_p is encoded the
-same way in F_{p^k} and F_p, and so are the fractions over F_p in F_{p^k}(t)
-and F_p(t), so a run over either gives the same payloads.  No
+primitive entry is a monic one.  Over base(t) an operand is a ``PolyOps``
+operand, a polynomial over base[t], so ``cofactors`` gives u/v = c/d in
+lowest terms as two polynomials and a reduction forms no fraction.  The table
+is that of the smallest field the payloads generate: an element of F_p is
+encoded the same way in F_{p^k} and F_p, and so are the fractions over F_p in
+F_{p^k}(t) and F_p(t), so a run over either gives the same payloads.  No
 other module builds, takes apart or classifies a payload: named constants
 come from ``symbols()``, c t^k from ``monomial`` and t -> alpha from
 ``evaluate``, and a field's kind is its ``kind`` string.
@@ -190,6 +188,33 @@ def _cancel2(a, b):
     return _quo2(a, h), _quo2(b, h)
 
 
+# ---------------------------------------------------------------------------
+# base[t], one op table per base: operands are packed ints over F_2 and
+# tuples otherwise, and pin and out turn a payload polynomial into an
+# operand and back.  cancel(f, g) is f and g divided by their gcd and frob(f)
+# is f^p.  neg, and monic(num, den), which scales a pair so den is monic, act
+# on payloads and operands alike: over F_2 both are the identity, and over
+# any other base an operand is its payload.
+
+PolyOps = namedtuple("PolyOps", "zero one add mul neg quo gcd cancel monic frob pin out")
+
+
+def _same(a):
+    return a  # -a in characteristic 2
+
+
+def _poly_ops(base):
+    if base.key() == ("prime", 2):  # a non-zero polynomial is monic; f^2 is f^p
+        return PolyOps(0, 1, operator.xor, _clmul2, _same, _quo2, _gcd2, _cancel2,
+                       lambda num, den: (num, den), lambda a: _clmul2(a, a),
+                       lambda b: int.from_bytes(b, "little"), _unpack2)
+    return PolyOps((), (base.one,), partial(_uadd, base), partial(_umul, base),
+                   _same if base.p == 2 else lambda f: tuple(map(base.neg, f)),
+                   lambda f, g: _udivmod(base, f, g)[0], partial(_ugcd, base),
+                   partial(_ucancel, base), partial(_umonic, base),
+                   partial(_ufrob, base), tuple, tuple)
+
+
 def _render_upoly(base, f, var):
     """Canonical string of sum f_i var^i, f a tuple of base payloads."""
     ext = isinstance(base, ExtensionField)
@@ -226,10 +251,6 @@ def _digits(code, p, n):
 # its content (monic over a field); enter(terms) = (operand dict, scale), a
 # payload dict times scale; leave(terms, s), the payloads of terms / s.
 Kernel = namedtuple("Kernel", "field zero one add mul neg cofactors primitive enter leave")
-
-
-def _same(a):
-    return a  # -a in characteristic 2
 
 
 class FieldSpec:
@@ -508,10 +529,9 @@ class RationalFunctionField(FieldSpec):
         self.base = base
         self.p = base.p
         self.param = param
-        self._f2 = base.key() == ("prime", 2)  # bytes payloads, ops on packed ints
-        self._box = box = bytes if self._f2 else tuple
-        self.zero = (box(), box((base.one,)))
-        self.one = (box((base.one,)), box((base.one,)))
+        self._ops = T = _poly_ops(base)
+        self.zero = (T.out(T.zero), T.out(T.one))
+        self.one = (T.out(T.one), T.out(T.one))
 
     def __reduce__(self):
         return RationalFunctionField, (self.base, self.param)
@@ -521,29 +541,16 @@ class RationalFunctionField(FieldSpec):
 
     def kernel(self, payloads):
         """The op table on primitive polynomials over base[t], base the
-        smallest field that holds every coefficient of the payloads: packed
-        ints over F_2, tuples otherwise.  ``enter`` clears denominators and
-        ``leave`` writes this spec's payloads."""
+        smallest field that holds every coefficient of the payloads, on that
+        field's ``PolyOps``.  ``enter`` clears denominators and ``leave``
+        writes this spec's payloads."""
         base = self.base.kernel(c for a in payloads for f in a for c in f).field
-        box = self._box
-        if base.key() == ("prime", 2):
-            zero, one, add, mul, quo, gcd = 0, 1, operator.xor, _clmul2, _quo2, _gcd2
-            neg, cofactors, pin = _same, _cancel2, partial(int.from_bytes, byteorder="little")
-            out = _unpack2 if box is bytes else lambda a: tuple(_unpack2(a))
+        field = self if base is self.base else RationalFunctionField(base, self.param)
+        zero, one, add, mul, neg, quo, gcd, cancel, monic, _, pin, out = field._ops
+        box = out if field is self else lambda a: tuple(out(a))  # descended: tuples again
 
-            def frac(c, s):
-                return tuple(map(out, _cancel2(c, s)))
-        else:
-            zero, one, add, mul = (), (base.one,), partial(_uadd, base), partial(_umul, base)
-            gcd, pin, out = partial(_ugcd, base), tuple, tuple
-            neg = _same if base.p == 2 else lambda f: tuple(map(base.neg, f))
-
-            def quo(f, g):
-                return _udivmod(base, f, g)[0]
-
-            def frac(c, d):  # in lowest terms, d made monic
-                return _umonic(base, *_ucancel(base, c, d))
-            cofactors = frac
+        def cofactors(c, d):
+            return monic(*cancel(c, d))
 
         def primitive(terms, lead):
             g = reduce(gcd, terms.values())
@@ -559,33 +566,29 @@ class RationalFunctionField(FieldSpec):
                     for m, (n, d) in zip(terms, vals)}, den
 
         def leave(terms, scale):
-            return {m: frac(c, scale) for m, c in terms.items()}
+            return {m: monic(*map(box, cancel(c, scale))) for m, c in terms.items()}
 
-        field = self if base is self.base else RationalFunctionField(base, self.param)
         return Kernel(field, zero, one, add, mul, neg, cofactors, primitive, enter, leave)
 
     def make(self, num, den):
-        base = self.base
-        num = _utrim_spec(base, num)
-        den = _utrim_spec(base, den)
+        T = self._ops
+        num, den = T.pin(_utrim_spec(self.base, num)), T.pin(_utrim_spec(self.base, den))
         if not den:
-            raise ZeroDivisionError("zero denominator in %s(%s)" % (base, self.param))
+            raise ZeroDivisionError("zero denominator in %s(%s)" % (self.base, self.param))
         if not num:
             return self.zero
-        if self._f2:
-            num, den = _cancel2(int.from_bytes(num, "little"), int.from_bytes(den, "little"))
-            return (_unpack2(num), _unpack2(den))
-        return _umonic(base, *_ucancel(base, num, den))
+        num, den = T.cancel(num, den)
+        return T.monic(T.out(num), T.out(den))
 
     def from_int(self, n):
         return self.make((self.base.from_int(n),), (self.base.one,))
 
     def monomial(self, c, k):
         """The payload of c t^k, c a base payload."""
-        base = self.base
-        if c == base.zero:
+        T = self._ops
+        if c == self.base.zero:
             return self.zero
-        return (self._box((base.zero,) * k + (c,)), self.one[1])
+        return (T.out(T.pin((self.base.zero,) * k + (c,))), self.one[1])
 
     def symbols(self):
         # the parameter shadows a base symbol of the same name
@@ -607,66 +610,53 @@ class RationalFunctionField(FieldSpec):
         return base.mul(values[0], base.inv(values[1]))
 
     def add(self, a, b):
+        T = self._ops
+        pin, out = T.pin, T.out
         (n1, d1), (n2, d2) = a, b
         if d1 == d2 == self.one[1]:  # polynomials: no gcd to take
-            if self._f2:
-                num = int.from_bytes(n1, "little") ^ int.from_bytes(n2, "little")
-                return (_unpack2(num), d1) if num else self.zero
-            return (_uadd(self.base, n1, n2), d1)
-        if self._f2:
-            # Henrici: with g = gcd(d1, d2), a + b = (n1 d2/g + n2 d1/g) / (d1 d2/g),
-            # and a common factor of that numerator and denominator divides g
-            # (Knuth, TAOCP vol. 2, 4.5.1)
-            n1, d1 = int.from_bytes(n1, "little"), int.from_bytes(d1, "little")
-            n2, d2 = int.from_bytes(n2, "little"), int.from_bytes(d2, "little")
-            g = _gcd2(d1, d2)
-            if g != 1:
-                d1, d2 = _quo2(d1, g), _quo2(d2, g)
-            num = _clmul2(n1, d2) ^ _clmul2(n2, d1)
-            if not num:
-                return self.zero
-            if g != 1:
-                num, g = _cancel2(num, g)
-            return (_unpack2(num), _unpack2(_clmul2(_clmul2(d1, d2), g)))
-        base = self.base
-        if d1 == d2:
-            return self.make(_uadd(base, n1, n2), d1)
-        num = _uadd(base, _umul(base, n1, d2), _umul(base, n2, d1))
-        return self.make(num, _umul(base, d1, d2))
+            return (out(T.add(pin(n1), pin(n2))), d1)
+        # Henrici: with g = gcd(d1, d2), a + b = (n1 d2/g + n2 d1/g) / (d1 d2/g),
+        # and a common factor of that numerator and denominator divides g
+        # (Knuth, TAOCP vol. 2, 4.5.1)
+        n1, d1, n2, d2 = pin(n1), pin(d1), pin(n2), pin(d2)
+        g = T.gcd(d1, d2)
+        if g != T.one:
+            d1, d2 = T.quo(d1, g), T.quo(d2, g)
+        num = T.add(T.mul(n1, d2), T.mul(n2, d1))
+        if not num:
+            return self.zero
+        if g != T.one:
+            num, g = T.cancel(num, g)
+        return (out(num), out(T.mul(T.mul(d1, d2), g)))  # monic, as d1, d2 and g are
 
     def neg(self, a):
-        return a if self.p == 2 else (tuple(self.base.neg(c) for c in a[0]), a[1])
+        return (self._ops.neg(a[0]), a[1])
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
+        T = self._ops
+        pin, out = T.pin, T.out
         (n1, d1), (n2, d2) = a, b
         if not n1 or not n2:
             return self.zero
         if d1 == d2 == self.one[1]:
-            if self._f2:
-                return (_unpack2(_clmul2(int.from_bytes(n1, "little"),
-                                         int.from_bytes(n2, "little"))), d1)
-            return (_umul(self.base, n1, n2), d1)
+            return (out(T.mul(pin(n1), pin(n2))), d1)
         # cross-cancel first: keeps the gcd calls on small operands
-        if self._f2:
-            n1, d2 = _cancel2(int.from_bytes(n1, "little"), int.from_bytes(d2, "little"))
-            n2, d1 = _cancel2(int.from_bytes(n2, "little"), int.from_bytes(d1, "little"))
-            return (_unpack2(_clmul2(n1, n2)), _unpack2(_clmul2(d1, d2)))
-        base = self.base
-        n1, d2 = _ucancel(base, n1, d2)
-        n2, d1 = _ucancel(base, n2, d1)
-        return _umonic(base, _umul(base, n1, n2), _umul(base, d1, d2))
+        n1, d2 = T.cancel(pin(n1), pin(d2))
+        n2, d1 = T.cancel(pin(n2), pin(d1))
+        return (out(T.mul(n1, n2)), out(T.mul(d1, d2)))
 
     def inv(self, a):
         num, den = a
         if not num:
             raise ZeroDivisionError("inverse of zero in %s(%s)" % (self.base, self.param))
-        return _umonic(self.base, den, num)  # a is reduced, so den/num is too
+        return self._ops.monic(den, num)  # a is reduced, so den/num is too
 
     def frob(self, a):
-        return (self._box(_ufrob(self.base, a[0])), self._box(_ufrob(self.base, a[1])))
+        T = self._ops
+        return (T.out(T.frob(T.pin(a[0]))), T.out(T.frob(T.pin(a[1]))))
 
     def render(self, a):
         num, den = a

@@ -3,7 +3,8 @@
 Fixed-value cases pin the documented element constructions and Frobenius
 images; the hypothesis suites check the field axioms on randomized triples
 for all three kinds of field, and compare the table-driven F_{p^k} and the
-packed F_2(t) arithmetic with the schoolbook references below.
+base(t) arithmetic over F_2, F_3, F_4 and F_9 with the schoolbook references
+below.
 """
 
 import pickle
@@ -31,6 +32,7 @@ F16 = ExtensionField(2, (1, 1, 0, 0, 1))   # F_2[a]/(a^4+a+1)
 F2T = RationalFunctionField(F2, "t")
 F3T = RationalFunctionField(F3, "t")
 F4T = RationalFunctionField(F4, "t")
+F9T = RationalFunctionField(F9, "t")
 
 
 def el(spec, text):
@@ -145,22 +147,25 @@ def _f4_elements():
         lambda c: el(F4, str(c[0])) + a * el(F4, str(c[1])))
 
 
-def _ratfunc_elements():
-    t = el(F2T, "t")
-    one = el(F2T, "1")
+def _ratfunc_elements(K):
+    t = el(K, "t")
+    one = el(K, "1")
 
     def build(cs):
-        num = el(F2T, str(cs[0])) + t * el(F2T, str(cs[1]))
-        den = t * t * el(F2T, str(cs[2])) + t * el(F2T, str(cs[3])) + one
-        return num / den
+        c0, c1, c2, c3 = (FieldElement(K, K.monomial(c, 0)) for c in cs)
+        return (c0 + t * c1) / (t * t * c2 + t * c3 + one)
 
-    return st.tuples(*[st.integers(0, 1)] * 4).map(build)
+    q = K.base.p ** getattr(K.base, "degree", 1)
+    return st.tuples(*[st.integers(0, q - 1)] * 4).map(build)
 
 
 AXIOM_CASES = [
     ("F5", _prime_elements(F5)),
     ("F4", _f4_elements()),
-    ("F2(t)", _ratfunc_elements()),
+    ("F2(t)", _ratfunc_elements(F2T)),
+    ("F3(t)", _ratfunc_elements(F3T)),
+    ("F4(t)", _ratfunc_elements(F4T)),
+    ("F9(t)", _ratfunc_elements(F9T)),
 ]
 
 
@@ -193,7 +198,7 @@ def test_multiplicative_inverses(label, strategy):
     check()
 
 
-@given(_ratfunc_elements(), _ratfunc_elements())
+@given(_ratfunc_elements(F2T), _ratfunc_elements(F2T))
 @settings(max_examples=50, deadline=None)
 def test_fraction_reduction_is_canonical(x, y):
     # equal fractions built along different arithmetic routes share a payload
@@ -213,85 +218,119 @@ def _trim(f):
     return tuple(f)
 
 
-def ref_f2_add(f, g):
+def _minus_one(base):
+    m = base.zero
+    for _ in range(base.p - 1):
+        m = base.add(m, base.one)
+    return m
+
+
+def ref_add(base, f, g):
     n = max(len(f), len(g))
     f, g = tuple(f) + (0,) * (n - len(f)), tuple(g) + (0,) * (n - len(g))
-    return _trim(a ^ b for a, b in zip(f, g))
+    return _trim(base.add(a, b) for a, b in zip(f, g))
 
 
-def ref_f2_mul(f, g):
+def ref_mul(base, f, g):
     out = [0] * (len(f) + len(g))
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
-                out[i + j] ^= b
+                out[i + j] = base.add(out[i + j], base.mul(a, b))
     return _trim(out)
 
 
-def ref_f2_divmod(f, g):
+def ref_divmod(base, f, g):
     f, quo = list(_trim(f)), [0] * len(f)
+    ilc, m = base.inv(g[-1]), _minus_one(base)
     while len(f) >= len(g):
         k = len(f) - len(g)
-        quo[k] = 1
+        quo[k] = c = base.mul(f[-1], ilc)
+        minus_c = base.mul(m, c)
         for i, b in enumerate(g):
-            f[k + i] ^= b
+            f[k + i] = base.add(f[k + i], base.mul(minus_c, b))
         f = list(_trim(f))
     return _trim(quo), tuple(f)
 
 
-def ref_f2_fraction(num, den):
-    """num/den over F_2 reduced by plain Euclid, as an F_2(t) payload."""
+def ref_fraction(base, num, den):
+    """num/den reduced by plain Euclid, the denominator made monic."""
     num, den = _trim(num), _trim(den)
     if not num:
         return ((), (1,))
     g, h = num, den
     while h:
-        g, h = h, ref_f2_divmod(g, h)[1]
-    return ref_f2_divmod(num, g)[0], ref_f2_divmod(den, g)[0]
+        g, h = h, ref_divmod(base, g, h)[1]
+    num, den = ref_divmod(base, num, g)[0], ref_divmod(base, den, g)[0]
+    s = base.inv(den[-1])
+    return tuple(base.mul(c, s) for c in num), tuple(base.mul(c, s) for c in den)
 
 
-def _f2_polys(min_size, max_size):
-    return st.lists(st.integers(0, 1), min_size=min_size, max_size=max_size).map(
-        lambda c: tuple(c) + (1,))
+def ref_payload(K, num, den):
+    """The payload of num/den in K: the reference fraction in K's sequence
+    type (bytes over F_2, tuples otherwise)."""
+    box = type(K.one[0])
+    return tuple(box(f) for f in ref_fraction(K.base, num, den))
 
 
-# short operands, and ones past 255 coefficients, where the packed product
-# must cut its operand into pieces to keep every byte count below 256
-F2_DENS = st.one_of(_f2_polys(0, 12), _f2_polys(255, 300))
-F2_NUMS = st.one_of(st.just(()), F2_DENS)
+def _upolys(q, min_size, max_size):
+    return st.tuples(st.lists(st.integers(0, q - 1), min_size=min_size, max_size=max_size),
+                     st.integers(1, q - 1)).map(lambda c: tuple(c[0]) + (c[1],))
+
+
 LONG = (1,) * 300
+# inputs (n1, d1, n2, d2) for F_2(t): factors of 255 coefficients take one
+# packed multiply, of 256 the cut into pieces that keeps every byte count
+# below 256
+F2_EXAMPLES = [
+    (LONG, (1,), LONG, (0, 1)),
+    (LONG, LONG[:-1] + (0, 1), (1, 1), LONG),
+    ((1,) * 255, (0, 1), (1,) * 255, (1, 1)),
+    ((1,) * 256, (1,) * 255, (1,) * 256, (0, 1)),
+    ((1,) * 255, (1,), (0,) * 255 + (1,), (1,) * 256),
+    # denominators t(t+1) and t(t^2+t+1): the sum keeps a factor t of their gcd
+    ((1,), (0, 1, 1), (1,), (0, 1, 1, 1)),
+    ((1, 1), (0, 1, 1), (1,), (0, 1, 1, 1)),
+    # t/t^2 + 1/t cancels to zero
+    ((0, 1), (0, 0, 1), (1,), (0, 1)),
+    # unit numerators and denominators
+    ((1,), (1, 1, 0, 1), (1, 0, 1), (1,)),
+    ((1, 1), (1,), (1,), (1,)),
+]
+RATFUNC_BASES = {"F2": F2T, "F3": F3T, "F4": F4T, "F9": F9T}
 
 
-def ref_f2_payload(num, den):
-    """The F_2(t) payload of num/den: the reference fraction in bytes."""
-    return tuple(bytes(f) for f in ref_f2_fraction(num, den))
+@pytest.mark.parametrize("name", RATFUNC_BASES)
+def test_ratfunc_ops_match_schoolbook(name):
+    # over F_2 also operands past 255 coefficients, where the packed product
+    # must cut its operand into pieces
+    K = RATFUNC_BASES[name]
+    q = K.base.p ** getattr(K.base, "degree", 1)
+    dens = _upolys(q, 0, 12)
+    if K is F2T:
+        dens = st.one_of(dens, _upolys(q, 255, 300))
+    nums = st.one_of(st.just(()), dens)
+    base = K.base
 
+    @settings(max_examples=40, deadline=None)
+    @given(nums, dens, nums, dens)
+    def check(n1, d1, n2, d2):
+        x, y = K.make(n1, d1), K.make(n2, d2)
+        assert x == ref_payload(K, n1, d1)
+        assert K.add(x, y) == ref_payload(K, ref_add(base, ref_mul(base, n1, d2),
+                                                     ref_mul(base, n2, d1)),
+                                          ref_mul(base, d1, d2))
+        assert K.add(x, K.neg(x)) == K.sub(y, y) == K.zero
+        assert K.mul(x, y) == ref_payload(K, ref_mul(base, n1, n2), ref_mul(base, d1, d2))
+        assert K.frob(x) == K.pow(x, K.p)
+        if n1:
+            assert K.inv(x) == ref_payload(K, d1, n1)
 
-@settings(max_examples=40, deadline=None)
-@given(F2_NUMS, F2_DENS, F2_NUMS, F2_DENS)
-@example(LONG, (1,), LONG, (0, 1))
-@example(LONG, LONG[:-1] + (0, 1), (1, 1), LONG)
-# factors of 255 coefficients take one multiply, of 256 the cut into pieces
-@example((1,) * 255, (0, 1), (1,) * 255, (1, 1))
-@example((1,) * 256, (1,) * 255, (1,) * 256, (0, 1))
-@example((1,) * 255, (1,), (0,) * 255 + (1,), (1,) * 256)
-# denominators t(t+1) and t(t^2+t+1): the sum keeps a factor t of their gcd
-@example((1,), (0, 1, 1), (1,), (0, 1, 1, 1))
-@example((1, 1), (0, 1, 1), (1,), (0, 1, 1, 1))
-# t/t^2 + 1/t cancels to zero
-@example((0, 1), (0, 0, 1), (1,), (0, 1))
-# unit numerators and denominators
-@example((1,), (1, 1, 0, 1), (1, 0, 1), (1,))
-@example((1, 1), (1,), (1,), (1,))
-def test_f2t_packed_ops_match_tuple_euclid(n1, d1, n2, d2):
-    x, y = F2T.make(n1, d1), F2T.make(n2, d2)
-    assert x == ref_f2_payload(n1, d1)
-    assert F2T.add(x, y) == ref_f2_payload(
-        ref_f2_add(ref_f2_mul(n1, d2), ref_f2_mul(n2, d1)), ref_f2_mul(d1, d2))
-    assert F2T.add(x, x) == F2T.zero
-    assert F2T.mul(x, y) == ref_f2_payload(ref_f2_mul(n1, n2), ref_f2_mul(d1, d2))
-    if n1:
-        assert F2T.inv(x) == ref_f2_payload(d1, n1)
+    # 1/(t(t+1)) + 1/(t(t-1)) = 2/(t^2-1): the sum's numerator keeps the
+    # factor t of the denominators' gcd
+    for case in [((1,), (0, 1, 1), (1,), (0, K.p - 1, 1))] + (F2_EXAMPLES if K is F2T else []):
+        check = example(*case)(check)
+    check()
 
 
 def test_f3t_products_of_polynomials_run_no_division(monkeypatch):
@@ -395,7 +434,7 @@ def _ratfunc_payloads(K):
 
 
 SPECS = {"F2": F2, "F5": F5, "F4": F4, "F9": F9, "F16": F16,
-         "F2(t)": F2T, "F3(t)": F3T, "F4(t)": F4T}
+         "F2(t)": F2T, "F3(t)": F3T, "F4(t)": F4T, "F9(t)": F9T}
 
 
 def _payloads(K):
@@ -435,9 +474,10 @@ def _fractions_over(K, deg, q=None):
 
 # (spec, coefficient codes drawn below q, the payload type of a numerator):
 # F_4(t) inputs over F_2 descend to packed F_2[t] ops that read and write
-# tuples
+# tuples, and F_9(t) inputs over F_3 to F_3[t]
 KERNEL_CASES = {"F2(t)": (F2T, 2, bytes), "F3(t)": (F3T, 3, tuple),
-                "F4(t)": (F4T, 4, tuple), "F2(t)-tuples": (F4T, 2, tuple)}
+                "F4(t)": (F4T, 4, tuple), "F2(t)-tuples": (F4T, 2, tuple),
+                "F9(t)": (F9T, 9, tuple)}
 
 
 @pytest.mark.parametrize("name", KERNEL_CASES)
@@ -452,8 +492,9 @@ def test_primitive_and_cofactors_stay_in_the_polynomial_ring(name):
         common = K.mul(K.make((1,) * k + (1,), (1,)), K.make((1,), (0, 1)))
         terms = {i: K.mul(common, c) for i, c in enumerate(coeffs)}
         ops = K.kernel(terms.values())
-        descends = K is F4T and all(c < 2 for a in terms.values() for f in a for c in f)
-        assert ops.field == (F2T if descends else K)
+        descends = K.base.kind == "extension" and all(
+            c < K.p for a in terms.values() for f in a for c in f)
+        assert ops.field == (RationalFunctionField(K.base.base, "t") if descends else K)
         num, scale = ops.enter(terms)
         assert num.keys() == terms.keys()
         back = ops.leave(num, scale)

@@ -1,9 +1,10 @@
 """Layering rules for the package's modules.
 
 Coefficient formats are coeff's business alone: no other module of the
-package classifies a field by its class or builds a payload by hand.  And
-no module reads an underscore-prefixed (private) name of a sibling module;
-dunder names are public."""
+package classifies a field by its class or builds a payload by hand, and
+inside coeff the base(t) ops reach base[t] only through the base's op table.
+And no module reads an underscore-prefixed (private) name of a sibling
+module; dunder names are public."""
 
 import ast
 import os
@@ -190,6 +191,50 @@ def test_the_field_scan_sees_each_constructor():
               "RationalFunctionField(F.base, F.param)\nFieldSpec()\n"
               "F.descend(payloads)\nisinstance(F, PrimeField)\nF.base\n")
     assert len(_calls_of(source, FIELD_CLASSES)) == 4
+
+
+BASE_T_HELPERS = {"_clmul2", "_gcd2", "_quo2", "_cancel2", "_unpack2", "_uadd", "_umul",
+                  "_udivmod", "_ugcd", "_ucancel", "_umonic", "_ufrob"}
+
+
+def _table_bypasses(source):
+    """Inside RationalFunctionField: reads of ``_f2`` or ``_box``, uses of
+    ``int.from_bytes``, and references to a base[t] helper."""
+    out = []
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "RationalFunctionField"):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and node.attr in ("_f2", "_box"):
+                out.append("line %d: .%s" % (node.lineno, node.attr))
+            elif (isinstance(node, ast.Attribute) and node.attr == "from_bytes"
+                  and _names(node.value) == {"int"}):
+                out.append("line %d: int.from_bytes" % node.lineno)
+            elif isinstance(node, ast.Name) and node.id in BASE_T_HELPERS:
+                out.append("line %d: %s" % (node.lineno, node.id))
+    return out
+
+
+def test_ratfunc_ops_reach_base_t_through_the_table():
+    # every payload op of base(t) has one body, on the base's PolyOps: the
+    # F_2 and tuple helpers are chosen once, when the table is built
+    with open(os.path.join(PKG, "coeff.py"), encoding="utf-8") as fh:
+        assert _table_bypasses(fh.read()) == []
+
+
+def test_the_table_scan_sees_each_kind():
+    source = ("class RationalFunctionField:\n"
+              "    def add(self, a, b):\n"
+              "        if self._f2:\n"
+              "            return int.from_bytes(a, 'little')\n"
+              "        return _uadd(self.base, a, b), partial(_clmul2)\n"
+              "    def mul(self, a, b):\n"
+              "        return self._box(_ucancel(self.base, a, b)), self._ops.mul(a, b)\n"
+              "_uadd(base, f, g)\n"
+              "class PrimeField:\n"
+              "    def add(self, a, b):\n"
+              "        return _clmul2(a, b) if self._f2 else int.from_bytes(a, 'big')\n")
+    assert len(_table_bypasses(source)) == 6
 
 
 def _dataclass_imports(source):
