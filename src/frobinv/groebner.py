@@ -41,7 +41,8 @@ Intersection, colon and saturation each eliminate one variable w under
 block(1), from reduced bases, on term dicts: a generator is a pair (a, b)
 meaning a + w*b, so w needs no name.  The w-free entries of the loop's minimal block(1) basis are a
 minimal grevlex basis of the eliminated ideal; a colon divides them by f in
-the same packed run.  Only they are inter-reduced, and every result keeps
+the same packed run, through ``_reduce`` with a quotient dict, the one
+division loop of the kernel.  Only they are inter-reduced, and every result keeps
 that reduced basis.  Saturation needs no chain of colons: I : J^infty is the
 intersection over the generators g of J of the eliminations (I, 1 - w*g) cap R.
 
@@ -180,7 +181,7 @@ def _submul(K, guard, p, heap, c, sh, terms):
                 p[mm] = nv
 
 
-def _reduce(K, pk, terms, basis, full, sugar=0):
+def _reduce(K, pk, terms, basis, full, sugar=0, quo=None):
     """Divide terms by the basis entries (sorted by ascending lead).
 
     Terms are taken from the top down off a heap of negated monomials; a
@@ -190,14 +191,18 @@ def _reduce(K, pk, terms, basis, full, sugar=0):
     (``cofactors``), so the result is the remainder times the product of
     the v's, the scale.  full=False stops at the first irreducible leading
     term (top-reduction, used inside the main loop); full=True computes the
-    normal form.  Returns (terms, leading monomial or None for zero, sugar,
-    scale) with the sugar updated through every cancellation.
+    normal form.  A dict quo collects each step's multiplier u x^sh and is
+    scaled with the remainder: after dividing by one entry b it holds the
+    quotient, terms * scale = quo * b + remainder.  Returns (terms, leading
+    monomial or None for zero, sugar, scale) with the sugar updated through
+    every cancellation.
     """
     guard, mask, one, mul = pk.guard, pk.mask, K.one, K.mul
     p = dict(terms)
     heap = [-m for m in p]
     heapify(heap)
     tail = {}
+    scaled = (p, tail) if quo is None else (p, tail, quo)
     scale = one
     while heap:
         t = -heappop(heap)
@@ -219,9 +224,11 @@ def _reduce(K, pk, terms, basis, full, sugar=0):
             c, v = K.cofactors(c, b.lc)
             if v != one:
                 scale = mul(scale, v)
-                for d in (p, tail):
+                for d in scaled:
                     for m, a in d.items():
                         d[m] = mul(v, a)
+        if quo is not None:
+            quo[sh] = c
         _submul(K, guard, p, heap, c, sh, b.terms)
     return tail, next(iter(tail), None), sugar, scale
 
@@ -382,6 +389,8 @@ def normal_form(f, ideal, order=GREVLEX):
     """The remainder of f by the reduced basis: f and the basis enter once,
     and the remainder leaves divided by f's scale and the reduction's."""
     ring = ideal.ring
+    if f.ring != ring:
+        raise RingError("normal form: ambient ring mismatch")
     basis = [g.terms for g in groebner_basis(ideal, order)]
     K = ring.field.kernel(c for d in basis + [f.terms] for c in d.values())
     entered = [K.enter(g)[0] for g in basis]
@@ -512,8 +521,13 @@ def _eliminate(ring, parts, den=None):
         kept = [e for e in basis if not pk.unpack(e.lmono)[0]]
         if den is not None:
             d = pk.pack_terms(K.enter({(0,) + m: c for m, c in den.items()})[0])
-            kept = [_GEntry(K.primitive(q, max(q)), max(q), 0)
-                    for q in (_exact_div(K, pk, e.terms, d) for e in kept)]
+            f, quotients = [_GEntry(d, max(d), 0)], []
+            for e in kept:
+                q = {}
+                if _reduce(K, pk, e.terms, f, True, 0, q)[0]:
+                    raise RingError("exact division left a remainder")
+                quotients.append(_GEntry(K.primitive(q, max(q)), max(q), 0))
+            kept = quotients
         return [{m[1:]: c for m, c in t.items()} for t in _interreduce(K, pk, kept)]
     return [Polynomial(ring, d)
             for d in _run_loop(ring.field, MonomialOrder("block", 1), gens, finish)]
@@ -533,39 +547,13 @@ def ideal_intersection(I, J):
     return _with_basis(ring, _eliminate(ring, parts))
 
 
-def _exact_div(K, pk, num, den):
-    """A unit multiple of num / den on packed operand dicts: each step is
-    cross-multiplied, p <- v p - u x^sh den with u/v = c/lc(den), and the
-    quotient is scaled with p.  Raises if the division leaves a remainder."""
-    guard, one, mul = pk.guard, K.one, K.mul
-    p = dict(num)
-    heap = [-m for m in p]
-    heapify(heap)
-    dl = max(den)
-    quo = {}
-    while heap:
-        t = -heappop(heap)
-        c = p.get(t)
-        if c is None:
-            continue
-        sh = t - dl
-        if sh & guard:
-            raise RingError("exact division left a remainder")
-        c, v = K.cofactors(c, den[dl])
-        if v != one:
-            for d in (p, quo):
-                for m, a in d.items():
-                    d[m] = mul(v, a)
-        quo[sh] = c
-        _submul(K, guard, p, heap, c, sh, den)
-    return quo
-
-
 def ideal_colon(I, f):
     """(I : f) = (1/f)(I cap (f)), one elimination from the reduced basis of I."""
     ring = I.ring
     if isinstance(f, str):
         f = ring.parse(f)
+    if f.ring != ring:
+        raise RingError("colon: ambient ring mismatch")
     if f.is_zero():
         raise RingError("colon by the zero element")
     parts = [({}, g.terms) for g in groebner_basis(I)] + [(f.terms, _neg(ring.field, f.terms))]
@@ -590,6 +578,8 @@ def saturate(I, J):
     in R[w] each, from the reduced basis of I (Cox-Little-O'Shea, 4.4), with
     no chain of colons to iterate.  J with no nonzero generator saturates to R."""
     ring = I.ring
+    if J.ring != ring:
+        raise RingError("saturation: ambient ring mismatch")
     base = [(h.terms, {}) for h in groebner_basis(I)]
     one = {(0,) * ring.nvars: ring.field.one}
     return _intersect_all(ring, [

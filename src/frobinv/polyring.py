@@ -21,7 +21,9 @@ class RingError(InputError):
 
 
 def frobenius_order(p, e):
-    """q = p^e, refused past 2^16, the bound on a field's order as well."""
+    """q = p^e for e >= 0, refused past 2^16, the bound on a field's order as well."""
+    if e < 0:
+        raise RingError("Frobenius exponent e = %d is negative" % e)
     if e > 16 or p ** e > MAX_EXTENSION_ORDER:  # p >= 2, so e > 16 is past it
         raise RingError("Frobenius power q = %d^%d exceeds the limit %d = 2^16"
                         % (p, e, MAX_EXTENSION_ORDER))

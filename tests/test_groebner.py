@@ -35,8 +35,8 @@ from frobinv.groebner import (
     staircase,
 )
 from frobinv.invariants import hk_rows
-from frobinv.polyring import (GREVLEX, LEX, Ideal, MonomialOrder, Polynomial, mono_divides,
-                              mono_mul, ring_make)
+from frobinv.polyring import (GREVLEX, LEX, Ideal, MonomialOrder, Polynomial, RingError,
+                              mono_divides, mono_mul, ring_make)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -512,10 +512,16 @@ COLON_CASES = [
     # (field, relations, I, J, f)
     (F3, [], ["x^2+2*y*z", "y^2", "z^3+x*y"], ["x*y+z", "x^2+y"], "x+y*z"),
     (F4, ["z^3+a*x*y*z+y^3"], ["x^2", "y^2+a*z^2", "z^2*x"], ["x+a*y", "y*z"], "x*z+a*y^2"),
+    # f has a content in t, so the division by f cross-multiplies after its
+    # first step and the quotient's terms so far are scaled with the rest
+    (RationalFunctionField(F2, "t"), [], ["x^3", "y^3", "z^3", "t^2*x+z/(t+1)"],
+     ["x+y", "z^2"], "t^2*(t*y+t*z^2)"),
+    (RationalFunctionField(F3, "t"), [], ["x^3", "y^3", "z^3", "(t^2+1)*y*z+x/(t+1)"],
+     ["x*y", "y+z"], "(t+1)*(t*z^2+(t^2+1)*z)"),
 ]
 
 
-@pytest.mark.parametrize("case", COLON_CASES, ids=["F3", "F4-quotient"])
+@pytest.mark.parametrize("case", COLON_CASES, ids=["F3", "F4-quotient", "F2(t)", "F3(t)"])
 def test_colon_and_intersection_match_reference(case):
     F, rels, I_gens, J_gens, f_text = case
     R = ring_make(F, ("x", "y", "z"), relations=rels)
@@ -530,6 +536,32 @@ def test_colon_and_intersection_match_reference(case):
     cut = ref_eliminate(F, raw_I, [g.terms for g in J.gens] + raw_rels)
     want = ref_basis(F, GREVLEX, cut + raw_rels)
     assert [g.terms for g in ideal_intersection(I, J).gens] == want
+
+
+def test_a_division_that_leaves_a_remainder_raises():
+    # a colon's division by f is exact; where it is not, the elimination
+    # raises and returns no quotient of a division with remainder
+    R = ring_make(F3, ("x", "y", "z"))
+    g, f = R.parse("x^2+y*z"), R.parse("x+y")
+    with pytest.raises(RingError, match="exact division left a remainder"):
+        groebner._eliminate(R, [(g.terms, {})], f.terms)
+    assert [str(h) for h in groebner._eliminate(R, [((g * f).terms, {})], f.terms)] == \
+        ["x^2+y*z"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda I, S: ideal_intersection(I, Ideal(S, [S.parse("x+y")])),
+    lambda I, S: ideal_colon(I, S.parse("x+y")),
+    lambda I, S: saturate(I, Ideal(S, [S.parse("x+y")])),
+    lambda I, S: normal_form(S.parse("2*x"), I),
+], ids=["intersection", "colon", "saturate", "normal_form"])
+@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")], ids=["F3[x,y]", "F3[x,y,z]"])
+def test_an_argument_from_another_ring_is_refused(call, names):
+    # over F_2[x,y,z]: from F_3[x,y] the colon returned (x+y, z^2, y^2),
+    # from F_3[x,y,z] it divided by zero, and a normal form kept 2*x
+    I = ideal(ring2("x", "y", "z"), "x^2", "y^2", "z^2")
+    with pytest.raises(RingError, match="ambient ring mismatch"):
+        call(I, ring_make(F3, names))
 
 
 def test_colon_over_f4t_starts_from_the_reduced_basis():

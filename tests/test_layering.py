@@ -3,8 +3,9 @@
 Coefficient formats are coeff's business alone: no other module of the
 package classifies a field by its class or builds a payload by hand, and
 inside coeff the base(t) ops reach base[t] only through the base's op table.
-And no module reads an underscore-prefixed (private) name of a sibling
-module; dunder names are public."""
+No module reads an underscore-prefixed (private) name of a sibling
+module; dunder names are public.  And the Groebner kernel divides in one
+loop, ``_reduce``."""
 
 import ast
 import os
@@ -110,7 +111,7 @@ def test_the_private_name_scan_sees_both_forms():
               "from frobinv.groebner import _eliminate\n"
               "from . import invariants, groebner as gb\n"
               "from . import __version__ as VERSION\n"
-              "invariants._sweep(cells, 2)\ngb._exact_div(num, den, F)\n"
+              "invariants._sweep(cells, 2)\ngb._reduce(K, pk, terms, basis, True)\n"
               "invariants.__name__\nideal._basis_cache\nself._key\n")
     assert len(_private_reads(source)) == 4
 
@@ -191,6 +192,45 @@ def test_the_field_scan_sees_each_constructor():
               "RationalFunctionField(F.base, F.param)\nFieldSpec()\n"
               "F.descend(payloads)\nisinstance(F, PrimeField)\nF.base\n")
     assert len(_calls_of(source, FIELD_CLASSES)) == 4
+
+
+# one division loop: reductions, normal forms, inter-reductions and a colon's
+# exact division all run through _reduce, the only function that pops terms
+# besides the pair loop's heap and subtracts multiples besides the S-polynomial
+LOOP_CALLS = {"_submul": {"_reduce", "_spoly"}, "heappop": {"_reduce", "_basis"}}
+
+
+def _loop_calls(source):
+    """Calls of _submul or heappop, bare or through a module, outside the
+    functions LOOP_CALLS allows them in; a method counts by its own name,
+    a nested function by that of the function it is defined in."""
+    out = []
+
+    def visit(node, owner):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, ast.FunctionDef) and owner is None:
+                visit(sub, sub.name)
+                continue
+            if isinstance(sub, ast.Call):
+                out.extend("line %d: %s in %s" % (sub.lineno, name, owner)
+                           for name in sorted(_names(sub.func) & LOOP_CALLS.keys())
+                           if owner not in LOOP_CALLS[name])
+            visit(sub, owner)
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_the_kernel_has_one_division_loop():
+    assert _loop_calls(_kernel_source()) == []
+
+
+def test_the_division_loop_scan_sees_each_kind():
+    source = ("def _reduce(K):\n    heappop(h)\n    _submul(K, g, p, h, c, sh, t)\n"
+              "def _exact_div(K):\n    heapq.heappop(h)\n    _submul(K, g, p, h, c, sh, t)\n"
+              "def _basis(K):\n    def add(t):\n        groebner._submul(K)\n    heappop(h)\n"
+              "class Kernel:\n    def _spoly(self):\n        _submul(K)\n        heappop(h)\n"
+              "heappop(h)\nheappush(h, m)\n")
+    assert len(_loop_calls(source)) == 5
 
 
 BASE_T_HELPERS = {"_clmul2", "_gcd2", "_quo2", "_cancel2", "_unpack2", "_uadd", "_umul",

@@ -11,6 +11,7 @@ from frobinv.polyring import (
     Ideal,
     MonomialOrder,
     RingError,
+    frobenius_order,
     grevlex_key,
     ideal_power,
     ideal_product,
@@ -161,6 +162,16 @@ def test_frobenius_power_refuses_q_past_two_to_the_sixteen():
     assert g.frobenius_power(1).terms == {(257,): 1}
     with pytest.raises(RingError, match="257\\^2"):   # 66049 > 65536
         g.frobenius_power(2)
+
+
+def test_frobenius_power_refuses_a_negative_exponent():
+    # q = p^e would be a fraction, and so would every exponent of the power
+    f = ring_make(F2, ("x", "y")).parse("x + y")
+    for e in (-1, -17):
+        with pytest.raises(RingError, match="e = %d is negative" % e):
+            frobenius_order(2, e)
+        with pytest.raises(RingError, match="e = %d is negative" % e):
+            f.frobenius_power(e)
 
 
 def test_derivative_and_evaluation():
