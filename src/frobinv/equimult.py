@@ -392,30 +392,30 @@ def bm_gap_table(alphas, e_min=2, e_max=4, field=None, jobs=1):
     """Normalized HK at each m_alpha against the localized rows at
     p = (x,y,z): gap_e = l(R/m_alpha^{[q]})/q^3 - l_fiber(p^{[q]})/q^2.
 
-    A residue row is computed in the four variables of R only where Kunz's
-    bracket leaves it open,
+    Let p be any prime with R/p = k[t], alpha in k, s = t - alpha and
+    N = R/p^{[q]}, so that R/m_alpha^{[q]} = N/s^q N.  N is finite over k[s],
+    so N = k[s]^r + sum_i k[s]/(s^{k_i}) + T with s acting invertibly on T
+    (structure theorem over a PID), where r = dim_{k(t)} N (x) k(t) is
+    l_fiber(p^{[q]}).  Hence
+
+        c_j = l(R/(p^{[q]}, s^j)) = l(N/s^j N) = j r + sum_i min(k_i, j).
+
+    The increments d_j = c_j - c_{j-1} = r + #{i : k_i >= j} do not increase;
+    where d_{J+1} = r no k_i exceeds J, and the row c_q is c_J + (q - J) r.
+    Here c_1 = l(Q_alpha/m^{[q]}) for the 3-variable quartic Q_alpha =
+    R/(t - alpha) (``FiberPresentation.specialize``), and r <= d_j <= c_1 is
+    Kunz's bracket
 
         q l_fiber(p^{[q]}) <= l(R/m_alpha^{[q]}) <= q l(Q_alpha/m^{[q]}),
 
-    where Q_alpha = R/(t - alpha) is the 3-variable quartic at alpha
-    (``FiberPresentation.specialize``); where the two sides meet, the row is
-    their common value.  Both bounds hold for any prime p with R/p = k[t]
-    and alpha in k; let s = t - alpha and N = R/p^{[q]}, so that
-    R/m_alpha^{[q]} = N/s^q N.
-    * Lower: M = N localized at m_alpha is one-dimensional with parameter s,
-      and e(x; M) = l(M/xM) - l(0 :_M x) for such M and a parameter x, so
-      l(M/s^q M) >= e(s^q; M) = q e(s; M) = q l(M_p) e(s; R/p) = q l_fiber
-      by the associativity formula: p is the one prime of dimension one in
-      the support of M, and e(s; R/p) = 1 as R/p = k[t] (Bruns-Herzog,
-      Cohen-Macaulay Rings, section 4.7).
-    * Upper: each quotient s^i N / s^{i+1} N, i < q, of the s-adic
-      filtration of N/s^q N is an image of N/sN = R/(p^{[q]}, s) =
-      Q_alpha/m^{[q]}.
+    closed where c_1 = r (J = 0).  Where it is open the table computes
+    c_2, c_3, ... in four variables, one list of cells per step over every
+    open point and level, until d_{j+1} = r or j + 1 = q.
 
     The quartic has coefficients in F_2, so the coefficientwise Frobenius is
     a ring automorphism that fixes R and maps m_alpha to m_{alpha^2}:
     conjugate points have equal rows, and each Frobenius orbit among the
-    points is computed at its first point only.  Both lists of cells run in
+    points is computed at its first point only.  Every list of cells runs in
     one sweep, so in one process pool.
     """
     if e_max < e_min:
@@ -442,12 +442,25 @@ def bm_gap_table(alphas, e_min=2, e_max=4, field=None, jobs=1):
         fiber_rows, *upper_rows = yield from invariants.hk_plan(
             [fp.map_ideal(prime)] + [fp.specialize(a).origin_ideal() for a in firsts], levels)
         lengths = [[q * ell for _, q, ell, _ in fiber_rows] for _ in firsts]
-        # then the open 4-variable cells, the largest, deepest level first
-        open_cells = [(i, k) for k in reversed(range(len(levels)))
-                      for i, rows in enumerate(upper_rows) if rows[k][2] != fiber_rows[k][2]]
-        computed = yield [(bm_maximal_ideal(ring, firsts[i]), levels[k]) for i, k in open_cells]
-        for (i, k), ell in zip(open_cells, computed):
-            lengths[i][k] = ell
+        # then c_{j+1} of each open (point, level), the deepest level first,
+        # one list per step j; c_1 is the 3-variable row
+        chains = {(i, k): rows[k][2] for k in reversed(range(len(levels)))
+                  for i, rows in enumerate(upper_rows) if rows[k][2] != fiber_rows[k][2]}
+        j = 1
+        while chains:
+            j += 1
+            steps = list(chains)
+            cells = []
+            for i, k in steps:
+                x, y, z, s = bm_maximal_ideal(ring, firsts[i]).gens
+                q = fiber_rows[k][1]
+                cells.append((Ideal(ring, [x ** q, y ** q, z ** q, s ** j]), 0))
+            for (i, k), c in zip(steps, (yield cells)):
+                _, q, r, _ = fiber_rows[k]
+                if c - chains.pop((i, k)) == r or j == q:
+                    lengths[i][k] = c + (q - j) * r
+                else:
+                    chains[i, k] = c
         return fiber_rows, lengths
 
     fiber_rows, lengths = invariants.sweep(plan(), jobs)

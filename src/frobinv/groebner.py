@@ -408,6 +408,8 @@ def is_member(f, ideal):
 
 
 def ideal_equals(I, J):
+    if I.ring != J.ring:
+        raise RingError("ideal_equals: ambient ring mismatch")
     bi = groebner_basis(I)
     bj = groebner_basis(J)
     return ([g.canonical_key() for g in bi] == [g.canonical_key() for g in bj])

@@ -183,6 +183,10 @@ class Polynomial:
     def __pow__(self, n):
         if n < 0:
             raise RingError("negative polynomial power")
+        # a power of x^m with coefficient 1 is one term; any other grows
+        # with n, in terms or in t-degree over F_q(t)
+        if n > MAX_EXTENSION_ORDER and list(self.terms.values()) != [self.ring.field.one]:
+            raise RingError("exponent %d exceeds the limit %d = 2^16" % (n, MAX_EXTENSION_ORDER))
         result = self.ring.one
         base = self
         while n:

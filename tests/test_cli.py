@@ -424,6 +424,19 @@ def test_exit_three_on_frobenius_exponent_past_the_limit(argv, capsys):
     assert "exceeds the limit 65536 = 2^16" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("char", ["2", "3"], ids=["F2t", "F3t"])
+def test_exit_three_on_exponent_past_the_limit(char, tmp_path, capsys):
+    # the colon ran past 20 s, squaring t towards t^(2^26) while parsing f
+    path = tmp_path / "big.ring"
+    path.write_text("char %s; param t; vars x y z; ideal i = (x^2, y^2, z^2); "
+                    "elem f = t^100000000*x;" % char, encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["colon", str(path), "i", "f"]) == 3
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == \
+        "error: line 1, col 57: exponent 100000000 exceeds the limit 65536 = 2^16\n"
+
+
 def test_exit_three_on_foreign_flag():
     # hk has no term order to choose: the flag is a usage error, exit 3
     with pytest.raises(SystemExit) as err:

@@ -329,25 +329,79 @@ def test_e4_residue_rows_lie_in_kunz_bracket_and_match_the_table():
         assert [row[2] for row in rep.alpha_rows[key]] == [ell], key
 
 
-# The e = 5 residue rows, recorded from `repro-bm --emax 5` (four-variable
-# cells at alpha = 0, 1 and a; a + 1 is the conjugate of a).  Too slow to
-# recompute here; their bracket sides are not.
-E5_RESIDUE_ROWS = {"t": 99976, "t+1": 98716, "t+a": 98188}
+# -- exact rows from the s-torsion ------------------------------------------------
+#
+# With s = t - alpha and r = l_fiber(p^[q]), the table closes an open point
+# with c_j = l(R/(p^[q], s^j)): the increments d_j = c_j - c_{j-1} fall to r
+# at j = J + 1, and then the row is c_J + (q - J) r.
+
+def _swept_chains(monkeypatch, points, e):
+    """The gap table at level e alone, and d_j - r, j = 1, 2, ..., of each
+    point, read off the cells it swept: c_1 is the 3-variable row."""
+    from frobinv import invariants
+    swept = []
+    run = invariants._hk_cell
+
+    def spy(cell):
+        swept.append((cell[0], run(cell)))
+        return swept[-1][1]
+    monkeypatch.setattr(invariants, "_hk_cell", spy)
+    rep = bm_gap_table(points, e_min=e, e_max=e, field=F4)
+    R = brenner_monsky_ring(F4)
+    fp = fiber_presentation(ideal(R, "x", "y", "z"))
+    (_, _, r, _), = rep.fiber_rows
+    chains = {}
+    for a in points:
+        s = bm_maximal_ideal(R, a).gens[3]
+        c = [0] + [ell for I, ell in swept if I.ring == fp.specialize(a)]
+        for I, ell in swept:
+            if I.ring == R and I.gens[-1] == s ** len(c):
+                c.append(ell)
+        chains[str(s)] = [c[j] - c[j - 1] - r for j in range(1, len(c))]
+    return rep, chains
 
 
-def test_e5_residue_rows_lie_in_kunz_bracket():
+def test_s_chain_increments_at_e3(monkeypatch):
+    rep, chains = _swept_chains(monkeypatch, [1], 3)
+    assert chains == {"t+1": [8, 4, 0]}
+    (_, q, r, _), = rep.fiber_rows
+    # c_2 = 2 r + 8 + 4, and the row is c_2 + (q - 2) r
+    assert [row[2] for row in rep.alpha_rows["t+1"]] == [1516] == [q * r + 8 + 4]
+
+
+@pytest.fixture(scope="module")
+def e5_chains():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return _swept_chains(monkeypatch, [0, F4.symbols()["a"]], 5)
+
+
+def test_s_chain_increments_at_e5(e5_chains):
+    _, chains = e5_chains
+    assert chains == {"t": [840, 528, 288, 120, 24, 0], "t+a": [8, 4, 0]}
+
+
+# The e = 5 row at alpha = 1, recorded from `repro-bm --emax 5`: its chain
+# runs to c_11 and takes about 10 s.  The rows at 0 and a are recomputed.
+E5_RESIDUE_ROWS = {"t+1": 98716}
+
+
+def test_e5_residue_rows_lie_in_kunz_bracket(e5_chains):
+    rep, _ = e5_chains
+    rows = {key: rows[0][2] for key, rows in rep.alpha_rows.items()}
+    assert rows == {"t": 99976, "t+a": 98188}
+    rows.update(E5_RESIDUE_ROWS)
     R = brenner_monsky_ring(F4)
     prime = ideal(R, "x", "y", "z")
     fp = fiber_presentation(prime)
     fiber = hk_function(fp.map_ideal(prime), 5)
-    assert fiber == 3 * 32 ** 2 - 4 == 3068
+    assert fiber == 3 * 32 ** 2 - 4 == 3068 == rep.fiber_rows[0][2]
     uppers = {str(bm_maximal_ideal(R, a).gens[3]): hk_function(fp.specialize(a).origin_ideal(), 5)
               for a in _gap_points()[:3]}
     assert uppers == {"t": 3908, "t+1": 3136, "t+a": 3076}
     brackets = {key: (32 * fiber, 32 * up) for key, up in uppers.items()}
     assert brackets == {"t": (98176, 125056), "t+1": (98176, 100352), "t+a": (98176, 98432)}
     for key, (lower, upper) in brackets.items():
-        assert _bracket_violation(E5_RESIDUE_ROWS[key], lower, upper) is None, key
+        assert _bracket_violation(rows[key], lower, upper) is None, key
         assert _bracket_violation(lower - 1, lower, upper) is not None
         assert _bracket_violation(upper + 1, lower, upper) is not None
 
@@ -396,14 +450,16 @@ def test_conjugate_point_is_an_orbit_copy(monkeypatch):
     assert all(nvars == 3 and "a+1" not in rel for nvars, rel, _, _ in cells)
 
 
-def test_repro_bm_runs_two_four_variable_cells(monkeypatch, capsys):
+def test_repro_bm_runs_the_s_chain_cells(monkeypatch, capsys):
+    # at e = 3 the bracket stays open at 0 and 1: c_2 at both closes 0
+    # (d_2 = r), and c_3 closes 1; each c_j is a colength at e = 0
     from frobinv.cli import main
     monkeypatch.delenv("FROBINV_CACHE", raising=False)
     cells = _recorded_cells(monkeypatch)
     main(["repro-bm", "--emax", "3"])
     capsys.readouterr()
-    assert sorted((gen, e) for nvars, _, gen, e in cells if nvars == 4) == \
-        [("t", 3), ("t+1", 3)]
+    assert [(gen, e) for nvars, _, gen, e in cells if nvars == 4] == \
+        [("t^2", 0), ("t^2+1", 0), ("t^3+t^2+t+1", 0)]
 
 
 def test_specialization_consistency_all_points():

@@ -554,11 +554,13 @@ def test_a_division_that_leaves_a_remainder_raises():
     lambda I, S: ideal_colon(I, S.parse("x+y")),
     lambda I, S: saturate(I, Ideal(S, [S.parse("x+y")])),
     lambda I, S: normal_form(S.parse("2*x"), I),
-], ids=["intersection", "colon", "saturate", "normal_form"])
+    lambda I, S: ideal_equals(I, Ideal(S, [S.parse("x^2"), S.parse("y^2")])),
+], ids=["intersection", "colon", "saturate", "normal_form", "equals"])
 @pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")], ids=["F3[x,y]", "F3[x,y,z]"])
 def test_an_argument_from_another_ring_is_refused(call, names):
     # over F_2[x,y,z]: from F_3[x,y] the colon returned (x+y, z^2, y^2),
-    # from F_3[x,y,z] it divided by zero, and a normal form kept 2*x
+    # from F_3[x,y,z] it divided by zero, a normal form kept 2*x, and
+    # ideal_equals compared the bases' keys whatever their rings
     I = ideal(ring2("x", "y", "z"), "x^2", "y^2", "z^2")
     with pytest.raises(RingError, match="ambient ring mismatch"):
         call(I, ring_make(F3, names))

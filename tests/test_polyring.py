@@ -164,6 +164,18 @@ def test_frobenius_power_refuses_q_past_two_to_the_sixteen():
         g.frobenius_power(2)
 
 
+def test_power_past_two_to_the_sixteen_is_a_monomial_or_refused():
+    # t^(10^8) over F_2(t) ran past 20 s squaring t; x^m stays one term
+    ring = ring_make(F2, ("x", "y"))
+    x, f = ring.parse("x"), ring.parse("x + y")
+    assert f ** 65536 == ring.parse("x^65536 + y^65536")
+    assert x ** (2 ** 40) == ring.monomial((2 ** 40, 0))
+    t = ring_make(RationalFunctionField(F2, "t"), ("x",)).parse("t")
+    for g in (f, t):
+        with pytest.raises(RingError, match="exponent 65537 exceeds the limit 65536"):
+            g ** 65537
+
+
 def test_frobenius_power_refuses_a_negative_exponent():
     # q = p^e would be a fraction, and so would every exponent of the power
     f = ring_make(F2, ("x", "y")).parse("x + y")
