@@ -177,7 +177,7 @@ def _build_extension(p, text, line, col):
 
 def parse_spec(text):
     """Parse a ring-description script into a RingSpecDocument."""
-    from .coeff import FieldError, PrimeField, RationalFunctionField
+    from .coeff import PrimeField, RationalFunctionField
     from .polyring import Ideal, parse_polynomial, ring_make
     stmts = _statements(text)
     char = ext_t = param = varnames = None
@@ -241,10 +241,8 @@ def parse_spec(text):
 
     if char is None:
         raise SpecError("missing 'char' statement", 1, 1)
-    try:
+    with _located(*char_pos):
         field = PrimeField(char)
-    except FieldError:
-        raise SpecError("characteristic %d is not prime" % char, *char_pos) from None
     if varnames is None:
         raise SpecError("missing 'vars' statement", 1, 1)
 

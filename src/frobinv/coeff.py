@@ -8,13 +8,13 @@
   XOR for p = 2 and a Zech-logarithm lookup for odd p.
 * ``RationalFunctionField(base, param)`` -- base(t).  Payloads are
   ``(num, den)``: reduced fractions of univariate polynomials, little-endian
-  sequences of base payloads (``bytes`` over F_2, tuples otherwise), with
-  monic denominator.  Every op runs on the base's one table of base[t] ops,
-  ``PolyOps``: packed ints over F_2, the tuple helpers over any other base.
+  tuples of base payloads, with monic denominator.  Every op runs on the
+  base's one table of base[t] ops, ``PolyOps``: packed ints over F_2, the
+  tuple helpers over any other base.
 
 Every element is a :class:`FieldElement` tagging a payload with its
-:class:`FieldSpec`.  Payloads are plain hashable values (ints, tuples,
-bytes) with raw ops on the spec (``add``/``mul``/``inv``/...).  The Groebner
+:class:`FieldSpec`.  Payloads are plain hashable values (ints and tuples)
+with raw ops on the spec (``add``/``mul``/``inv``/...).  The Groebner
 kernel computes on operands instead, through the op table ``kernel``
 returns: ``enter`` turns payload dicts into operands and ``leave`` turns
 operands back into payloads, once per run, and between the two only the
@@ -96,20 +96,12 @@ def _udivmod(base, f, g):
 
 def _ugcd(base, f, g):
     """The monic gcd of f and g, not both zero."""
+    if len(f) == 1 or len(g) == 1:  # a non-zero constant: the gcd is 1
+        return (base.one,)
     while g:
         f, g = g, _udivmod(base, f, g)[1]
     ilc = base.inv(f[-1])
     return tuple(base.mul(c, ilc) for c in f)
-
-
-def _ucancel(base, f, g):
-    """f and g divided by their gcd."""
-    if len(f) == 1 or len(g) == 1:  # a non-zero constant: the gcd is 1
-        return f, g
-    h = _ugcd(base, f, g)
-    if len(h) == 1:
-        return f, g
-    return _udivmod(base, f, h)[0], _udivmod(base, g, h)[0]
 
 
 def _umonic(base, num, den):
@@ -122,13 +114,9 @@ def _umonic(base, num, den):
 
 def _ufrob(base, f):
     """f(t) ^ p = sum c_i^p t^(i p) in characteristic p."""
-    if not f:
-        return ()
-    p = base.p
-    out = [base.zero] * ((len(f) - 1) * p + 1)
-    for i, c in enumerate(f):
-        out[i * p] = base.frob(c)
-    return _utrim_spec(base, out)
+    out = [base.zero] * ((len(f) - 1) * base.p + 1)
+    out[::base.p] = map(base.frob, f)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +126,6 @@ def _ufrob(base, f):
 
 _PIECE2 = (1 << 8 * 255) - 1  # 255 coefficients: byte counts stay <= 255
 _ONES2 = int.from_bytes(b"\x01" * 4096, "little")  # byte k's low bit, k < 4096
-
-
-def _unpack2(a):
-    return a.to_bytes((a.bit_length() + 7) >> 3, "little")
 
 
 def _clmul2(a, b):
@@ -180,23 +164,14 @@ def _gcd2(a, b):
     return b or a
 
 
-def _cancel2(a, b):
-    """a and b divided by their gcd."""
-    h = _gcd2(a, b)
-    if h == 1:
-        return a, b
-    return _quo2(a, h), _quo2(b, h)
-
-
 # ---------------------------------------------------------------------------
-# base[t], one op table per base: operands are packed ints over F_2 and
-# tuples otherwise, and pin and out turn a payload polynomial into an
-# operand and back.  cancel(f, g) is f and g divided by their gcd and frob(f)
-# is f^p.  neg, and monic(num, den), which scales a pair so den is monic, act
-# on payloads and operands alike: over F_2 both are the identity, and over
-# any other base an operand is its payload.
+# base[t], one op table per base.  An operand is a packed int over F_2 and a
+# tuple otherwise; pin and out turn a payload polynomial into one and back.
+# cancel(f, g) is f and g over their gcd, frob(f) is f^p.  neg and
+# monic(num, den), which makes den monic, act on payloads and operands alike:
+# over F_2 both are the identity, elsewhere an operand is its payload.
 
-PolyOps = namedtuple("PolyOps", "zero one add mul neg quo gcd cancel monic frob pin out")
+PolyOps = namedtuple("PolyOps", "zero one add mul neg quo gcd monic frob pin out cancel")
 
 
 def _same(a):
@@ -205,14 +180,22 @@ def _same(a):
 
 def _poly_ops(base):
     if base.key() == ("prime", 2):  # a non-zero polynomial is monic; f^2 is f^p
-        return PolyOps(0, 1, operator.xor, _clmul2, _same, _quo2, _gcd2, _cancel2,
-                       lambda num, den: (num, den), lambda a: _clmul2(a, a),
-                       lambda b: int.from_bytes(b, "little"), _unpack2)
-    return PolyOps((), (base.one,), partial(_uadd, base), partial(_umul, base),
-                   _same if base.p == 2 else lambda f: tuple(map(base.neg, f)),
-                   lambda f, g: _udivmod(base, f, g)[0], partial(_ugcd, base),
-                   partial(_ucancel, base), partial(_umonic, base),
-                   partial(_ufrob, base), tuple, tuple)
+        ops = (0, 1, operator.xor, _clmul2, _same, _quo2, _gcd2, lambda *nd: nd,
+               lambda a: _clmul2(a, a), lambda f: int.from_bytes(f, "little"),
+               lambda a: (1,) if a == 1 else  # shared unit
+               tuple(a.to_bytes((a.bit_length() + 7) >> 3, "little")))
+    else:
+        ops = ((), (base.one,), partial(_uadd, base), partial(_umul, base),
+               _same if base.p == 2 else lambda f: tuple(map(base.neg, f)),
+               lambda f, g: _udivmod(base, f, g)[0], partial(_ugcd, base),
+               partial(_umonic, base), partial(_ufrob, base), tuple, tuple)
+    one, quo, gcd = ops[1], ops[5], ops[6]
+
+    def cancel(f, g):
+        h = gcd(f, g)
+        return (f, g) if h == one else (quo(f, h), quo(g, h))
+
+    return PolyOps(*ops, cancel)
 
 
 def _render_upoly(base, f, var):
@@ -290,6 +273,10 @@ class FieldSpec:
                       lambda terms: (terms, one), leave)
 
     def pow(self, a, n):
+        # over base(t) a power of positive t-degree grows with n
+        if abs(n) > MAX_EXTENSION_ORDER and self.kind == "rational-function" \
+                and len(a[0]) + len(a[1]) > 2:
+            raise FieldError("exponent %d exceeds the limit %d = 2^16" % (n, MAX_EXTENSION_ORDER))
         if n < 0:
             a, n = self.inv(a), -n
         r = self.one
@@ -314,8 +301,10 @@ class PrimeField(FieldSpec):
     kind = "prime"
 
     def __init__(self, p):
+        if p >= 1 << 32:  # trial division takes at most 2^16 steps
+            raise FieldError("characteristic %d exceeds the limit 2^32" % p)
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-            raise FieldError("characteristic must be prime, got %r" % (p,))
+            raise FieldError("characteristic %r is not prime" % (p,))
         self.p = p
         self.zero = 0
         self.one = 1 % p
@@ -467,9 +456,7 @@ class ExtensionField(FieldSpec):
     def kernel(self, payloads):
         # the codes below p are the prime field's elements, encoded as there
         p = self.p
-        if all(c < p for c in payloads):
-            return self.base.kernel(())
-        return FieldSpec.kernel(self, ())
+        return FieldSpec.kernel(self.base if all(c < p for c in payloads) else self, ())
 
     def symbols(self):
         return {self.gen: FieldElement(self, self._fix((0, 1)))}
@@ -529,9 +516,9 @@ class RationalFunctionField(FieldSpec):
         self.base = base
         self.p = base.p
         self.param = param
-        self._ops = T = _poly_ops(base)
-        self.zero = (T.out(T.zero), T.out(T.one))
-        self.one = (T.out(T.one), T.out(T.one))
+        self._ops = _poly_ops(base)
+        self.zero = ((), (base.one,))
+        self.one = ((base.one,), (base.one,))
 
     def __reduce__(self):
         return RationalFunctionField, (self.base, self.param)
@@ -546,8 +533,7 @@ class RationalFunctionField(FieldSpec):
         writes this spec's payloads."""
         base = self.base.kernel(c for a in payloads for f in a for c in f).field
         field = self if base is self.base else RationalFunctionField(base, self.param)
-        zero, one, add, mul, neg, quo, gcd, cancel, monic, _, pin, out = field._ops
-        box = out if field is self else lambda a: tuple(out(a))  # descended: tuples again
+        zero, one, add, mul, neg, quo, gcd, monic, _, pin, out, cancel = field._ops
 
         def cofactors(c, d):
             return monic(*cancel(c, d))
@@ -566,7 +552,7 @@ class RationalFunctionField(FieldSpec):
                     for m, (n, d) in zip(terms, vals)}, den
 
         def leave(terms, scale):
-            return {m: monic(*map(box, cancel(c, scale))) for m, c in terms.items()}
+            return {m: monic(*map(out, cancel(c, scale))) for m, c in terms.items()}
 
         return Kernel(field, zero, one, add, mul, neg, cofactors, primitive, enter, leave)
 
@@ -585,10 +571,9 @@ class RationalFunctionField(FieldSpec):
 
     def monomial(self, c, k):
         """The payload of c t^k, c a base payload."""
-        T = self._ops
         if c == self.base.zero:
             return self.zero
-        return (T.out(T.pin((self.base.zero,) * k + (c,))), self.one[1])
+        return ((self.base.zero,) * k + (c,), self.one[1])
 
     def symbols(self):
         # the parameter shadows a base symbol of the same name
@@ -656,7 +641,7 @@ class RationalFunctionField(FieldSpec):
 
     def frob(self, a):
         T = self._ops
-        return (T.out(T.frob(T.pin(a[0]))), T.out(T.frob(T.pin(a[1]))))
+        return tuple(T.out(T.frob(T.pin(f))) for f in a)
 
     def render(self, a):
         num, den = a
@@ -748,10 +733,13 @@ def field_frobenius(x, e=1):
     """x^(p^e) by repeated p-th powering."""
     if e < 0:
         raise FieldError("frobenius exponent must be nonnegative")
-    a = x.payload
+    K, a = x.spec, x.payload
+    if K.kind == "rational-function" and (e > 16 or K.p ** e > MAX_EXTENSION_ORDER):
+        raise FieldError("Frobenius twist %d^%d exceeds the limit %d = 2^16"
+                         % (K.p, e, MAX_EXTENSION_ORDER))
     for _ in range(e):
-        a = x.spec.frob(a)
-    return FieldElement(x.spec, a)
+        a = K.frob(a)
+    return FieldElement(K, a)
 
 
 # ---------------------------------------------------------------------------
@@ -845,10 +833,8 @@ class ExprParser:
 
     def primary(self):
         kind, val = self.take()
-        if kind == "int":
-            return self.atom(("int", val))
-        if kind == "name":
-            return self.atom(("name", val))
+        if kind in ("int", "name"):
+            return self.atom((kind, val))
         if kind == "(":
             v = self.expr()
             if self.take()[0] != ")":

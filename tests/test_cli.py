@@ -437,6 +437,16 @@ def test_exit_three_on_exponent_past_the_limit(char, tmp_path, capsys):
         "error: line 1, col 57: exponent 100000000 exceeds the limit 65536 = 2^16\n"
 
 
+def test_exit_three_on_characteristic_past_the_limit(tmp_path, capsys):
+    # 2^61 - 1: its trial division ran past 15 s
+    path = tmp_path / "big.ring"
+    path.write_text("char 2305843009213693951; vars x y; ideal i = (x, y);", encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["hk", str(path), "i", "--emax", "1"]) == 3
+    assert time.perf_counter() - start < 1
+    assert "2305843009213693951 exceeds the limit 2^32" in capsys.readouterr().err
+
+
 def test_exit_three_on_foreign_flag():
     # hk has no term order to choose: the flag is a usage error, exit 3
     with pytest.raises(SystemExit) as err:
@@ -621,8 +631,8 @@ def _count_pools(monkeypatch):
     ["hk", "corpus:a1-char2"],
 ], ids=["assoc", "repro-bm", "repro-bm-e3", "descent", "hk"])
 def test_one_process_pool_per_command(argv, tmp_path, monkeypatch):
-    # repro-bm at e <= 3 sweeps two lists of cells, the second only where
-    # Kunz's bracket stays open, both in the one pool
+    # repro-bm at e <= 3 sweeps three lists of cells, all in the one pool:
+    # the first, then c_2 at alpha = 0 and 1, and c_3 at alpha = 1
     started = _count_pools(monkeypatch)
     argv = with_spec_file(argv, tmp_path)
     code, serial = run_json(*argv, "--jobs", "1")

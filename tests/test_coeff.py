@@ -8,6 +8,7 @@ below.
 """
 
 import pickle
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -106,6 +107,40 @@ def test_extension_order_is_bounded():
     # a^17 + a^3 + 1 is irreducible, but F_{2^17} is past the table limit
     with pytest.raises(FieldError, match="131072.*65536"):
         ExtensionField(2, (1, 0, 0, 1) + (0,) * 13 + (1,))
+
+
+def test_characteristic_is_bounded():
+    # 2^61 - 1 is prime, but its trial division would take 2^30 steps
+    start = time.perf_counter()
+    with pytest.raises(FieldError, match="2305843009213693951 exceeds the limit 2\\^32"):
+        PrimeField(2305843009213693951)
+    assert time.perf_counter() - start < 1
+    assert PrimeField(4294967291).p == 4294967291  # the largest prime below 2^32
+
+
+@pytest.mark.parametrize("call", [
+    lambda: field_make(F2T, "t^100000000"),
+    lambda: el(F3T, "t+1") ** 10 ** 7,
+    lambda: el(F3T, "1/t") ** -(10 ** 7),
+    lambda: el(F2T, "t").frobenius(40),
+    lambda: el(F2T, "1").frobenius(10 ** 9),
+], ids=["parsed-power", "power", "negative-power", "twist", "twist-of-a-constant"])
+def test_ratfunc_powers_and_twists_are_bounded(call):
+    # over F_q(t) a power of positive t-degree, and a twist t -> t^(p^e),
+    # grow with the exponent: past 2^16 they are refused at once
+    start = time.perf_counter()
+    with pytest.raises(FieldError, match="exceeds the limit 65536 = 2\\^16"):
+        call()
+    assert time.perf_counter() - start < 1
+
+
+def test_ratfunc_powers_and_twists_at_the_limit():
+    assert el(F2T, "(t+1)^65536") == el(F2T, "t^65536+1")
+    assert el(F2T, "t").frobenius(16) == el(F2T, "t^65536")
+    # a constant of F_q(t), and any element of a finite field, has no such bound
+    assert el(F3T, "2") ** (10 ** 7 + 1) == el(F3T, "2")
+    assert el(F4T, "a") ** -(10 ** 9) == el(F4T, "a^2")
+    assert field_frobenius(el(F4, "a"), 41) == el(F4, "a^2")
 
 
 # -- Frobenius --------------------------------------------------------------
@@ -267,10 +302,17 @@ def ref_fraction(base, num, den):
 
 
 def ref_payload(K, num, den):
-    """The payload of num/den in K: the reference fraction in K's sequence
-    type (bytes over F_2, tuples otherwise)."""
-    box = type(K.one[0])
-    return tuple(box(f) for f in ref_fraction(K.base, num, den))
+    """The payload of num/den in K: the reference fraction, on every base."""
+    return ref_fraction(K.base, num, den)
+
+
+def is_ratfunc_payload(K, a):
+    """a is (num, den): tuples of base payloads with no trailing zero, den monic."""
+    q = K.base.p ** getattr(K.base, "degree", 1)
+    num, den = a
+    return (type(a) is tuple and type(num) is tuple and type(den) is tuple
+            and all(type(c) is int and 0 <= c < q for c in num + den)
+            and num[-1:] != (0,) and den[-1:] == (1,))
 
 
 def _upolys(q, min_size, max_size):
@@ -472,17 +514,15 @@ def _fractions_over(K, deg, q=None):
     return st.tuples(upoly, upoly).map(lambda nd: K.make(*nd))
 
 
-# (spec, coefficient codes drawn below q, the payload type of a numerator):
-# F_4(t) inputs over F_2 descend to packed F_2[t] ops that read and write
-# tuples, and F_9(t) inputs over F_3 to F_3[t]
-KERNEL_CASES = {"F2(t)": (F2T, 2, bytes), "F3(t)": (F3T, 3, tuple),
-                "F4(t)": (F4T, 4, tuple), "F2(t)-tuples": (F4T, 2, tuple),
-                "F9(t)": (F9T, 9, tuple)}
+# (spec, coefficient codes drawn below q): F_4(t) inputs over F_2 descend
+# to packed F_2[t] ops, and F_9(t) inputs over F_3 to F_3[t]
+KERNEL_CASES = {"F2(t)": (F2T, 2), "F3(t)": (F3T, 3), "F4(t)": (F4T, 4),
+                "F2(t)-tuples": (F4T, 2), "F9(t)": (F9T, 9)}
 
 
 @pytest.mark.parametrize("name", KERNEL_CASES)
 def test_primitive_and_cofactors_stay_in_the_polynomial_ring(name):
-    K, q, box = KERNEL_CASES[name]
+    K, q = KERNEL_CASES[name]
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(_fractions_over(K, 3, q), min_size=2, max_size=5), st.integers(0, 3))
@@ -498,7 +538,7 @@ def test_primitive_and_cofactors_stay_in_the_polynomial_ring(name):
         num, scale = ops.enter(terms)
         assert num.keys() == terms.keys()
         back = ops.leave(num, scale)
-        assert back == terms and all(type(n) is box for n, _ in back.values())
+        assert back == terms and all(is_ratfunc_payload(K, a) for a in back.values())
         prim = ops.primitive(num, 0)
         assert ops.primitive(prim, 0) is prim     # content 1: nothing left to divide
         assert ops.leave(prim, prim[0]) == ops.leave(num, num[0])  # the same monic associate
@@ -509,6 +549,43 @@ def test_primitive_and_cofactors_stay_in_the_polynomial_ring(name):
         assert ops.cofactors(c, c) == (ops.one, ops.one)
         assert ops.cofactors(ops.mul(u, d), d) == (u, ops.one)  # a polynomial quotient
         assert ops.add(c, ops.neg(c)) == ops.zero
+
+    check()
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_every_ratfunc_payload_is_a_pair_of_tuples(name):
+    # one payload format on every base: each op, and each kernel leave, writes
+    # tuples of base payloads; a run that descends from F_4(t) to F_2(t)
+    # leaves the payloads F_4(t)'s own ops give
+    K, q = KERNEL_CASES[name]
+    polys = st.lists(st.integers(0, q - 1), max_size=4)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(polys, polys), min_size=2, max_size=4),
+           st.integers(0, q - 1), st.integers(-3, 5))
+    def check(pairs, c, n):
+        xs = [K.make(num, tuple(den) + (1,)) for num, den in pairs]
+        x, y = xs[0], xs[1]
+        out = xs + [K.from_int(n), K.from_int(1), K.add(x, y), K.sub(x, y), K.mul(x, y),
+                    K.neg(x), K.frob(x), K.monomial(c, abs(n))]
+        if x[0]:
+            out.append(K.inv(x))
+        symbols = [e.payload for e in K.symbols().values()]
+        assert all(is_ratfunc_payload(K, a) for a in out + symbols)
+        terms = {i: a for i, a in enumerate(out) if a[0]}
+        ops = K.kernel(terms.values())
+        descends = K.base.kind == "extension" and all(
+            c < K.p for a in terms.values() for f in a for c in f)
+        assert ops.field == (RationalFunctionField(K.base.base, "t") if descends else K)
+        num, scale = ops.enter(terms)
+        assert ops.leave(num, scale) == terms
+        lead = next(iter(terms))
+        prim = ops.primitive(num, lead)
+        monic = ops.leave(prim, prim[lead])
+        assert all(is_ratfunc_payload(K, a) for a in monic.values())
+        s = K.inv(terms[lead])
+        assert monic == {i: K.mul(s, a) for i, a in terms.items()}
 
     check()
 
