@@ -4,8 +4,8 @@
 * ``ExtensionField(p, modulus)`` -- F_q = F_p[a]/(modulus), q = p^k <= 2^16,
   for a monic irreducible modulus (little-endian coefficient tuple, length
   k+1).  The payload of sum c_i a^i is the int code sum c_i p^i; mul, inv and
-  frob are lookups in log/antilog tables built once per process, and add is
-  XOR for p = 2 and a Zech-logarithm lookup for odd p.
+  frob are lookups in log/antilog tables built once per process, and add is a
+  Zech-logarithm lookup for every p (the kernel's table adds by XOR for p = 2).
 * ``RationalFunctionField(base, param)`` -- base(t).  Payloads are
   ``(num, den)``: reduced fractions of univariate polynomials, little-endian
   tuples of base payloads, with monic denominator.  Every op runs on the
@@ -42,80 +42,83 @@ class FieldError(InputError):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomial helpers over a base spec
+# univariate polynomial helpers over a finite field, on its kernel op table K
+# (so XOR adds in characteristic 2)
 #
-# representation: tuple of base payloads, little-endian, no trailing zeros;
+# representation: tuple of field payloads, little-endian, no trailing zeros;
 # the zero polynomial is the empty tuple.
 
-def _utrim_spec(base, f):
+def _utrim_spec(K, f):
     n = len(f)
-    z = base.zero
+    z = K.zero
     while n and f[n - 1] == z:
         n -= 1
     return tuple(f[:n])
 
 
-def _uadd(base, f, g):
+def _uadd(K, f, g):
     if len(f) < len(g):
         f, g = g, f
     out = list(f)
     for i, c in enumerate(g):
-        out[i] = base.add(out[i], c)
-    return _utrim_spec(base, out)
+        out[i] = K.add(out[i], c)
+    return _utrim_spec(K, out)
 
 
-def _umul(base, f, g):
+def _umul(K, f, g):
     if not f or not g:
         return ()
-    out = [base.zero] * (len(f) + len(g) - 1)
+    zero, add, mul = K.zero, K.add, K.mul
+    out = [zero] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if a == base.zero:
+        if a == zero:
             continue
         for j, b in enumerate(g):
-            out[i + j] = base.add(out[i + j], base.mul(a, b))
-    return _utrim_spec(base, out)
+            out[i + j] = add(out[i + j], mul(a, b))
+    return _utrim_spec(K, out)
 
 
-def _udivmod(base, f, g):
+def _udivmod(K, f, g):
     if not g:
         raise ZeroDivisionError("univariate division by zero")
+    zero, add, mul = K.zero, K.add, K.mul
     f = list(f)
     dg = len(g) - 1
-    ilc = base.inv(g[-1])
-    quo = [base.zero] * max(0, len(f) - dg)
+    ilc = K.field.inv(g[-1])
+    quo = [zero] * max(0, len(f) - dg)
     while len(f) - 1 >= dg and f:
         k = len(f) - 1 - dg
-        c = base.mul(f[-1], ilc)
-        quo[k] = c
+        quo[k] = mul(f[-1], ilc)
+        c = K.neg(quo[k])
         for i, b in enumerate(g):
-            f[k + i] = base.sub(f[k + i], base.mul(c, b))
-        while f and f[-1] == base.zero:
+            f[k + i] = add(f[k + i], mul(c, b))
+        while f and f[-1] == zero:
             f.pop()
-    return _utrim_spec(base, quo), _utrim_spec(base, f)
+    return _utrim_spec(K, quo), _utrim_spec(K, f)
 
 
-def _ugcd(base, f, g):
+def _ugcd(K, f, g):
     """The monic gcd of f and g, not both zero."""
     if len(f) == 1 or len(g) == 1:  # a non-zero constant: the gcd is 1
-        return (base.one,)
+        return (K.one,)
     while g:
-        f, g = g, _udivmod(base, f, g)[1]
-    ilc = base.inv(f[-1])
-    return tuple(base.mul(c, ilc) for c in f)
+        f, g = g, _udivmod(K, f, g)[1]
+    ilc = K.field.inv(f[-1])
+    return tuple(K.mul(c, ilc) for c in f)
 
 
-def _umonic(base, num, den):
+def _umonic(K, num, den):
     """num/den scaled so the denominator is monic."""
-    if den[-1] == base.one:
+    if den[-1] == K.one:
         return (num, den)
-    ilc = base.inv(den[-1])
-    return (tuple(base.mul(c, ilc) for c in num), tuple(base.mul(c, ilc) for c in den))
+    ilc = K.field.inv(den[-1])
+    return (tuple(K.mul(c, ilc) for c in num), tuple(K.mul(c, ilc) for c in den))
 
 
-def _ufrob(base, f):
+def _ufrob(K, f):
     """f(t) ^ p = sum c_i^p t^(i p) in characteristic p."""
-    out = [base.zero] * ((len(f) - 1) * base.p + 1)
-    out[::base.p] = map(base.frob, f)
+    out = [K.zero] * ((len(f) - 1) * K.field.p + 1)
+    out[::K.field.p] = map(K.field.frob, f)
     return tuple(out)
 
 
@@ -185,10 +188,11 @@ def _poly_ops(base):
                lambda a: (1,) if a == 1 else  # shared unit
                tuple(a.to_bytes((a.bit_length() + 7) >> 3, "little")))
     else:
-        ops = ((), (base.one,), partial(_uadd, base), partial(_umul, base),
-               _same if base.p == 2 else lambda f: tuple(map(base.neg, f)),
-               lambda f, g: _udivmod(base, f, g)[0], partial(_ugcd, base),
-               partial(_umonic, base), partial(_ufrob, base), tuple, tuple)
+        K = FieldSpec.kernel(base, ())  # base's own table: base.kernel(()) is F_p's
+        ops = ((), (base.one,), partial(_uadd, K), partial(_umul, K),
+               _same if base.p == 2 else lambda f: tuple(map(K.neg, f)),
+               lambda f, g: _udivmod(K, f, g)[0], partial(_ugcd, K),
+               partial(_umonic, K), partial(_ufrob, K), tuple, tuple)
     one, quo, gcd = ops[1], ops[5], ops[6]
 
     def cancel(f, g):
@@ -383,10 +387,11 @@ class ExtensionField(FieldSpec):
 
     def _modulus_irreducible(self):
         # trial division by every monic polynomial of degree 1..k//2
+        K = self.base.kernel(())
         for d in range(1, self.degree // 2 + 1):
             for code in range(self.p ** d):
                 cand = tuple(_digits(code, self.p, d)) + (1,)
-                if not _udivmod(self.base, self.modulus, cand)[1]:
+                if not _udivmod(K, self.modulus, cand)[1]:
                     return False
         return True
 
@@ -416,7 +421,8 @@ class ExtensionField(FieldSpec):
         exp = [1]
         if p == 2:
             # c * g is the XOR of c * a^i over the set bits i of g, and c * a
-            # is a shift, then an XOR with the modulus when bit k comes up
+            # is a shift, then an XOR with the modulus when bit k comes up:
+            # F_{2^16} builds 12x faster than with the digit-matrix walk
             mcode = sum(c << i for i, c in enumerate(self.modulus))
             c = 1
             while True:
@@ -469,8 +475,6 @@ class ExtensionField(FieldSpec):
         return n % self.p
 
     def add(self, a, b):
-        if self.p == 2:
-            return a ^ b
         if not a or not b:
             return a or b
         la = self._log[a]
@@ -479,12 +483,10 @@ class ExtensionField(FieldSpec):
         return 0 if z is None else self._exp[la + z]
 
     def sub(self, a, b):
-        return a ^ b if self.p == 2 else self.add(a, self.neg(b))
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
-        if self.p == 2 or not a:
-            return a
-        return self._exp[self._log[a] + self._q1 // 2]  # -1 = g^((q-1)/2)
+        return self.mul(a, self.p - 1)  # the code p - 1 is -1
 
     def mul(self, a, b):
         return self._exp[self._log[a] + self._log[b]] if a and b else 0
@@ -533,7 +535,7 @@ class RationalFunctionField(FieldSpec):
         writes this spec's payloads."""
         base = self.base.kernel(c for a in payloads for f in a for c in f).field
         field = self if base is self.base else RationalFunctionField(base, self.param)
-        zero, one, add, mul, neg, quo, gcd, monic, _, pin, out, cancel = field._ops
+        zero, one, add, mul, neg, quo, gcd, monic, _, pin, _, cancel = field._ops
 
         def cofactors(c, d):
             return monic(*cancel(c, d))
@@ -552,7 +554,7 @@ class RationalFunctionField(FieldSpec):
                     for m, (n, d) in zip(terms, vals)}, den
 
         def leave(terms, scale):
-            return {m: monic(*map(out, cancel(c, scale))) for m, c in terms.items()}
+            return {m: field._reduced(c, scale) for m, c in terms.items()}
 
         return Kernel(field, zero, one, add, mul, neg, cofactors, primitive, enter, leave)
 
@@ -561,8 +563,13 @@ class RationalFunctionField(FieldSpec):
         num, den = T.pin(_utrim_spec(self.base, num)), T.pin(_utrim_spec(self.base, den))
         if not den:
             raise ZeroDivisionError("zero denominator in %s(%s)" % (self.base, self.param))
+        return self._reduced(num, den)
+
+    def _reduced(self, num, den):
+        """The payload of num/den, for operands num and den != 0."""
         if not num:
             return self.zero
+        T = self._ops
         num, den = T.cancel(num, den)
         return T.monic(T.out(num), T.out(den))
 
@@ -596,23 +603,8 @@ class RationalFunctionField(FieldSpec):
 
     def add(self, a, b):
         T = self._ops
-        pin, out = T.pin, T.out
-        (n1, d1), (n2, d2) = a, b
-        if d1 == d2 == self.one[1]:  # polynomials: no gcd to take
-            return (out(T.add(pin(n1), pin(n2))), d1)
-        # Henrici: with g = gcd(d1, d2), a + b = (n1 d2/g + n2 d1/g) / (d1 d2/g),
-        # and a common factor of that numerator and denominator divides g
-        # (Knuth, TAOCP vol. 2, 4.5.1)
-        n1, d1, n2, d2 = pin(n1), pin(d1), pin(n2), pin(d2)
-        g = T.gcd(d1, d2)
-        if g != T.one:
-            d1, d2 = T.quo(d1, g), T.quo(d2, g)
-        num = T.add(T.mul(n1, d2), T.mul(n2, d1))
-        if not num:
-            return self.zero
-        if g != T.one:
-            num, g = T.cancel(num, g)
-        return (out(num), out(T.mul(T.mul(d1, d2), g)))  # monic, as d1, d2 and g are
+        (n1, d1), (n2, d2) = map(T.pin, a), map(T.pin, b)
+        return self._reduced(T.add(T.mul(n1, d2), T.mul(n2, d1)), T.mul(d1, d2))
 
     def neg(self, a):
         return (self._ops.neg(a[0]), a[1])
@@ -622,16 +614,8 @@ class RationalFunctionField(FieldSpec):
 
     def mul(self, a, b):
         T = self._ops
-        pin, out = T.pin, T.out
-        (n1, d1), (n2, d2) = a, b
-        if not n1 or not n2:
-            return self.zero
-        if d1 == d2 == self.one[1]:
-            return (out(T.mul(pin(n1), pin(n2))), d1)
-        # cross-cancel first: keeps the gcd calls on small operands
-        n1, d2 = T.cancel(pin(n1), pin(d2))
-        n2, d1 = T.cancel(pin(n2), pin(d1))
-        return (out(T.mul(n1, n2)), out(T.mul(d1, d2)))
+        (n1, d1), (n2, d2) = map(T.pin, a), map(T.pin, b)
+        return self._reduced(T.mul(n1, n2), T.mul(d1, d2))
 
     def inv(self, a):
         num, den = a

@@ -113,18 +113,16 @@ def fiber_presentation(prime, t_name=None):
         K, varnames, relations=[fp.map_poly(r) for r in ring.relations]))
 
 
-def localized_hk(prime, e, fiber=None):
+def localized_hk(prime, e):
     """l over k(t) of the image of p^{[p^e]} in the fiber presentation: the
     bracket power of the image of p, as the fiber map commutes with
     Frobenius."""
-    fp = fiber or fiber_presentation(prime)
-    return invariants.hk_function(fp.map_ideal(prime), e)
+    return invariants.hk_function(fiber_presentation(prime).map_ideal(prime), e)
 
 
-def localized_hk_report(prime, e_max, fiber=None, jobs=1):
+def localized_hk_report(prime, e_max, jobs=1):
     """HK rows of the localization, normalized by q^{dim R - 1}."""
-    fp = fiber or fiber_presentation(prime)
-    image = fp.map_ideal(prime)
+    image = fiber_presentation(prime).map_ideal(prime)
     return invariants.ehk_estimate(image, e_max, jobs=jobs)
 
 
@@ -167,7 +165,7 @@ class RigidityReport(namedtuple("RigidityReport", "rows all_pass")):
     __slots__ = ()
 
 
-def rigidity_check(prime, e_max, fiber=None):
+def rigidity_check(prime, e_max):
     """Check l(R/m^{[q]}) = q^{dim R/p} * l_fiber(p^{[q]}) for e <= e_max.
 
     Under a weak F-regularity warranty the identity holds iff the numbers of
@@ -177,7 +175,7 @@ def rigidity_check(prime, e_max, fiber=None):
     if e_max < 1:
         raise EquimultError("rigidity_check needs e_max >= 1")
     ring = prime.ring
-    fp = fiber or fiber_presentation(prime)
+    fp = fiber_presentation(prime)
     dimq = groebner.ideal_dimension(prime)
     rows = []
     for (e, q, lhs, _), (_, _, ell, _) in zip(*invariants.hk_table(

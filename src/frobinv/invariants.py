@@ -13,7 +13,7 @@ max(|fit - last row|, last Cauchy difference).
 from collections import namedtuple
 from fractions import Fraction
 
-from .polyring import Ideal, Polynomial, ring_make
+from .polyring import MAX_EXTENSION_ORDER, Ideal, Polynomial, frobenius_order, ring_make
 from . import InputError, groebner
 from . import frobenius
 
@@ -279,6 +279,10 @@ def descent_sequence(prime, x, n_max, e_max, fiber_estimate=None, jobs=1):
     if e_max < 1 or n_max < 1:
         raise InvariantError("descent needs e_max >= 1 and n_max >= 1")
     ring = prime.ring
+    # x^{nq} is a power like any other: refused before the n_max ideals are built
+    if n_max * frobenius_order(ring.field.p, e_max) > MAX_EXTENSION_ORDER:
+        raise InvariantError("descent exponent n_max * q = %d * %d^%d exceeds the limit %d = 2^16"
+                             % (n_max, ring.field.p, e_max, MAX_EXTENSION_ORDER))
     d = ring.dim
     x = _parameter(ring, x)
     if groebner.is_member(x, prime):

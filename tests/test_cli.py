@@ -424,6 +424,15 @@ def test_exit_three_on_frobenius_exponent_past_the_limit(argv, capsys):
     assert "exceeds the limit 65536 = 2^16" in capsys.readouterr().err
 
 
+def test_exit_three_on_descent_exponent_past_the_limit(capsys):
+    # x^{nq} with n q = 2 * 10^8 ran past 20 s building the n_max ideals
+    start = time.perf_counter()
+    assert main(["descent", "corpus:brenner-monsky", "p", "h", "--emax", "1",
+                 "--nmax", "100000000"]) == 3
+    assert time.perf_counter() - start < 5
+    assert "exceeds the limit 65536 = 2^16" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("char", ["2", "3"], ids=["F2t", "F3t"])
 def test_exit_three_on_exponent_past_the_limit(char, tmp_path, capsys):
     # the colon ran past 20 s, squaring t towards t^(2^26) while parsing f

@@ -7,6 +7,7 @@ base(t) arithmetic over F_2, F_3, F_4 and F_9 with the schoolbook references
 below.
 """
 
+import operator
 import pickle
 import time
 
@@ -607,3 +608,15 @@ def test_field_defaults_of_the_kernel_ops():
     assert F9.kernel([2, 1]).field is F9.base and F4.kernel([0, 1]).field is F4.base
     assert F4T.kernel([F4T.one]).field == F2T and F4T.kernel([F4T.one]).field is not F4T
     assert F4T.kernel([F4T.symbols()["a"].payload]).field is F4T
+
+
+@pytest.mark.parametrize("K, payloads", [
+    (F2, [1]), (F4, [F4.symbols()["a"].payload]), (F2T, [F2T.symbols()["t"].payload]),
+], ids=["F2", "F4", "F2(t)"])
+def test_characteristic_two_kernel_adds_by_xor(K, payloads):
+    # the XOR add and the identity neg live in the kernel's op table only;
+    # the payload ops add by Zech logarithms and by reduced fractions
+    ops = K.kernel(payloads)
+    assert ops.field is K and ops.add is operator.xor
+    x = ops.enter({0: payloads[0]})[0][0]
+    assert all(ops.neg(a) is a for a in (ops.zero, ops.one, x))

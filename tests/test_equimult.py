@@ -414,7 +414,7 @@ def test_rigidity_rows_lie_in_kunz_bracket(ring, gens):
     # at the origin (alpha = 0): q^dim l_fiber <= l(R/m^[q]) <= q l(Q_0/m^[q])
     P = ideal(ring(), *gens)
     fp = fiber_presentation(P)
-    rep = rigidity_check(P, 3, fiber=fp)
+    rep = rigidity_check(P, 3)
     (uppers,) = hk_table([fp.specialize(0).origin_ideal()], range(1, 4))
     for (e, q, lhs, rhs, _), (_, _, up, _) in zip(rep.rows, uppers):
         assert _bracket_violation(lhs, rhs, q * up) is None, e
