@@ -42,83 +42,83 @@ class FieldError(InputError):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomial helpers over a finite field, on its kernel op table K
-# (so XOR adds in characteristic 2)
+# univariate polynomial helpers over a finite field F; add is the sum of its
+# kernel op table (XOR in characteristic 2)
 #
-# representation: tuple of field payloads, little-endian, no trailing zeros;
+# representation: tuple of F payloads, little-endian, no trailing zeros;
 # the zero polynomial is the empty tuple.
 
-def _utrim_spec(K, f):
+def _utrim_spec(F, f):
     n = len(f)
-    z = K.zero
+    z = F.zero
     while n and f[n - 1] == z:
         n -= 1
     return tuple(f[:n])
 
 
-def _uadd(K, f, g):
+def _uadd(F, add, f, g):
     if len(f) < len(g):
         f, g = g, f
     out = list(f)
     for i, c in enumerate(g):
-        out[i] = K.add(out[i], c)
-    return _utrim_spec(K, out)
+        out[i] = add(out[i], c)
+    return _utrim_spec(F, out)
 
 
-def _umul(K, f, g):
+def _umul(F, add, f, g):
     if not f or not g:
         return ()
-    zero, add, mul = K.zero, K.add, K.mul
+    zero, mul = F.zero, F.mul
     out = [zero] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a == zero:
             continue
         for j, b in enumerate(g):
             out[i + j] = add(out[i + j], mul(a, b))
-    return _utrim_spec(K, out)
+    return _utrim_spec(F, out)
 
 
-def _udivmod(K, f, g):
+def _udivmod(F, add, f, g):
     if not g:
         raise ZeroDivisionError("univariate division by zero")
-    zero, add, mul = K.zero, K.add, K.mul
+    zero, mul = F.zero, F.mul
     f = list(f)
     dg = len(g) - 1
-    ilc = K.field.inv(g[-1])
+    ilc = F.inv(g[-1])
     quo = [zero] * max(0, len(f) - dg)
     while len(f) - 1 >= dg and f:
         k = len(f) - 1 - dg
         quo[k] = mul(f[-1], ilc)
-        c = K.neg(quo[k])
+        c = F.neg(quo[k])
         for i, b in enumerate(g):
             f[k + i] = add(f[k + i], mul(c, b))
         while f and f[-1] == zero:
             f.pop()
-    return _utrim_spec(K, quo), _utrim_spec(K, f)
+    return _utrim_spec(F, quo), _utrim_spec(F, f)
 
 
-def _ugcd(K, f, g):
+def _ugcd(F, add, f, g):
     """The monic gcd of f and g, not both zero."""
     if len(f) == 1 or len(g) == 1:  # a non-zero constant: the gcd is 1
-        return (K.one,)
+        return (F.one,)
     while g:
-        f, g = g, _udivmod(K, f, g)[1]
-    ilc = K.field.inv(f[-1])
-    return tuple(K.mul(c, ilc) for c in f)
+        f, g = g, _udivmod(F, add, f, g)[1]
+    ilc = F.inv(f[-1])
+    return tuple(F.mul(c, ilc) for c in f)
 
 
-def _umonic(K, num, den):
+def _umonic(F, num, den):
     """num/den scaled so the denominator is monic."""
-    if den[-1] == K.one:
+    if den[-1] == F.one:
         return (num, den)
-    ilc = K.field.inv(den[-1])
-    return (tuple(K.mul(c, ilc) for c in num), tuple(K.mul(c, ilc) for c in den))
+    ilc = F.inv(den[-1])
+    return (tuple(F.mul(c, ilc) for c in num), tuple(F.mul(c, ilc) for c in den))
 
 
-def _ufrob(K, f):
+def _ufrob(F, f):
     """f(t) ^ p = sum c_i^p t^(i p) in characteristic p."""
-    out = [K.zero] * ((len(f) - 1) * K.field.p + 1)
-    out[::K.field.p] = map(K.field.frob, f)
+    out = [F.zero] * ((len(f) - 1) * F.p + 1)
+    out[::F.p] = map(F.frob, f)
     return tuple(out)
 
 
@@ -189,10 +189,11 @@ def _poly_ops(base):
                tuple(a.to_bytes((a.bit_length() + 7) >> 3, "little")))
     else:
         K = FieldSpec.kernel(base, ())  # base's own table: base.kernel(()) is F_p's
-        ops = ((), (base.one,), partial(_uadd, K), partial(_umul, K),
-               _same if base.p == 2 else lambda f: tuple(map(K.neg, f)),
-               lambda f, g: _udivmod(K, f, g)[0], partial(_ugcd, K),
-               partial(_umonic, K), partial(_ufrob, K), tuple, tuple)
+        add = K.add
+        ops = ((), (base.one,), partial(_uadd, base, add), partial(_umul, base, add),
+               lambda f: tuple(map(K.neg, f)), lambda f, g: _udivmod(base, add, f, g)[0],
+               partial(_ugcd, base, add), partial(_umonic, base), partial(_ufrob, base),
+               tuple, tuple)
     one, quo, gcd = ops[1], ops[5], ops[6]
 
     def cancel(f, g):
@@ -387,11 +388,11 @@ class ExtensionField(FieldSpec):
 
     def _modulus_irreducible(self):
         # trial division by every monic polynomial of degree 1..k//2
-        K = self.base.kernel(())
+        base = self.base
         for d in range(1, self.degree // 2 + 1):
             for code in range(self.p ** d):
                 cand = tuple(_digits(code, self.p, d)) + (1,)
-                if not _udivmod(K, self.modulus, cand)[1]:
+                if not _udivmod(base, base.add, self.modulus, cand)[1]:
                     return False
         return True
 

@@ -414,21 +414,16 @@ def test_exit_zero_on_quartic_product_target():
     assert env["payload"]["distance"] == {"den": "1", "num": "0"}
 
 
-@pytest.mark.parametrize("argv", [("hk", "corpus:a1-char2", "m"), ("fsig", "corpus:a1-char2")],
-                         ids=["hk", "fsig"])
+@pytest.mark.parametrize("argv", [
+    ("hk", "corpus:a1-char2", "m", "--emax", "60"),
+    ("fsig", "corpus:a1-char2", "--emax", "60"),
+    # x^{nq} with n q = 2 * 10^8: it ran past 20 s building the n_max ideals
+    ("descent", "corpus:brenner-monsky", "p", "h", "--emax", "1", "--nmax", "100000000"),
+], ids=["hk", "fsig", "descent"])
 def test_exit_three_on_frobenius_exponent_past_the_limit(argv, capsys):
     # q = 2^60 is refused before the first row, not after the lower levels
     start = time.perf_counter()
-    assert main([*argv, "--emax", "60"]) == 3
-    assert time.perf_counter() - start < 5
-    assert "exceeds the limit 65536 = 2^16" in capsys.readouterr().err
-
-
-def test_exit_three_on_descent_exponent_past_the_limit(capsys):
-    # x^{nq} with n q = 2 * 10^8 ran past 20 s building the n_max ideals
-    start = time.perf_counter()
-    assert main(["descent", "corpus:brenner-monsky", "p", "h", "--emax", "1",
-                 "--nmax", "100000000"]) == 3
+    assert main(list(argv)) == 3
     assert time.perf_counter() - start < 5
     assert "exceeds the limit 65536 = 2^16" in capsys.readouterr().err
 
