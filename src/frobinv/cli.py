@@ -823,14 +823,6 @@ def _params_for_digest(args):
     return {n: getattr(args, n) for n in sorted(names) if n not in _UNHASHED}
 
 
-def _check_exponents(cmd, args, doc):
-    """Refuse an exponent flag past q = 2^16 before the first row, not after
-    the lower levels; the commands with no spec run in characteristic 2."""
-    from .polyring import frobenius_order
-    for flag in [f for f in ("emax", "tc_emax") if f in cmd.flags]:
-        frobenius_order(2 if doc is None else doc.ring.field.p, getattr(args, flag))
-
-
 def _run(args, out):
     cmd = _COMMANDS[args.command]
     source = getattr(args, "spec", None)
@@ -846,7 +838,6 @@ def _run(args, out):
     if blob is None:
         # the spec is parsed only when there is something to compute
         doc = None if source is None else parse_spec(spec_text)
-        _check_exponents(cmd, args, doc)
         values, echoes = [], {}
         for name, key, get, _ in cmd.positionals:
             if get is not None:

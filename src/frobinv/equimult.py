@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .coeff import (PrimeField, ExtensionField, RationalFunctionField,
                     FieldElement)
-from .polyring import Polynomial, Ideal, ring_make
+from .polyring import Polynomial, Ideal, frobenius_order, ring_make
 from . import InputError, groebner, frobenius, invariants
 from .frobenius import WARRANTY
 
@@ -80,7 +80,7 @@ class FiberPresentation(namedtuple("FiberPresentation",
         return ring_make(base, self.fiber_ring.varnames, relations=rels)
 
 
-def fiber_presentation(prime, t_name=None):
+def fiber_presentation(prime):
     """Build the k(t)-fiber at a prime with R/p = k[t].
 
     The shape check: the reduced basis of p (with the relations) must have
@@ -102,9 +102,6 @@ def fiber_presentation(prime, t_name=None):
     if len(survivors) != 1:
         raise EquimultError("prime does not leave exactly one free variable")
     j = survivors[0]
-    if t_name is not None and ring.varnames[j] != t_name:
-        raise EquimultError("designated variable %r does not survive; %r does"
-                            % (t_name, ring.varnames[j]))
     name = ring.varnames[j]
     K = RationalFunctionField(ring.field, name)
     varnames = ring.varnames[:j] + ring.varnames[j + 1:]
@@ -212,6 +209,8 @@ def equimult_check(prime, c=None, e_max=3, tc_e_max=2):
     if tc_e_max < 1:
         raise EquimultError("equimult_check needs tc_e_max >= 1")
     ring = prime.ring
+    frobenius_order(ring.field.p, e_max)
+    frobenius_order(ring.field.p, tc_e_max)
     if isinstance(c, str):
         c = ring.parse(c)
     if c is not None and c.is_zero():

@@ -14,7 +14,7 @@ Verdicts therefore record the multiplier and the exponent range tested.
 
 from collections import namedtuple
 
-from .polyring import Polynomial, Ideal, GREVLEX
+from .polyring import Polynomial, Ideal, GREVLEX, frobenius_order
 from . import InputError, groebner
 
 
@@ -52,8 +52,8 @@ class ClosureVerdict(namedtuple("ClosureVerdict", "status e_bound multiplier",
 
 def frobenius_power(I, e):
     """The bracket power I^{[p^e]}, generated by g^{p^e} generator-wise."""
-    if e < 0:
-        raise FrobeniusError("bracket power needs e >= 0")
+    # refused here, not only per generator: the zero ideal has none
+    frobenius_order(I.ring.field.p, e)
     return Ideal(I.ring, [g.frobenius_power(e) for g in I.gens])
 
 
@@ -62,6 +62,7 @@ def tc_membership(z, I, c, e_max):
     if e_max < 1:
         raise FrobeniusError("tc_membership needs e_max >= 1")
     ring = I.ring
+    frobenius_order(ring.field.p, e_max)
     if isinstance(z, str):
         z = ring.parse(z)
     if isinstance(c, str):
@@ -83,6 +84,7 @@ def frobenius_closure_membership(z, I, e_max):
     if e_max < 0:
         raise FrobeniusError("frobenius_closure_membership needs e_max >= 0")
     ring = I.ring
+    frobenius_order(ring.field.p, e_max)
     if isinstance(z, str):
         z = ring.parse(z)
     for e in range(e_max + 1):
@@ -155,6 +157,7 @@ class SplittingIdealSeq(namedtuple("SplittingIdealSeq", "entries")):
 
 
 def splitting_sequence(ring, e_max):
+    frobenius_order(ring.field.p, e_max)
     return SplittingIdealSeq([(e, splitting_ideal(ring, e), splitting_number(ring, e))
                               for e in range(1, e_max + 1)])
 

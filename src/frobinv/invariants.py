@@ -10,6 +10,7 @@ reporting convenience -- rows always travel with it, and the error band is
 max(|fit - last row|, last Cauchy difference).
 """
 
+import os
 from collections import namedtuple
 from fractions import Fraction
 
@@ -113,7 +114,8 @@ def sweep(plan, jobs):
     infinite); plans compose with ``yield from`` (see ``hk_plan``).  Every
     list of the plan runs in one process pool of at most jobs workers,
     started for the first list of two cells or more and with no more workers
-    than it has cells; before that, and with jobs <= 1, cells run here.
+    than it has cells or the machine has CPUs; before that, and with
+    jobs <= 1, cells run here.
     """
     pool = None
     lengths = None
@@ -126,7 +128,7 @@ def sweep(plan, jobs):
             if pool is None and jobs > 1 and len(cells) > 1:
                 # imported here: the pool's modules cost every process start otherwise
                 from concurrent.futures import ProcessPoolExecutor
-                pool = ProcessPoolExecutor(max_workers=min(jobs, len(cells)))
+                pool = ProcessPoolExecutor(max_workers=min(jobs, len(cells), os.cpu_count() or 1))
             if pool is None:
                 lengths = [_hk_cell(c) for c in cells]
             else:
@@ -140,18 +142,24 @@ _sweep = sweep  # the sweep's former name, which bench/tracing.py wraps
 
 
 def hk_plan(ideals, levels):
-    """The plan (see ``sweep``) of ``hk_table``: one list of cells."""
-    levels = list(levels)
-    lengths = iter((yield [(I, e) for I in ideals for e in levels]))
+    """The plan (see ``sweep``) of ``hk_table``: one list of cells.  An empty
+    level list, or a level whose q = p^e passes 2^16, is refused before the
+    first cell; each level is checked as it is read, so a long range stops at
+    its first level past the limit, before the rest of it is listed."""
+    chars = {I.ring.field.p for I in ideals}
+    levels = [(e, {p: frobenius_order(p, e) for p in chars}) for e in levels]
+    if not levels:
+        raise InvariantError("a Hilbert-Kunz table needs at least one level e")
+    lengths = iter((yield [(I, e) for I in ideals for e, _ in levels]))
     table = []
     for I in ideals:
         p, d = I.ring.field.p, I.ring.dim
         rows = []
-        for e in levels:
+        for e, orders in levels:
             ell = next(lengths)
             if ell is None:
                 raise InvariantError("ideal is not origin-primary: infinite colength")
-            q = p ** e
+            q = orders[p]
             rows.append((e, q, ell, Fraction(ell, q ** d)))
         table.append(rows)
     return table
@@ -166,8 +174,6 @@ def hk_table(ideals, levels, jobs=1):
 
 def hk_rows(I, e_max, jobs=1):
     """Hilbert-Kunz rows (e, q, l(R/I^{[q]}), l/q^d) for e = 1..e_max."""
-    if e_max < 1:
-        raise InvariantError("hk_rows needs e_max >= 1")
     return hk_table([I], range(1, e_max + 1), jobs)[0]
 
 
@@ -255,6 +261,7 @@ def fsig_function(ring, e_max):
         raise InvariantError("fsig_function needs e_max >= 1")
     d = ring.dim
     p = ring.field.p
+    frobenius_order(p, e_max)
     rows = []
     for e in range(1, e_max + 1):
         q = p ** e
@@ -314,8 +321,6 @@ def descent_sequence(prime, x, n_max, e_max, fiber_estimate=None, jobs=1):
 
 def lech_check(I, J, e_max):
     """Row-wise l(R/I^{[q]}) <= l(J/I) l(R/m^{[q]}) + l(R/J^{[q]}) for I in J."""
-    if e_max < 1:
-        raise InvariantError("lech_check needs e_max >= 1")
     ring = I.ring
     if not groebner.ideal_contains(J, I):
         raise InvariantError("lech_check needs I contained in J")

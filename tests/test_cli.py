@@ -656,6 +656,33 @@ def test_one_cell_starts_no_pool(emax, pools, monkeypatch):
     assert (code, strip_timing(pooled)) == (code1, strip_timing(serial))
 
 
+@pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+def test_pool_has_at_most_one_worker_per_cpu(cpus, workers, monkeypatch):
+    # descent over F_2 at --emax 1 can ask for 32768 cells in one list, and
+    # the fork start method launches every worker at once; the fake pool
+    # maps here, so no worker process starts
+    import concurrent.futures
+
+    started = []
+
+    class Serial:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Serial)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code, pooled = run_json("hk", "corpus:node", "--emax", "6", "--jobs", "64")
+    assert started == [workers]
+    code1, serial = run_json("hk", "corpus:node", "--emax", "6")
+    assert (code, strip_timing(pooled)) == (code1, strip_timing(serial))
+
+
 def test_import_leaves_process_pool_out():
     # the pool is imported only by a sweep with jobs > 1
     code = ("import sys, frobinv.cli; "

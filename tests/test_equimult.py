@@ -2,11 +2,15 @@
 rigidity, the equimultiplicity necessary condition, and the quartic-family
 drivers."""
 
+import signal
 from fractions import Fraction
 
 import pytest
 
-from frobinv.coeff import ExtensionField, FieldElement, PrimeField
+from frobinv import InputError
+from frobinv.cli import parse_spec
+from frobinv.coeff import ExtensionField, FieldElement, PrimeField, RationalFunctionField
+from frobinv.corpus import corpus_text
 from frobinv.equimult import (
     WARRANTY,
     EquimultError,
@@ -26,8 +30,8 @@ from frobinv.equimult import (
     wy_inequality_check,
 )
 from frobinv.frobenius import frobenius_power
-from frobinv.invariants import hk_function, hk_table
-from frobinv.polyring import Ideal, ring_make
+from frobinv.invariants import ehk_estimate, fsig_function, hk_function, hk_table
+from frobinv.polyring import Ideal, RingError, ring_make
 
 F2 = PrimeField(2)
 F4 = ExtensionField(2, (1, 1, 1))
@@ -62,12 +66,6 @@ def test_fiber_presentation_rejects_two_survivors():
     R = ring_make(F2, ("x", "y", "z"))
     with pytest.raises(EquimultError):
         fiber_presentation(ideal(R, "x"))
-
-
-def test_fiber_presentation_checks_designated_name():
-    R = quadric_cone()
-    with pytest.raises(EquimultError):
-        fiber_presentation(ideal(R, "x", "y"), t_name="y")
 
 
 # -- localized rows --------------------------------------------------------------
@@ -165,6 +163,47 @@ def test_zero_multiplier_is_refused_before_any_work():
         equimult_check(ideal(ring_make(F2, ("x", "y", "z")), "x"), c="0")
     with pytest.raises(EquimultError, match=zero):
         filtration_check(ring_make(F2, ("x", "y")).origin_ideal(), [], c="0")
+
+
+# -- the level range ------------------------------------------------------------------
+
+
+def _past_five_seconds(signum, frame):
+    raise TimeoutError("not refused within 5 s")
+
+
+def _quartic_over_f2t():
+    return quartic_ring(RationalFunctionField(F2, "t").symbols()["t"])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rigidity_check(parse_spec(corpus_text("brenner-monsky")).ideals["p"], 17),
+    lambda: monsky_repro("transcendental", 17),
+    lambda: bm_gap_table([0], e_max=17),
+    lambda: fsig_function(parse_spec(corpus_text("a1-odd")).ring, 11),
+    lambda: ehk_estimate(_quartic_over_f2t().origin_ideal(), 17),
+], ids=["rigidity", "monsky-repro", "bm-gap", "fsig-a1-odd", "ehk-f2t-quartic"])
+def test_level_past_the_limit_is_refused_before_the_first_cell(call):
+    # each ran past 20 s, through every level below the one refused
+    handler = signal.signal(signal.SIGALRM, _past_five_seconds)
+    signal.alarm(5)
+    try:
+        with pytest.raises(RingError, match="exceeds the limit 65536 = 2\\^16"):
+            call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: colength_identity_check(ideal(quadric_cone(), "x", "y"), "z", 0),
+    lambda: specialization_consistency(1, 0),
+    lambda: filtration_check(ring_make(F2, ("x", "y")).origin_ideal(), []),
+], ids=["colength-identity", "specialization", "filtration"])
+def test_empty_level_range_is_refused(call):
+    # each returned a vacuous pass over no rows
+    with pytest.raises(InputError):
+        call()
 
 
 # -- filtration hypotheses -----------------------------------------------------------

@@ -17,11 +17,12 @@ from frobinv.invariants import (
     ehk_estimate,
     fsig_function,
     hk_function,
+    hk_table,
     hs_multiplicity,
     lech_check,
     parameter_degree,
 )
-from frobinv.polyring import Ideal, ring_make
+from frobinv.polyring import Ideal, RingError, ring_make
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -123,6 +124,17 @@ def test_ehk_needs_two_rows():
     R = ring_make(F2, ("x",))
     with pytest.raises(InvariantError):
         ehk_estimate(origin(R), 1)
+
+
+def test_level_range_stops_at_its_first_level_past_the_limit():
+    # --emax 1000000000 reaches the table as range(1, 10^9 + 1): listing it
+    # before the check would hold 10^9 levels in memory
+    def levels():
+        yield from range(1, 18)
+        raise AssertionError("read past the refused level e = 17")
+
+    with pytest.raises(RingError, match="q = 2\\^17 exceeds the limit 65536"):
+        hk_table([origin(ring_make(F2, ("x",)))], levels())
 
 
 # -- Hilbert-Samuel multiplicity on curves --------------------------------------

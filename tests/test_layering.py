@@ -4,8 +4,9 @@ Coefficient formats are coeff's business alone: no other module of the
 package classifies a field by its class or builds a payload by hand, and
 inside coeff the base(t) ops reach base[t] only through the base's op table.
 No module reads an underscore-prefixed (private) name of a sibling
-module; dunder names are public.  And the Groebner kernel divides in one
-loop, ``_reduce``."""
+module; dunder names are public.  The Groebner kernel divides in one
+loop, ``_reduce``.  And the bound q = p^e <= 2^16 is the library's: the
+CLI names neither the check nor the limit."""
 
 import ast
 import os
@@ -305,3 +306,33 @@ def test_the_dataclass_scan_sees_both_forms():
               "import os, dataclasses as dc\nfrom .dataclasses import x\n"
               "import dataclasses_json\nfrom collections import namedtuple\n")
     assert len(_dataclass_imports(source)) == 3
+
+
+EXPONENT_RULE = {"frobenius_order", "MAX_EXTENSION_ORDER"}
+
+
+def _exponent_rule_names(source):
+    """Names, attributes and imports of the exponent bound's check or limit."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            names = {node.name, node.asname}
+        else:
+            names = _names(node) if isinstance(node, (ast.Name, ast.Attribute)) else set()
+        out += ["%s: %s" % (type(node).__name__, n) for n in sorted(names & EXPONENT_RULE)]
+    return out
+
+
+def test_the_cli_leaves_the_exponent_bound_to_the_library():
+    # the level planners refuse a level past 2^16 before the first cell, for
+    # every caller; a second copy of the rule in the CLI could drift from it
+    with open(os.path.join(PKG, "cli.py"), encoding="utf-8") as fh:
+        assert _exponent_rule_names(fh.read()) == []
+
+
+def test_the_exponent_bound_scan_sees_each_form():
+    source = ("from .polyring import frobenius_order\n"
+              "from .coeff import MAX_EXTENSION_ORDER as LIMIT\n"
+              "polyring.frobenius_order(2, e)\nx = coeff.MAX_EXTENSION_ORDER\n"
+              "frobenius_power(I, e)\n")
+    assert len(_exponent_rule_names(source)) == 4
